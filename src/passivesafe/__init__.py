@@ -29,7 +29,6 @@ from .checker import (
     state_space_stats,
 )
 from .kinematics import (
-    BrakingModel,
     CollisionDistance,
     braking_distance_cells,
     collision_danger,
@@ -68,7 +67,6 @@ from .sim import (
     SimOutcome,
     SimState,
     SimTrace,
-    detect_collision,
     load_sim_config,
     simulate,
 )

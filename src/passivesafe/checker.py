@@ -15,7 +15,7 @@ import json
 import random
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -29,19 +29,21 @@ from .automata import (
 from .kinematics import is_passive_safe
 from .model import (
     GridScenario,
-    RobotMode,
+    ScenarioError,
+    TraceError,
     WorldState,
+    _as_object,
+    _want_int,
+    _want_list,
+    _want_mode,
     initial_world_state,
     obstacle_to_dict,
     robot_to_dict,
+    world_from_dict,
     world_to_dict,
 )
 
 DEFAULT_STATE_BUDGET = 5_000_000
-
-
-class TraceError(ValueError):
-    """A trace failed validation during replay."""
 
 
 class Outcome(str, Enum):
@@ -59,26 +61,35 @@ class Trace:
 
 
 @dataclass(frozen=True, slots=True)
-class SafetyVerdict:
-    outcome: Outcome
-    states_explored: int
-    max_depth: int
-    counterexample: Trace | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class ExplorationStats:
     """Exploration bookkeeping.
 
     ``transitions`` counts explored edges whose target differs from the
-    source; the terminal idle self-loop is not a transition.
+    source; the terminal idle self-loop is not a transition.  Wall time
+    is a measurement, not part of the identity of a run, so it is left
+    out of equality.
     """
 
     states: int
     transitions: int
     peak_frontier: int
     max_depth: int
-    wall_time_s: float
+    wall_time_s: float = field(compare=False)
+
+
+@dataclass(frozen=True, slots=True)
+class SafetyVerdict:
+    outcome: Outcome
+    stats: ExplorationStats
+    counterexample: Trace | None = None
+
+    @property
+    def states_explored(self) -> int:
+        return self.stats.states
+
+    @property
+    def max_depth(self) -> int:
+        return self.stats.max_depth
 
 
 def state_key(world: WorldState):
@@ -125,36 +136,38 @@ def _choice_path(parents: dict, key) -> list[tuple[ObstacleChoice, ...]]:
     return path
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _explore(
+def check_safety(
     scenario: GridScenario,
-    depth_bound: int | None,
-    state_budget: int,
-    check_property: bool,
-):
-    """Shared BFS core for check_safety and state_space_stats.
+    depth_bound: int | None = None,
+    state_budget: int = DEFAULT_STATE_BUDGET,
+) -> SafetyVerdict:
+    """Verify the passive-safety invariant over all reachable states.
 
-    Returns (violation_trace_or_None, states, transitions, peak_frontier,
-    max_depth); raises _BudgetExceeded carrying the partial counts.
+    Holds when every reachable state (up to ``depth_bound`` ticks if
+    given, else to fixpoint) is passive safe.  On a violation, returns
+    the tick-minimal counterexample.  Blowing the state budget yields an
+    Inconclusive verdict, never Holds.  Every verdict carries the
+    statistics of the search that reached it.
     """
+    started = time.perf_counter()
     scenario.validate()
     init = initial_world_state(scenario)
     init_key = state_key(init)
-    visited = {init_key}
-    parents: dict = {init_key: None} if check_property else {}
+    parents: dict = {init_key: None}     # doubles as the visited set
     queue = deque([init])
-    states = 1
     transitions = 0
     peak_frontier = 1
     max_depth = 0
 
+    def verdict(outcome: Outcome, counterexample: Trace | None = None) -> SafetyVerdict:
+        stats = ExplorationStats(len(parents), transitions, peak_frontier, max_depth,
+                                 time.perf_counter() - started)
+        return SafetyVerdict(outcome, stats, counterexample)
+
     # The initial state has zero velocity and cannot violate, but keep the
     # check total rather than relying on that.
-    if check_property and not is_passive_safe(init):
-        return Trace(init, ()), states, transitions, peak_frontier, max_depth
+    if not is_passive_safe(init):
+        return verdict(Outcome.VIOLATED, Trace(init, ()))
 
     while queue:
         peak_frontier = max(peak_frontier, len(queue))
@@ -167,53 +180,18 @@ def _explore(
             succ_key = state_key(successor)
             if succ_key != key:
                 transitions += 1
-            if succ_key in visited:
+            if succ_key in parents:
                 continue
-            visited.add(succ_key)
-            states += 1
+            parents[succ_key] = (key, choices)
             max_depth = max(max_depth, successor.tick)
-            if check_property:
-                parents[succ_key] = (key, choices)
-                if not is_passive_safe(successor):
-                    trace = _rebuild_trace(scenario, _choice_path(parents, succ_key))
-                    return trace, states, transitions, peak_frontier, max_depth
-            if states > state_budget:
-                raise _BudgetExceeded(states, transitions, peak_frontier, max_depth)
+            if not is_passive_safe(successor):
+                trace = _rebuild_trace(scenario, _choice_path(parents, succ_key))
+                return verdict(Outcome.VIOLATED, trace)
+            if len(parents) > state_budget:
+                return verdict(Outcome.INCONCLUSIVE)
             queue.append(successor)
 
-    return None, states, transitions, peak_frontier, max_depth
-
-
-def check_safety(
-    scenario: GridScenario,
-    depth_bound: int | None = None,
-    state_budget: int = DEFAULT_STATE_BUDGET,
-) -> SafetyVerdict:
-    """Verify the passive-safety invariant over all reachable states.
-
-    Holds when every reachable state (up to ``depth_bound`` ticks if
-    given, else to fixpoint) is passive safe.  On a violation, returns
-    the tick-minimal counterexample.  Blowing the state budget yields an
-    Inconclusive verdict, never Holds.
-    """
-    try:
-        trace, states, _, _, max_depth = _explore(
-            scenario, depth_bound, state_budget, check_property=True
-        )
-    except _BudgetExceeded as e:
-        return SafetyVerdict(
-            outcome=Outcome.INCONCLUSIVE,
-            states_explored=e.args[0],
-            max_depth=e.args[3],
-        )
-    if trace is not None:
-        return SafetyVerdict(
-            outcome=Outcome.VIOLATED,
-            states_explored=states,
-            max_depth=max_depth,
-            counterexample=trace,
-        )
-    return SafetyVerdict(outcome=Outcome.HOLDS, states_explored=states, max_depth=max_depth)
+    return verdict(Outcome.HOLDS)
 
 
 def state_space_stats(
@@ -221,24 +199,15 @@ def state_space_stats(
     depth_bound: int | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> ExplorationStats:
-    """Explore exactly as check_safety does, without evaluating the
-    property, and report counts and wall time."""
-    started = time.perf_counter()
-    try:
-        _, states, transitions, peak_frontier, max_depth = _explore(
-            scenario, depth_bound, state_budget, check_property=False
-        )
-    except _BudgetExceeded as e:
+    """The statistics of ``check_safety``'s search; on a Violated
+    scenario they describe the search up to the counterexample.  Raises
+    RuntimeError when the state budget runs out."""
+    verdict = check_safety(scenario, depth_bound, state_budget)
+    if verdict.outcome is Outcome.INCONCLUSIVE:
         raise RuntimeError(
-            f"state budget of {state_budget} exceeded after {e.args[0]} states"
-        ) from e
-    return ExplorationStats(
-        states=states,
-        transitions=transitions,
-        peak_frontier=peak_frontier,
-        max_depth=max_depth,
-        wall_time_s=time.perf_counter() - started,
-    )
+            f"state budget of {state_budget} exceeded after {verdict.states_explored} states"
+        )
+    return verdict.stats
 
 
 def replay_trace(scenario: GridScenario, trace: Trace) -> WorldState:
@@ -331,9 +300,24 @@ def write_trace_jsonl(trace: Trace, scenario: GridScenario, path: str | Path) ->
     Path(path).write_text(trace_to_jsonl(trace, scenario))
 
 
-def trace_from_jsonl(text: str) -> Trace:
-    from .model import world_from_dict
+def _label_from_dict(record: dict) -> TransitionLabel:
+    choices = []
+    for i, raw in enumerate(_want_list(record, "choices", "step")):
+        where = f"step.choices[{i}]"
+        _as_object(raw, where)
+        choices.append(ObstacleChoice(_want_int(raw, "id", where),
+                                      _want_int(raw, "velocity", where)))
+    return TransitionLabel(
+        tick=_want_int(record, "tick", "step"),
+        mode_before=_want_mode(record, "modeBefore", "step"),
+        mode_after=_want_mode(record, "modeAfter", "step"),
+        choices=tuple(choices),
+        state_hash=record.get("stateHash", ""),
+    )
 
+
+def trace_from_jsonl(text: str) -> Trace:
+    """Parse counterexample JSONL; any malformed line raises TraceError."""
     initial = None
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -343,22 +327,16 @@ def trace_from_jsonl(text: str) -> Trace:
             record = json.loads(line)
         except json.JSONDecodeError as e:
             raise TraceError(f"trace line {lineno}: {e.msg}") from e
-        kind = record.get("type")
-        if kind == "initial":
-            record.pop("type")
-            initial = world_from_dict(record)
-        elif kind == "step":
-            steps.append(TransitionLabel(
-                tick=record["tick"],
-                mode_before=RobotMode(record["modeBefore"]),
-                mode_after=RobotMode(record["modeAfter"]),
-                choices=tuple(
-                    ObstacleChoice(c["id"], c["velocity"]) for c in record["choices"]
-                ),
-                state_hash=record.get("stateHash", ""),
-            ))
-        else:
-            raise TraceError(f"trace line {lineno}: unknown record type {kind!r}")
+        try:
+            kind = _as_object(record, "record").get("type")
+            if kind == "initial":
+                initial = world_from_dict(record)
+            elif kind == "step":
+                steps.append(_label_from_dict(record))
+            else:
+                raise TraceError(f"unknown record type {kind!r}")
+        except (ScenarioError, TraceError) as e:
+            raise TraceError(f"trace line {lineno}: {e}") from e
     if initial is None:
         raise TraceError("trace has no initial state line")
     return Trace(initial=initial, steps=tuple(steps))

@@ -39,6 +39,16 @@ class _FileError(Exception):
     pass
 
 
+def _depth(text: str) -> int:
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {depth}")
+    return depth
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -116,7 +126,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="verify a grid scenario")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--depth", type=int, default=None, help="tick bound (default: to fixpoint)")
+    p.add_argument("--depth", type=_depth, default=None, help="tick bound (default: to fixpoint)")
     p.add_argument("--budget", type=int, default=checker.DEFAULT_STATE_BUDGET,
                    help="state budget before giving up as inconclusive")
     p.add_argument("--trace", default=None, help="counterexample output path")

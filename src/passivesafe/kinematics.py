@@ -13,19 +13,6 @@ from .model import GridScenario, WorldState
 
 
 @dataclass(frozen=True, slots=True)
-class BrakingModel:
-    """Braking parameters; the grid model always decelerates 1 cell/tick²."""
-
-    decel_per_tick: int = 1
-    decel_rate: float = 0.5   # m/s², runtime
-    dt: float = 0.1           # s, runtime step
-
-    def braking_time(self, v: float) -> float:
-        """Seconds a robot at v needs to reach a standstill."""
-        return v / self.decel_rate
-
-
-@dataclass(frozen=True, slots=True)
 class CollisionDistance:
     """The three terms of the look-ahead distance and their exact sum."""
 

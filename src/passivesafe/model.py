@@ -21,6 +21,10 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration: bad syntax or a violated bound."""
 
 
+class TraceError(ValueError):
+    """A counterexample trace is malformed or failed validation during replay."""
+
+
 class InvariantViolation(AssertionError):
     """A world state broke a model invariant (see validate_world)."""
 
@@ -265,47 +269,81 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _want_int(mapping: dict, key: str, where: str) -> int:
+def _field(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ScenarioError(f"missing required field {where}.{key}")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{where}.{key} must be an integer")
+    return mapping[key]
+
+
+def _as_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be a JSON object")
     return value
 
 
+def _as_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{name} must be a list")
+    return value
+
+
+def _as_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{name} must be an integer")
+    return value
+
+
+def _as_number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{name} must be a number")
+    return value
+
+
+def _want_int(mapping: dict, key: str, where: str) -> int:
+    return _as_int(_field(mapping, key, where), f"{where}.{key}")
+
+
+def _want_number(mapping: dict, key: str, where: str) -> float:
+    return _as_number(_field(mapping, key, where), f"{where}.{key}")
+
+
+def _want_list(mapping: dict, key: str, where: str) -> list:
+    return _as_list(_field(mapping, key, where), f"{where}.{key}")
+
+
 def _want_bool(mapping: dict, key: str, where: str) -> bool:
-    if key not in mapping:
-        raise ScenarioError(f"missing required field {where}.{key}")
-    value = mapping[key]
+    value = _field(mapping, key, where)
     if not isinstance(value, bool):
         raise ScenarioError(f"{where}.{key} must be a boolean")
     return value
 
 
-def _want_number(mapping: dict, key: str, where: str) -> float:
-    if key not in mapping:
-        raise ScenarioError(f"missing required field {where}.{key}")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}.{key} must be a number")
-    return value
+def _want_mode(mapping: dict, key: str, where: str) -> RobotMode:
+    value = _field(mapping, key, where)
+    try:
+        return RobotMode(value)
+    except ValueError:
+        raise ScenarioError(f"{where}.{key}: unknown robot mode {value!r}") from None
+
+
+def parse_json(source: str):
+    """Decode JSON text; a syntax error becomes a ScenarioError."""
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as e:
+        raise ScenarioError(
+            f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from e
 
 
 def scenario_from_dict(data: dict) -> GridScenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario must be a JSON object")
+    _as_object(data, "scenario")
     _reject_unknown(data, _SCENARIO_KEYS, "scenario")
 
     obstacles = []
-    raw_obstacles = data.get("obstacles", [])
-    if not isinstance(raw_obstacles, list):
-        raise ScenarioError("scenario.obstacles must be a list")
-    for i, raw in enumerate(raw_obstacles):
+    for i, raw in enumerate(_as_list(data.get("obstacles", []), "scenario.obstacles")):
         where = f"obstacles[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"{where} must be a JSON object")
-        _reject_unknown(raw, _OBSTACLE_KEYS, where)
+        _reject_unknown(_as_object(raw, where), _OBSTACLE_KEYS, where)
         is_static = _want_bool(raw, "isStatic", where)
         obstacles.append(ObstacleSpec(
             id=_want_int(raw, "id", where),
@@ -317,9 +355,7 @@ def scenario_from_dict(data: dict) -> GridScenario:
         ))
 
     if "assumptions" in data:
-        raw = data["assumptions"]
-        if not isinstance(raw, dict):
-            raise ScenarioError("scenario.assumptions must be a JSON object")
+        raw = _as_object(data["assumptions"], "scenario.assumptions")
         _reject_unknown(raw, _ASSUMPTION_KEYS, "assumptions")
         assumptions = Assumptions(
             assumed_obstacle_max_vel=_want_number(raw, "assumedObstacleMaxVel", "assumptions"),
@@ -347,13 +383,7 @@ def scenario_from_dict(data: dict) -> GridScenario:
 
 def load_scenario(source: str) -> GridScenario:
     """Parse scenario JSON text, validating structure and invariants."""
-    try:
-        data = json.loads(source)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(
-            f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    return scenario_from_dict(data)
+    return scenario_from_dict(parse_json(source))
 
 
 def scenario_to_dict(scenario: GridScenario) -> dict:
@@ -395,7 +425,11 @@ def robot_to_dict(robot: RobotSnapshot) -> dict:
 
 
 def robot_from_dict(data: dict) -> RobotSnapshot:
-    return RobotSnapshot(data["x"], data["lane"], data["v"], RobotMode(data["mode"]))
+    _as_object(data, "robot")
+    return RobotSnapshot(
+        _want_int(data, "x", "robot"), _want_int(data, "lane", "robot"),
+        _want_int(data, "v", "robot"), _want_mode(data, "mode", "robot"),
+    )
 
 
 def obstacle_to_dict(obs: ObstacleSnapshot) -> dict:
@@ -406,8 +440,11 @@ def obstacle_to_dict(obs: ObstacleSnapshot) -> dict:
 
 
 def obstacle_from_dict(data: dict) -> ObstacleSnapshot:
+    _as_object(data, "obstacle")
     return ObstacleSnapshot(
-        data["id"], data["x"], data["lane"], data["isStatic"], data["destCell"]
+        _want_int(data, "id", "obstacle"), _want_int(data, "x", "obstacle"),
+        _want_int(data, "lane", "obstacle"), _want_bool(data, "isStatic", "obstacle"),
+        _want_int(data, "destCell", "obstacle"),
     )
 
 
@@ -421,9 +458,16 @@ def world_to_dict(world: WorldState) -> dict:
 
 
 def world_from_dict(data: dict) -> WorldState:
-    return WorldState(
-        tick=data["tick"],
-        robot=robot_from_dict(data["robot"]),
-        obstacles=tuple(obstacle_from_dict(o) for o in data["obstacles"]),
-        prev_obstacles=tuple(obstacle_from_dict(o) for o in data["prevObstacles"]),
-    )
+    """Inverse of world_to_dict; a malformed record raises TraceError."""
+    try:
+        _as_object(data, "state")
+        return WorldState(
+            tick=_want_int(data, "tick", "state"),
+            robot=robot_from_dict(_field(data, "robot", "state")),
+            obstacles=tuple(map(obstacle_from_dict, _want_list(data, "obstacles", "state"))),
+            prev_obstacles=tuple(
+                map(obstacle_from_dict, _want_list(data, "prevObstacles", "state"))
+            ),
+        )
+    except ScenarioError as e:
+        raise TraceError(str(e)) from e

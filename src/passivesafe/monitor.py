@@ -10,7 +10,7 @@ brake to a standstill and end the run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import Assumptions
 
@@ -39,13 +39,14 @@ class Feedback:
     kind: str = "assumption_violated"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MonitorState:
+    """Mutable monitor record; ``observe`` updates it in place."""
+
     assumptions: Assumptions
     tolerance: float
     last_observation: Observation | None = None
     violation_latched: bool = False
-    feedback_log: tuple[tuple[float, str], ...] = ()
 
 
 def new_monitor(assumptions: Assumptions, tolerance: float | None = None) -> MonitorState:
@@ -70,8 +71,9 @@ def estimate_obstacle_velocity(prev: Observation, cur: Observation) -> float:
 
 
 def observe(monitor: MonitorState, obs: Observation) -> tuple[MonitorState, Feedback | None]:
-    """Feed one observation; returns the updated monitor and feedback, if
-    this very observation exposes a violated assumption.
+    """Feed one observation; updates ``monitor`` in place and returns it
+    with the feedback, if this very observation exposes a violated
+    assumption.
 
     Feedback fires only when the speed estimate exceeds the assumed bound
     plus tolerance *and* the obstacle is ahead within the reaction
@@ -92,11 +94,7 @@ def observe(monitor: MonitorState, obs: Observation) -> tuple[MonitorState, Feed
                 and 0 <= gap <= monitor.assumptions.reaction_radius):
             feedback = Feedback(t=obs.t, estimated_obstacle_vel=estimate, assumed_max=assumed)
 
-    updated = replace(
-        monitor,
-        last_observation=obs,
-        violation_latched=monitor.violation_latched or feedback is not None,
-        feedback_log=(monitor.feedback_log + ((obs.t, feedback.kind),)
-                      if feedback else monitor.feedback_log),
-    )
-    return updated, feedback
+    monitor.last_observation = obs
+    if feedback is not None:
+        monitor.violation_latched = True
+    return monitor, feedback

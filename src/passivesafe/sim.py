@@ -28,8 +28,17 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .kinematics import BrakingModel, collision_distance_meters
-from .model import Assumptions, RobotMode, ScenarioError
+from .kinematics import collision_distance_meters
+from .model import (
+    Assumptions,
+    RobotMode,
+    ScenarioError,
+    _as_int,
+    _as_number,
+    _as_object,
+    _reject_unknown,
+    parse_json,
+)
 from .monitor import Feedback, Observation, new_monitor, observe
 
 
@@ -83,13 +92,10 @@ class SimConfig:
         if self.max_ticks < 1:
             raise ScenarioError("maxTicks must be >= 1")
 
-    def braking_model(self) -> BrakingModel:
-        return BrakingModel(decel_rate=self.robot_decel, dt=self.dt)
-
     def derived_collision_distance(self) -> float:
         """Look-ahead distance at top speed under the assumed bound; also
         the reaction radius above which braking distance is guaranteed."""
-        t_brake = self.braking_model().braking_time(self.robot_max_vel)
+        t_brake = self.robot_max_vel / self.robot_decel
         return collision_distance_meters(
             self.robot_max_vel, t_brake, self.assumed_obstacle_max_vel, self.buffer
         ).total
@@ -133,18 +139,6 @@ class SimTrace:
     events: tuple[SimEvent, ...]
     outcome: SimOutcome
     ticks: int
-
-
-def detect_collision(state: SimState, threshold: float) -> CollisionEvent | None:
-    """Contact check on a single state: the obstacle point is within the
-    collision threshold of the robot point.  The event is active exactly
-    when the robot still has speed."""
-    gap = state.obstacle_x - state.robot_x
-    if abs(gap) > threshold:
-        return None
-    return CollisionEvent(
-        t=state.t, robot_v=state.robot_v, gap=gap, active=state.robot_v > 0
-    )
 
 
 def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
@@ -300,33 +294,20 @@ _FIELD_TO_KEY = {v: k for k, v in _CONFIG_KEYS.items()}
 
 
 def sim_config_from_dict(data: dict) -> SimConfig:
-    if not isinstance(data, dict):
-        raise ScenarioError("simulation config must be a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ScenarioError(f"unknown key(s) in simulation config: {', '.join(unknown)}")
+    _as_object(data, "simulation config")
+    _reject_unknown(data, set(_CONFIG_KEYS), "simulation config")
     kwargs = {}
     for key, value in data.items():
         field = _CONFIG_KEYS[key]
-        if field in ("seed", "max_ticks"):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ScenarioError(f"{key} must be an integer")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{key} must be a number")
-        kwargs[field] = value
+        read = _as_int if field in ("seed", "max_ticks") else _as_number
+        kwargs[field] = read(value, key)
     config = SimConfig(**kwargs)
     config.validate()
     return config
 
 
 def load_sim_config(source: str) -> SimConfig:
-    try:
-        data = json.loads(source)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(
-            f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    return sim_config_from_dict(data)
+    return sim_config_from_dict(parse_json(source))
 
 
 def sim_config_to_dict(config: SimConfig) -> dict:

@@ -8,11 +8,10 @@ byte of the output.
 """
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .model import ScenarioError
+from .model import ScenarioError, _as_int, _as_number, _as_object, _reject_unknown, parse_json
 from .sim import SimConfig, SimOutcome, sim_config_from_dict, simulate
 
 CSV_HEADER = "obstacle_vel_mps,reaction_radius_m,runs,active_collisions,reached_goal,stopped_safe"
@@ -113,31 +112,25 @@ _SPEC_KEYS = {"base", "obstacleVelGrid", "reactionRadiusGrid", "runsPerCell", "s
 
 
 def sweep_spec_from_dict(data: dict) -> SweepSpec:
-    if not isinstance(data, dict):
-        raise ScenarioError("sweep spec must be a JSON object")
-    unknown = sorted(set(data) - _SPEC_KEYS)
-    if unknown:
-        raise ScenarioError(f"unknown key(s) in sweep spec: {', '.join(unknown)}")
+    _as_object(data, "sweep spec")
+    _reject_unknown(data, _SPEC_KEYS, "sweep spec")
     base = sim_config_from_dict(data.get("base", {}))
+    grids = {}
     for key in ("obstacleVelGrid", "reactionRadiusGrid"):
-        if key in data and not isinstance(data[key], list):
+        values = data.get(key, [])
+        if not isinstance(values, list):
             raise ScenarioError(f"{key} must be a list of numbers")
+        grids[key] = tuple(_as_number(v, f"{key}[{i}]") for i, v in enumerate(values))
     spec = SweepSpec(
         base=base,
-        obstacle_vel_grid=tuple(data.get("obstacleVelGrid", ())),
-        reaction_radius_grid=tuple(data.get("reactionRadiusGrid", ())),
-        runs_per_cell=data.get("runsPerCell", 10),
-        seed_base=data.get("seedBase", 0),
+        obstacle_vel_grid=grids["obstacleVelGrid"],
+        reaction_radius_grid=grids["reactionRadiusGrid"],
+        runs_per_cell=_as_int(data.get("runsPerCell", 10), "runsPerCell"),
+        seed_base=_as_int(data.get("seedBase", 0), "seedBase"),
     )
     spec.validate()
     return spec
 
 
 def load_sweep_spec(source: str) -> SweepSpec:
-    try:
-        data = json.loads(source)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(
-            f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from e
-    return sweep_spec_from_dict(data)
+    return sweep_spec_from_dict(parse_json(source))

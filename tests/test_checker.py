@@ -198,6 +198,23 @@ def test_stats_states_match_checker_on_holds():
     assert stats.max_depth == verdict.max_depth
 
 
+def test_verdict_carries_its_exploration_stats():
+    scenario = head_on_scenario(assumed_obstacle_max_vel=3)
+    verdict = check_safety(scenario)
+    assert verdict.outcome is Outcome.HOLDS
+    assert verdict.stats == state_space_stats(scenario)
+
+    partial = check_safety(scenario, state_budget=10)
+    assert partial.outcome is Outcome.INCONCLUSIVE
+    assert partial.stats.states == partial.states_explored == 11
+    assert 0 < partial.stats.transitions
+    assert partial.stats.max_depth == partial.max_depth > 0
+    assert partial.stats.peak_frontier >= 1
+    assert partial.stats.wall_time_s > 0
+    with pytest.raises(RuntimeError, match="state budget of 10"):
+        state_space_stats(scenario, state_budget=10)
+
+
 def test_stats_deterministic():
     scenario = head_on_scenario(assumed_obstacle_max_vel=4)
     a = state_space_stats(scenario)

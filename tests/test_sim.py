@@ -4,11 +4,10 @@ from dataclasses import replace
 import pytest
 
 from passivesafe import (
+    CollisionEvent,
     RobotMode,
     SimConfig,
     SimOutcome,
-    SimState,
-    detect_collision,
     simulate,
 )
 from passivesafe.model import ScenarioError
@@ -62,7 +61,6 @@ def test_tiny_reaction_radius_fast_obstacle_can_collide():
 
 
 def test_active_collision_outcome_iff_active_event():
-    from passivesafe import CollisionEvent
     for seed in range(30):
         trace = simulate(cfg(obstacle_true_max_vel=0.3, reaction_radius=0.45, seed=seed))
         active_events = [e for e in trace.events
@@ -73,7 +71,6 @@ def test_active_collision_outcome_iff_active_event():
 def test_passive_contact_does_not_end_run_as_collision():
     """A stopped robot letting the obstacle roll through it records only
     passive contact events."""
-    from passivesafe import CollisionEvent
     seen_passive = False
     for seed in range(60):
         trace = simulate(cfg(obstacle_true_max_vel=0.2, reaction_radius=0.6, seed=seed))
@@ -127,16 +124,19 @@ def test_latched_monitor_ends_run_stopped_safe():
     assert trace.states[-1].robot_v == 0.0
 
 
-def test_detect_collision_cases():
-    def state(gap, v):
-        return SimState(t=1.0, robot_x=5.0, robot_v=v, robot_mode=RobotMode.DRIVE,
-                        obstacle_x=5.0 + gap, obstacle_v=0.1, monitor_tripped=False)
-
-    assert detect_collision(state(10.0, 0.3), 0.05) is None
-    passive = detect_collision(state(0.04, 0.0), 0.05)
-    assert passive is not None and not passive.active
-    active = detect_collision(state(0.04, 0.3), 0.05)
-    assert active is not None and active.active
+def test_obstacle_jumping_past_moving_robot_is_active_collision():
+    """The contact rule counts a zero crossing within one tick, not only a
+    gap inside the threshold: a fast obstacle that is never within a tiny
+    threshold of the robot still collides, with a negative gap."""
+    config = cfg(collision_threshold=1e-9, obstacle_true_max_vel=3.0,
+                 reaction_radius=0.05, seed=1)
+    trace = simulate(config)
+    assert trace.outcome is SimOutcome.ACTIVE_COLLISION
+    (event,) = [e for e in trace.events if isinstance(e, CollisionEvent)]
+    assert event.active and event.robot_v > 0
+    assert event.gap < 0
+    before = trace.states[-2]
+    assert before.obstacle_x - before.robot_x > config.collision_threshold
 
 
 def test_trace_jsonl_structure():

@@ -183,6 +183,52 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_depth_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(CONFIGS / "head_on_under_assumption.json"), "--depth", "-1"])
+    assert exc.value.code == EX_USAGE
+    assert "--depth: must be >= 0" in capsys.readouterr().err
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("runsPerCell", "30", "runsPerCell must be an integer"),
+    ("obstacleVelGrid", [0.1, "x"], "obstacleVelGrid[1] must be a number"),
+    ("seedBase", 1.5, "seedBase must be an integer"),
+])
+def test_sweep_spec_field_types_exit_dataerr(tmp_path, capsys, key, value, message):
+    spec = json.loads((CONFIGS / "sweep.json").read_text())
+    spec[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", str(path), "--out", str(tmp_path / "out.csv")]) == EX_DATAERR
+    assert message in _one_line_error(capsys)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda step: {k: v for k, v in step.items() if k != "tick"},
+     "missing required field step.tick"),
+    (lambda step: {**step, "modeBefore": "Flying"}, "step.modeBefore: unknown robot mode 'Flying'"),
+    (lambda step: [step], "record must be a JSON object"),
+])
+def test_malformed_trace_line_exits_dataerr(tmp_path, capsys, damage, message):
+    scenario = str(CONFIGS / "head_on_under_assumption.json")
+    trace_path = tmp_path / "ce.jsonl"
+    assert main(["check", scenario, "--trace", str(trace_path)]) == 2
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    lines[1] = json.dumps(damage(json.loads(lines[1])))
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", scenario, str(trace_path)]) == EX_DATAERR
+    assert f"trace line 2: {message}" in _one_line_error(capsys)
+
+
 def test_console_script_entry_point():
     import subprocess
     import sys
