@@ -7,6 +7,10 @@ excludes the tick counter (dynamics do not depend on it, and including
 it would make the terminal idle loop look like fresh states forever) but
 includes the delayed obstacle view: two states whose robots have seen
 different histories must not be merged.
+
+The search keys states by a flat int tuple (see ``check_safety``); the
+object-level ``world_step``, ``state_key`` and ``replay_trace`` stay the
+reference semantics that rebuilds, replays and tests compare against.
 """
 from __future__ import annotations
 
@@ -15,20 +19,24 @@ import json
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import product
 from pathlib import Path
 
 from .automata import (
     ChoiceError,
     ObstacleChoice,
     TransitionLabel,
-    enumerate_obstacle_choices,
+    robot_step,
     world_step,
 )
 from .kinematics import is_passive_safe
 from .model import (
     GridScenario,
+    ObstacleSnapshot,
+    RobotMode,
+    RobotSnapshot,
     ScenarioError,
     TraceError,
     WorldState,
@@ -44,6 +52,13 @@ from .model import (
 )
 
 DEFAULT_STATE_BUDGET = 5_000_000
+
+_MODE_CODE = {mode: i for i, mode in enumerate(RobotMode)}
+
+
+def _robot_key(robot: RobotSnapshot) -> tuple[int, int, int, int]:
+    """The robot's part of a search key: x, lane, v and mode index."""
+    return (robot.x, robot.lane, robot.v, _MODE_CODE[robot.mode])
 
 
 class Outcome(str, Enum):
@@ -82,6 +97,7 @@ class SafetyVerdict:
     outcome: Outcome
     stats: ExplorationStats
     counterexample: Trace | None = None
+    depth_bound: int | None = None
 
     @property
     def states_explored(self) -> int:
@@ -90,6 +106,15 @@ class SafetyVerdict:
     @property
     def max_depth(self) -> int:
         return self.stats.max_depth
+
+    @property
+    def reached_fixpoint(self) -> bool:
+        """Holds with every reachable state expanded: the queue emptied
+        and the depth bound cut no state (a state at the bound is never
+        expanded, so reaching the bound counts as a cut)."""
+        return self.outcome is Outcome.HOLDS and (
+            self.depth_bound is None or self.max_depth < self.depth_bound
+        )
 
 
 def state_key(world: WorldState):
@@ -105,13 +130,16 @@ def state_digest(world: WorldState) -> str:
 
 def _rebuild_trace(
     scenario: GridScenario,
-    choice_path: list[tuple[ObstacleChoice, ...]],
+    pick_path: list[tuple[int, ...]],
 ) -> Trace:
-    """Re-execute a choice path from the initial state, filling labels."""
+    """Re-execute a path of velocity picks from the initial state,
+    naming each pick's mover and filling labels."""
     world = initial_world_state(scenario)
     initial = world
     steps = []
-    for choices in choice_path:
+    for picks in pick_path:
+        movers = [obs for obs in world.obstacles if not obs.is_static]
+        choices = tuple(ObstacleChoice(obs.id, v) for obs, v in zip(movers, picks, strict=True))
         before = world.robot.mode
         world = world_step(world, choices, scenario)
         steps.append(TransitionLabel(
@@ -124,14 +152,19 @@ def _rebuild_trace(
     return Trace(initial=initial, steps=tuple(steps))
 
 
-def _choice_path(parents: dict, key) -> list[tuple[ObstacleChoice, ...]]:
+def _pick_path(parents: dict, key: tuple, dests: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The velocity picks that lead from the initial state to ``key``.
+
+    A key holds its mover xs and, after them, their previous xs.  Every
+    mover that was still moving picked ``prev x - x``: the smallest pick
+    that lands there, which is the first the search tried.
+    """
+    n = len(dests)
     path = []
-    while True:
-        entry = parents[key]
-        if entry is None:
-            break
-        key, choices = entry
-        path.append(choices)
+    while parents[key] is not None:
+        xs, prev_xs = key[4:4 + n], key[4 + n:]
+        path.append(tuple(p - x for x, p, d in zip(xs, prev_xs, dests) if p != d))
+        key = parents[key]
     path.reverse()
     return path
 
@@ -148,13 +181,47 @@ def check_safety(
     the tick-minimal counterexample.  Blowing the state budget yields an
     Inconclusive verdict, never Holds.  Every verdict carries the
     statistics of the search that reached it.
+
+    States are keyed by the int tuple ``(robot x, lane, v, mode index,
+    mover xs..., mover prev xs...)``, which is ``state_key`` without the
+    obstacles that are static from tick 0 (they live in the scenario) and
+    with a mover's ``is_static`` read as ``x == dest``.  The robot's move
+    does not depend on the obstacle picks, so each expanded state takes
+    one ``robot_step``; the picks only move mover xs, in the order
+    ``enumerate_obstacle_choices`` gives them.  The search reproduces
+    the object-level BFS over ``world_step`` and ``state_key`` state for
+    state, so counts and counterexamples are the same.
     """
     started = time.perf_counter()
     scenario.validate()
     init = initial_world_state(scenario)
-    init_key = state_key(init)
+    movers = [(i, obs) for i, obs in enumerate(init.obstacles) if not obs.is_static]
+    dests = tuple(obs.dest_cell for _, obs in movers)
+    # Per mover and cell: the cells its picks 1..maxVel lead to, in pick order.
+    advance = []
+    for _, obs in movers:
+        max_vel = scenario.obstacle_by_id(obs.id).max_vel
+        d = obs.dest_cell
+        advance.append({
+            x: tuple(max(x - v, d) for v in range(1, max_vel + 1)) if x != d else (x,)
+            for x in range(d, obs.x + 1)
+        })
+    xs0 = tuple(obs.x for _, obs in movers)
+    rows = {xs0: init.obstacles}     # mover xs -> shared obstacle tuple
+
+    def obstacles_at(xs: tuple[int, ...]) -> tuple[ObstacleSnapshot, ...]:
+        row = rows.get(xs)
+        if row is None:
+            cells = list(init.obstacles)
+            for (i, obs), x in zip(movers, xs):
+                cells[i] = replace(obs, x=x, is_static=x == obs.dest_cell)
+            row = rows[xs] = tuple(cells)
+        return row
+
+    init_key = _robot_key(init.robot) + xs0 + xs0
     parents: dict = {init_key: None}     # doubles as the visited set
-    queue = deque([init])
+    queue = deque([(init_key, init)])
+    n = len(movers)
     transitions = 0
     peak_frontier = 1
     max_depth = 0
@@ -162,7 +229,7 @@ def check_safety(
     def verdict(outcome: Outcome, counterexample: Trace | None = None) -> SafetyVerdict:
         stats = ExplorationStats(len(parents), transitions, peak_frontier, max_depth,
                                  time.perf_counter() - started)
-        return SafetyVerdict(outcome, stats, counterexample)
+        return SafetyVerdict(outcome, stats, counterexample, depth_bound)
 
     # The initial state has zero velocity and cannot violate, but keep the
     # check total rather than relying on that.
@@ -171,25 +238,28 @@ def check_safety(
 
     while queue:
         peak_frontier = max(peak_frontier, len(queue))
-        world = queue.popleft()
+        key, world = queue.popleft()
         if depth_bound is not None and world.tick >= depth_bound:
             continue
-        key = state_key(world)
-        for choices in enumerate_obstacle_choices(world, scenario):
-            successor = world_step(world, choices, scenario)
-            succ_key = state_key(successor)
+        robot = robot_step(world.robot, world, scenario)
+        head = _robot_key(robot)
+        xs = key[4:4 + n]
+        tick = world.tick + 1
+        for new_xs in product(*[steps[x] for steps, x in zip(advance, xs)]):
+            succ_key = head + new_xs + xs
             if succ_key != key:
                 transitions += 1
             if succ_key in parents:
                 continue
-            parents[succ_key] = (key, choices)
-            max_depth = max(max_depth, successor.tick)
+            parents[succ_key] = key
+            max_depth = max(max_depth, tick)
+            successor = WorldState(tick, robot, obstacles_at(new_xs), world.obstacles)
             if not is_passive_safe(successor):
-                trace = _rebuild_trace(scenario, _choice_path(parents, succ_key))
+                trace = _rebuild_trace(scenario, _pick_path(parents, succ_key, dests))
                 return verdict(Outcome.VIOLATED, trace)
             if len(parents) > state_budget:
                 return verdict(Outcome.INCONCLUSIVE)
-            queue.append(successor)
+            queue.append((succ_key, successor))
 
     return verdict(Outcome.HOLDS)
 
@@ -260,8 +330,8 @@ def random_rollout(
 # Serialization: verdict summary JSON and counterexample JSONL
 # ---------------------------------------------------------------------------
 
-def verdict_to_dict(verdict: SafetyVerdict) -> dict:
-    return {
+def verdict_to_dict(verdict: SafetyVerdict, counterexample_path: str | None = None) -> dict:
+    summary = {
         "outcome": verdict.outcome.value,
         "statesExplored": verdict.states_explored,
         "maxDepth": verdict.max_depth,
@@ -269,6 +339,11 @@ def verdict_to_dict(verdict: SafetyVerdict) -> dict:
             len(verdict.counterexample.steps) if verdict.counterexample else None
         ),
     }
+    if counterexample_path is not None:
+        summary["counterexamplePath"] = counterexample_path
+    summary["depthBound"] = verdict.depth_bound
+    summary["reachedFixpoint"] = verdict.reached_fixpoint
+    return summary
 
 
 def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
@@ -327,6 +402,8 @@ def trace_from_jsonl(text: str) -> Trace:
             record = json.loads(line)
         except json.JSONDecodeError as e:
             raise TraceError(f"trace line {lineno}: {e.msg}") from e
+        except (ValueError, RecursionError) as e:   # over-long integer literal, deep nesting
+            raise TraceError(f"trace line {lineno}: {e}") from e
         try:
             kind = _as_object(record, "record").get("type")
             if kind == "initial":

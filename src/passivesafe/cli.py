@@ -39,14 +39,16 @@ class _FileError(Exception):
     pass
 
 
-def _depth(text: str) -> int:
-    try:
-        depth = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if depth < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {depth}")
-    return depth
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _read(path: str) -> str:
@@ -61,12 +63,11 @@ def _cmd_check(args) -> int:
     verdict = checker.check_safety(
         scenario, depth_bound=args.depth, state_budget=args.budget
     )
-    summary = checker.verdict_to_dict(verdict)
+    trace_path = None
     if verdict.counterexample is not None:
         trace_path = args.trace or (Path(args.scenario).stem + ".counterexample.jsonl")
         checker.write_trace_jsonl(verdict.counterexample, scenario, trace_path)
-        summary["counterexamplePath"] = str(trace_path)
-    print(json.dumps(summary))
+    print(json.dumps(checker.verdict_to_dict(verdict, trace_path)))
     return {
         checker.Outcome.HOLDS: 0,
         checker.Outcome.VIOLATED: 2,
@@ -126,8 +127,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="verify a grid scenario")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--depth", type=_depth, default=None, help="tick bound (default: to fixpoint)")
-    p.add_argument("--budget", type=int, default=checker.DEFAULT_STATE_BUDGET,
+    p.add_argument("--depth", type=_int_at_least(0), default=None,
+                   help="tick bound (default: to fixpoint)")
+    p.add_argument("--budget", type=_int_at_least(1), default=checker.DEFAULT_STATE_BUDGET,
                    help="state budget before giving up as inconclusive")
     p.add_argument("--trace", default=None, help="counterexample output path")
     p.set_defaults(func=_cmd_check)

@@ -13,6 +13,7 @@ config fails loudly instead of silently falling back to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -296,6 +297,12 @@ def _as_int(value, name: str) -> int:
 def _as_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{name} must be a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:   # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ScenarioError(f"{name} must be a finite number")
     return value
 
 
@@ -334,6 +341,8 @@ def parse_json(source: str):
         raise ScenarioError(
             f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from e
+    except (ValueError, RecursionError) as e:   # over-long integer literal, deep nesting
+        raise ScenarioError(f"parse error: {e}") from e
 
 
 def scenario_from_dict(data: dict) -> GridScenario:

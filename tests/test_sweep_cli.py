@@ -190,10 +190,85 @@ def test_negative_depth_is_usage_error(capsys):
     assert "--depth: must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_nonpositive_budget_is_usage_error(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(CONFIGS / "head_on.json"), "--budget", budget])
+    assert exc.value.code == EX_USAGE
+    assert f"--budget: must be >= 1, got {budget}" in capsys.readouterr().err
+
+
+def test_verdict_reports_depth_bound_and_fixpoint(capsys):
+    scenario = str(CONFIGS / "head_on.json")
+    assert main(["check", scenario, "--depth", "5"]) == 0
+    bounded = json.loads(capsys.readouterr().out)
+    assert main(["check", scenario]) == 0
+    unbounded = json.loads(capsys.readouterr().out)
+    keys = ["outcome", "statesExplored", "maxDepth", "counterexampleLength",
+            "depthBound", "reachedFixpoint"]
+    assert list(bounded) == list(unbounded) == keys
+    assert (bounded["depthBound"], bounded["reachedFixpoint"]) == (5, False)
+    assert (unbounded["depthBound"], unbounded["reachedFixpoint"]) == (None, True)
+
+
+def test_violated_verdict_appends_new_keys_after_trace_path(tmp_path, capsys):
+    trace_path = tmp_path / "ce.jsonl"
+    assert main(["check", str(CONFIGS / "head_on_under_assumption.json"),
+                 "--trace", str(trace_path)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert list(out)[4:] == ["counterexamplePath", "depthBound", "reachedFixpoint"]
+    assert out["reachedFixpoint"] is False
+
+
 def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     return err
+
+
+_LONG_INT = "9" * 5000   # past CPython's int-string digit limit
+
+
+def test_overlong_integer_literal_exits_dataerr(tmp_path, capsys):
+    text = (CONFIGS / "head_on.json").read_text()
+    path = tmp_path / "long.json"
+    path.write_text(text.replace('"trackLengthCells": 50', f'"trackLengthCells": {_LONG_INT}'))
+    assert main(["check", str(path)]) == EX_DATAERR
+    assert "integer string conversion" in _one_line_error(capsys)
+
+    scenario = str(CONFIGS / "head_on_under_assumption.json")
+    trace_path = tmp_path / "ce.jsonl"
+    assert main(["check", scenario, "--trace", str(trace_path)]) == 2
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    lines[1] = lines[1].replace('"tick": 1,', f'"tick": {_LONG_INT},')
+    assert _LONG_INT in lines[1]
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", scenario, str(trace_path)]) == EX_DATAERR
+    assert "trace line 2: " in _one_line_error(capsys)
+
+
+def _with_nan(config: str, *path: str) -> str:
+    """The committed config's JSON text with the field at ``path`` set to NaN."""
+    document = json.loads((CONFIGS / config).read_text())
+    node = document
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = float("nan")
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize("command, config, path, message", [
+    ("simulate", "runtime.json", ("obstacleTrueMaxVel",), "obstacleTrueMaxVel must be a finite"),
+    ("simulate", "runtime.json", ("dt",), "dt must be a finite number"),
+    ("check", "head_on.json", ("assumptions", "buffer"), "assumptions.buffer must be a finite"),
+], ids=["simulate-obstacleTrueMaxVel", "simulate-dt", "check-buffer"])
+def test_nan_number_exits_dataerr(tmp_path, capsys, command, config, path, message):
+    doc = tmp_path / config
+    doc.write_text(_with_nan(config, *path))
+    assert "NaN" in doc.read_text()
+    assert main([command, str(doc), "--trace", str(tmp_path / "trace.jsonl")]) == EX_DATAERR
+    assert message in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("key, value, message", [
