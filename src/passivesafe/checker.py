@@ -8,7 +8,8 @@ it would make the terminal idle loop look like fresh states forever) but
 includes the delayed obstacle view: two states whose robots have seen
 different histories must not be merged.
 
-The search keys states by a flat int tuple (see ``check_safety``); the
+The search keys states by a flat int tuple (see ``check_safety``) and
+merges states that differ only by swapping interchangeable movers; the
 object-level ``world_step``, ``state_key`` and ``replay_trace`` stay the
 reference semantics that rebuilds, replays and tests compare against.
 """
@@ -53,7 +54,8 @@ from .model import (
 
 DEFAULT_STATE_BUDGET = 5_000_000
 
-_MODE_CODE = {mode: i for i, mode in enumerate(RobotMode)}
+_MODES = tuple(RobotMode)
+_MODE_CODE = {mode: i for i, mode in enumerate(_MODES)}
 
 
 def _robot_key(robot: RobotSnapshot) -> tuple[int, int, int, int]:
@@ -79,8 +81,10 @@ class Trace:
 class ExplorationStats:
     """Exploration bookkeeping.
 
-    ``transitions`` counts explored edges whose target differs from the
-    source; the terminal idle self-loop is not a transition.  Wall time
+    ``states`` counts states up to interchange of like movers (see
+    ``check_safety``).  ``transitions`` counts explored edges whose
+    target differs from the source; the terminal idle self-loop is not a
+    transition.  Wall time
     is a measurement, not part of the identity of a run, so it is left
     out of equality.
     """
@@ -152,21 +156,15 @@ def _rebuild_trace(
     return Trace(initial=initial, steps=tuple(steps))
 
 
-def _pick_path(parents: dict, key: tuple, dests: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The velocity picks that lead from the initial state to ``key``.
-
-    A key holds its mover xs and, after them, their previous xs.  Every
-    mover that was still moving picked ``prev x - x``: the smallest pick
-    that lands there, which is the first the search tried.
-    """
-    n = len(dests)
-    path = []
-    while parents[key] is not None:
-        xs, prev_xs = key[4:4 + n], key[4 + n:]
-        path.append(tuple(p - x for x, p, d in zip(xs, prev_xs, dests) if p != d))
-        key = parents[key]
-    path.reverse()
-    return path
+def _mover_groups(scenario: GridScenario, movers: list[ObstacleSnapshot]) -> list[tuple[int, ...]]:
+    """Per mover, the indices of the movers interchangeable with it
+    (same lane, destination and maxVel), itself included, ascending."""
+    kinds: dict[tuple[int, int, int], list[int]] = {}
+    for j, obs in enumerate(movers):
+        kind = (obs.lane, obs.dest_cell, scenario.obstacle_by_id(obs.id).max_vel)
+        kinds.setdefault(kind, []).append(j)
+    groups = {j: tuple(members) for members in kinds.values() for j in members}
+    return [groups[j] for j in range(len(movers))]
 
 
 def check_safety(
@@ -185,28 +183,57 @@ def check_safety(
     States are keyed by the int tuple ``(robot x, lane, v, mode index,
     mover xs..., mover prev xs...)``, which is ``state_key`` without the
     obstacles that are static from tick 0 (they live in the scenario) and
-    with a mover's ``is_static`` read as ``x == dest``.  The robot's move
-    does not depend on the obstacle picks, so each expanded state takes
-    one ``robot_step``; the picks only move mover xs, in the order
-    ``enumerate_obstacle_choices`` gives them.  The search reproduces
-    the object-level BFS over ``world_step`` and ``state_key`` state for
-    state, so counts and counterexamples are the same.
+    with a mover's ``is_static`` read as ``x == dest``.  Movers with the
+    same lane, destination and maxVel are interchangeable: no guard or
+    predicate reads an obstacle's id, so swapping two of them maps
+    reachable states onto states with the same future.  The key sorts
+    each such group's (x, prev x) pairs, and the search counts states up
+    to that interchange (Ip & Dill, "Better verification through
+    symmetry", FMSD 1996).  Without groups nothing is merged, and the
+    search is the object-level BFS over ``world_step`` state for state.
+
+    ``robot_step`` reads the robot and the delayed view only, so it is
+    memoised on ``key[:4] + prev xs``; ``is_passive_safe`` reads the
+    robot and the current obstacles, so it is memoised on ``key[:4] +
+    xs``.  The picks only move mover xs, in the order
+    ``enumerate_obstacle_choices`` gives them; the successor tails
+    (mover xs and prev xs) are memoised on the current xs.  A
+    ``WorldState`` is built only on a memo miss.
     """
     started = time.perf_counter()
     scenario.validate()
     init = initial_world_state(scenario)
     movers = [(i, obs) for i, obs in enumerate(init.obstacles) if not obs.is_static]
+    n = len(movers)
     dests = tuple(obs.dest_cell for _, obs in movers)
-    # Per mover and cell: the cells its picks 1..maxVel lead to, in pick order.
+    xs0 = tuple(obs.x for _, obs in movers)
+    group_of = _mover_groups(scenario, [obs for _, obs in movers])
+    groups = [g for g in dict.fromkeys(group_of) if len(g) > 1]
+    # Per mover and cell: the cells its picks 1..maxVel lead to, in pick
+    # order.  After a swap a mover may stand on any cell of its group.
     advance = []
-    for _, obs in movers:
+    for j, (_, obs) in enumerate(movers):
         max_vel = scenario.obstacle_by_id(obs.id).max_vel
         d = obs.dest_cell
         advance.append({
             x: tuple(max(x - v, d) for v in range(1, max_vel + 1)) if x != d else (x,)
-            for x in range(d, obs.x + 1)
+            for x in range(d, max(xs0[k] for k in group_of[j]) + 1)
         })
-    xs0 = tuple(obs.x for _, obs in movers)
+
+    def tail(new_xs: tuple[int, ...], xs: tuple[int, ...]) -> tuple[int, ...]:
+        """A key's mover part, each group's (x, prev x) pairs sorted."""
+        if not groups:
+            return new_xs + xs
+        new_xs, xs = list(new_xs), list(xs)
+        for group in groups:
+            for j, pair in zip(group, sorted([(new_xs[j], xs[j]) for j in group])):
+                new_xs[j], xs[j] = pair
+        return tuple(new_xs) + tuple(xs)
+
+    def successor_tails(xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        return tuple(tail(new_xs, xs)
+                     for new_xs in product(*[steps[x] for steps, x in zip(advance, xs)]))
+
     rows = {xs0: init.obstacles}     # mover xs -> shared obstacle tuple
 
     def obstacles_at(xs: tuple[int, ...]) -> tuple[ObstacleSnapshot, ...]:
@@ -218,10 +245,36 @@ def check_safety(
             row = rows[xs] = tuple(cells)
         return row
 
-    init_key = _robot_key(init.robot) + xs0 + xs0
+    def pick_path(key: tuple) -> list[tuple[int, ...]]:
+        """The velocity picks that lead from the initial state to ``key``:
+        at each step, the first pick vector the search would try whose
+        successor has the next key on the path.  Following the real
+        movers, whose order the keys forget, keeps every pick legal."""
+        chain = []
+        while key is not None:
+            chain.append(key)
+            key = parents[key]
+        xs = xs0
+        path = []
+        for key in reversed(chain[:-1]):
+            for choice in product(*[enumerate(steps[x], 1) for steps, x in zip(advance, xs)]):
+                new_xs = tuple(x for _, x in choice)
+                if tail(new_xs, xs) == key[4:]:
+                    break
+            path.append(tuple(v for (v, _), x, d in zip(choice, xs, dests) if x != d))
+            xs = new_xs
+        return path
+
+    def world_at(key: tuple, tick: int) -> WorldState:
+        robot = RobotSnapshot(key[0], key[1], key[2], _MODES[key[3]])
+        return WorldState(tick, robot, obstacles_at(key[4:4 + n]), obstacles_at(key[4 + n:]))
+
+    init_key = _robot_key(init.robot) + tail(xs0, xs0)
     parents: dict = {init_key: None}     # doubles as the visited set
-    queue = deque([(init_key, init)])
-    n = len(movers)
+    queue = deque([(init_key, 0)])
+    moved_robot: dict = {}      # key[:4] + prev xs -> robot key after robot_step
+    safe: dict = {}             # key[:4] + xs -> is_passive_safe
+    tails: dict = {}            # xs -> successor tails in pick order
     transitions = 0
     peak_frontier = 1
     max_depth = 0
@@ -238,28 +291,36 @@ def check_safety(
 
     while queue:
         peak_frontier = max(peak_frontier, len(queue))
-        key, world = queue.popleft()
-        if depth_bound is not None and world.tick >= depth_bound:
+        key, tick = queue.popleft()
+        if depth_bound is not None and tick >= depth_bound:
             continue
-        robot = robot_step(world.robot, world, scenario)
-        head = _robot_key(robot)
+        seen = key[:4] + key[4 + n:]
+        head = moved_robot.get(seen)
+        if head is None:
+            world = world_at(key, tick)
+            head = moved_robot[seen] = _robot_key(robot_step(world.robot, world, scenario))
         xs = key[4:4 + n]
-        tick = world.tick + 1
-        for new_xs in product(*[steps[x] for steps, x in zip(advance, xs)]):
-            succ_key = head + new_xs + xs
+        succ_tails = tails.get(xs)
+        if succ_tails is None:
+            succ_tails = tails[xs] = successor_tails(xs)
+        tick += 1
+        for succ_tail in succ_tails:
+            succ_key = head + succ_tail
             if succ_key != key:
                 transitions += 1
             if succ_key in parents:
                 continue
             parents[succ_key] = key
-            max_depth = max(max_depth, tick)
-            successor = WorldState(tick, robot, obstacles_at(new_xs), world.obstacles)
-            if not is_passive_safe(successor):
-                trace = _rebuild_trace(scenario, _pick_path(parents, succ_key, dests))
-                return verdict(Outcome.VIOLATED, trace)
+            max_depth = tick    # the queue pops ticks in order
+            now = succ_key[:4 + n]
+            ok = safe.get(now)
+            if ok is None:
+                ok = safe[now] = is_passive_safe(world_at(succ_key, tick))
+            if not ok:
+                return verdict(Outcome.VIOLATED, _rebuild_trace(scenario, pick_path(succ_key)))
             if len(parents) > state_budget:
                 return verdict(Outcome.INCONCLUSIVE)
-            queue.append((succ_key, successor))
+            queue.append((succ_key, tick))
 
     return verdict(Outcome.HOLDS)
 

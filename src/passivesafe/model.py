@@ -62,6 +62,11 @@ class Assumptions:
             object.__setattr__(self, "reaction_radius", self.visual_radius)
 
     def validate(self) -> None:
+        for key, value in (("assumedObstacleMaxVel", self.assumed_obstacle_max_vel),
+                           ("visualRadius", self.visual_radius),
+                           ("buffer", self.buffer),
+                           ("reactionRadius", self.reaction_radius)):
+            _as_number(value, f"assumptions.{key}")
         if self.assumed_obstacle_max_vel <= 0:
             raise ScenarioError("assumptions.assumedObstacleMaxVel must be > 0")
         if self.visual_radius <= 0:
@@ -119,6 +124,20 @@ class GridScenario:
     assumptions: Assumptions = Assumptions(1, 10, 1)
 
     def validate(self) -> None:
+        # Cells and velocities are integers; this also keeps NaN and
+        # infinities out of scenarios built in Python.
+        for key, value in (("trackLengthCells", self.track_length_cells),
+                           ("laneCount", self.lane_count),
+                           ("robotStartCell", self.robot_start_cell),
+                           ("robotStartLane", self.robot_start_lane),
+                           ("robotMaxVel", self.robot_max_vel),
+                           ("robotDestCell", self.robot_dest_cell)):
+            _as_int(value, key)
+        for i, obs in enumerate(self.obstacles):
+            for key, value in (("id", obs.id), ("startCell", obs.start_cell),
+                               ("lane", obs.lane), ("destCell", obs.dest_cell),
+                               ("maxVel", obs.max_vel)):
+                _as_int(value, f"obstacles[{i}].{key}")
         if self.track_length_cells < 2:
             raise ScenarioError("trackLengthCells must be >= 2")
         if self.lane_count < 1:

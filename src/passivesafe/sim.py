@@ -69,6 +69,9 @@ class SimConfig:
     max_ticks: int = 2000
 
     def validate(self) -> None:
+        for key, field in _CONFIG_KEYS.items():
+            read = _as_int if field in ("seed", "max_ticks") else _as_number
+            read(getattr(self, field), key)
         if self.dt <= 0:
             raise ScenarioError("dt must be > 0")
         for name in ("robot_max_vel", "robot_accel", "robot_decel",
@@ -296,12 +299,7 @@ _FIELD_TO_KEY = {v: k for k, v in _CONFIG_KEYS.items()}
 def sim_config_from_dict(data: dict) -> SimConfig:
     _as_object(data, "simulation config")
     _reject_unknown(data, set(_CONFIG_KEYS), "simulation config")
-    kwargs = {}
-    for key, value in data.items():
-        field = _CONFIG_KEYS[key]
-        read = _as_int if field in ("seed", "max_ticks") else _as_number
-        kwargs[field] = read(value, key)
-    config = SimConfig(**kwargs)
+    config = SimConfig(**{_CONFIG_KEYS[key]: value for key, value in data.items()})
     config.validate()
     return config
 

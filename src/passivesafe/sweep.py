@@ -8,7 +8,6 @@ byte of the output.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .model import ScenarioError, _as_int, _as_number, _as_object, _reject_unknown, parse_json
@@ -92,6 +91,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers <= 1:
         cells = [_run_cell(job) for job in jobs]
     else:
+        # Imported here: the process pool costs start-up time every other
+        # command would pay for nothing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, jobs))
     return SweepResult(spec=spec, cells=tuple(cells))

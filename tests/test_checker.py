@@ -1,5 +1,6 @@
 """Reachability checking: verdicts, counterexamples, replay, statistics."""
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from passivesafe import (
     check_safety,
     initial_world_state,
     is_passive_safe,
+    load_scenario,
     random_rollout,
     replay_trace,
     state_space_stats,
@@ -26,6 +28,8 @@ from passivesafe.checker import (
     write_trace_jsonl,
 )
 from passivesafe.scenarios import empty_scenario, head_on_scenario, single_lane_duel
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_empty_scenario_holds_with_small_state_space():
@@ -300,3 +304,20 @@ def test_trace_jsonl_rejects_garbage():
         trace_from_jsonl("not json\n")
     with pytest.raises(TraceError, match="initial"):
         trace_from_jsonl("")
+
+
+def _assert_fixpoint(config: str, states: int) -> None:
+    verdict = check_safety(load_scenario((CONFIGS / config).read_text()))
+    assert verdict.outcome is Outcome.HOLDS and verdict.reached_fixpoint
+    assert verdict.states_explored == states   # counted up to interchange of movers
+    assert verdict.max_depth == 30
+
+
+def test_two_interchangeable_movers_reach_fixpoint():
+    _assert_fixpoint("head_on_two_movers.json", 28_983)
+
+
+@pytest.mark.slow
+def test_three_interchangeable_movers_reach_fixpoint():
+    """About 15 s and 220 MB: deselected by default, run with ``pytest -m slow``."""
+    _assert_fixpoint("head_on_three_movers.json", 837_474)

@@ -3,9 +3,16 @@
 The reference below is the search over whole ``WorldState`` objects:
 every choice vector from ``enumerate_obstacle_choices`` goes through
 ``world_step`` (choices validated, robot stepped per vector) and states
-are identified by ``state_key``.  On random small scenarios the checker
-must return the same verdict: outcome, statistics apart from wall time,
-depth bound and an equal counterexample, which must replay.
+are identified by ``state_key``.  On random small scenarios without
+interchangeable movers the checker must return the same verdict:
+outcome, statistics apart from wall time, depth bound and an equal
+counterexample, which must replay.
+
+Movers with the same lane, destination and maxVel are interchangeable,
+and the checker counts states up to their interchange.  There the
+oracle works on orbits: the outcome and max depth are the reference's,
+a Holds search counts exactly the orbits of the reference's reachable
+set, and a counterexample has the reference's length and replays.
 """
 import dataclasses
 from collections import deque
@@ -35,7 +42,8 @@ from passivesafe.scenarios import head_on_scenario
 
 
 def reference_check(scenario, depth_bound, state_budget):
-    """Object-level BFS; returns the verdict and whether the bound cut a state."""
+    """Object-level BFS; returns the verdict, whether the bound cut a
+    state, and the ``state_key`` of every state it reached."""
     init = initial_world_state(scenario)
     parents = {state_key(init): None}
     queue = deque([init])
@@ -43,7 +51,7 @@ def reference_check(scenario, depth_bound, state_budget):
 
     def verdict(outcome, counterexample=None):
         stats = ExplorationStats(len(parents), transitions, peak_frontier, max_depth, 0.0)
-        return SafetyVerdict(outcome, stats, counterexample, depth_bound), cut
+        return SafetyVerdict(outcome, stats, counterexample, depth_bound), cut, parents.keys()
 
     def trace_to(key):
         path = []
@@ -125,12 +133,52 @@ def scenarios(draw):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(scenario=scenarios(),
-       depth_bound=st.none() | st.integers(0, 8),
-       state_budget=st.integers(1, 40) | st.just(3000))
-def test_checker_matches_object_level_bfs(scenario, depth_bound, state_budget):
-    expected, cut = reference_check(scenario, depth_bound, state_budget)
+def _kinds(scenario):
+    """Obstacle id -> (lane, dest, maxVel) for every obstacle that moves at tick 0."""
+    return {o.id: (o.lane, o.dest_cell, o.max_vel) for o in scenario.obstacles
+            if not o.is_static and o.start_cell != o.dest_cell}
+
+
+def has_interchangeable_movers(scenario):
+    kinds = list(_kinds(scenario).values())
+    return len(set(kinds)) < len(kinds)
+
+
+def orbit_key(key, kinds):
+    """``state_key`` with the movers' ids forgotten: the robot plus the
+    sorted (kind, x, prev x) triples of the movers."""
+    robot, obstacles, prev_obstacles = key
+    return robot, tuple(sorted(
+        (kinds[o.id], o.x, p.x)
+        for o, p in zip(obstacles, prev_obstacles, strict=True) if o.id in kinds
+    ))
+
+
+def assert_orbit_equivalent(scenario, depth_bound, state_budget):
+    """The orbit oracle for a scenario with interchangeable movers."""
+    expected, _, reached = reference_check(scenario, depth_bound, 10**6)
+    full = check_safety(scenario, depth_bound)
+    assert full.outcome is expected.outcome
+    assert full.max_depth == expected.max_depth
+    assert full.reached_fixpoint == expected.reached_fixpoint
+    if full.outcome is Outcome.HOLDS:
+        kinds = _kinds(scenario)
+        assert full.states_explored == len({orbit_key(key, kinds) for key in reached})
+    if full.counterexample is not None:
+        assert len(full.counterexample.steps) == len(expected.counterexample.steps)
+        assert not is_passive_safe(replay_trace(scenario, full.counterexample))
+    budgeted = check_safety(scenario, depth_bound, state_budget)
+    if budgeted.outcome is Outcome.INCONCLUSIVE:
+        assert budgeted.states_explored == state_budget + 1 <= full.states_explored
+    else:
+        assert budgeted == full
+
+
+def assert_matches_reference(scenario, depth_bound, state_budget):
+    if has_interchangeable_movers(scenario):
+        assert_orbit_equivalent(scenario, depth_bound, state_budget)
+        return
+    expected, cut, _ = reference_check(scenario, depth_bound, state_budget)
     verdict = check_safety(scenario, depth_bound, state_budget)
     assert verdict == expected
     assert verdict.reached_fixpoint == (expected.outcome is Outcome.HOLDS and not cut)
@@ -139,9 +187,68 @@ def test_checker_matches_object_level_bfs(scenario, depth_bound, state_budget):
         assert not is_passive_safe(final)
 
 
-def _two_movers() -> GridScenario:
+depth_bounds = st.none() | st.integers(0, 8)
+state_budgets = st.integers(1, 40) | st.just(3000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=scenarios(), depth_bound=depth_bounds, state_budget=state_budgets)
+def test_checker_matches_object_level_bfs(scenario, depth_bound, state_budget):
+    assert_matches_reference(scenario, depth_bound, state_budget)
+
+
+@st.composite
+def interchangeable_scenarios(draw):
+    """A random scenario with two or three movers of one kind (lane,
+    destination, maxVel) added; other movers are dropped so that at most
+    three move, and only two on the longest track, to keep the reference
+    cheap."""
+    scenario = draw(scenarios())
+    track = scenario.track_length_cells
+    room = 2 if track > 12 else 3
+    n_twins = draw(st.integers(2, room))
+    others = [o for o in scenario.obstacles if not o.is_static][:room - n_twins]
+    statics = [o for o in scenario.obstacles if o.is_static]
+    ids = draw(st.lists(st.integers(51, 99),    # scenarios() draws ids up to 50
+                        min_size=n_twins, max_size=n_twins, unique=True))
+    dest = draw(st.integers(0, track - 2))
+    lane = draw(st.integers(0, scenario.lane_count - 1))
+    max_vel = draw(st.sampled_from([3, 2, 1]))
+    # Starts at most two cells apart, so the twins can overtake each other.
+    first = draw(st.integers(dest + 1, track - 1))
+    twins = [
+        ObstacleSpec(id=i, start_cell=min(first + draw(st.integers(0, 2)), track - 1),
+                     lane=lane, is_static=False, dest_cell=dest, max_vel=max_vel)
+        for i in ids
+    ]
+    if others and draw(st.booleans()):
+        # A decoy: a mover like the twins but for one of lane, dest or maxVel.
+        decoy = dataclasses.replace(twins[0], id=others[0].id, **draw(st.sampled_from([
+            {"lane": (lane + 1) % scenario.lane_count},
+            {"dest_cell": dest + 1},
+            {"max_vel": max_vel % 3 + 1},
+        ])))
+        if decoy.dest_cell <= decoy.start_cell:
+            others[0] = decoy
+    # Mixed in with the rest, so group members need not sit side by side.
+    obstacles = draw(st.permutations(others + statics + twins))
+    return dataclasses.replace(scenario, obstacles=tuple(obstacles))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=interchangeable_scenarios(), depth_bound=depth_bounds,
+       state_budget=state_budgets)
+def test_checker_matches_reference_up_to_interchange(scenario, depth_bound, state_budget):
+    assert has_interchangeable_movers(scenario)
+    assert_orbit_equivalent(scenario, depth_bound, state_budget)
+
+
+def _two_movers(**unlike) -> GridScenario:
+    """The head-on scenario with a second mover three cells behind the
+    first; ``unlike`` sets the second mover's fields apart."""
     scenario = head_on_scenario(obstacle_start=20)
     second = ObstacleSpec(id=7, start_cell=23, lane=1, is_static=False, dest_cell=0, max_vel=3)
+    second = dataclasses.replace(second, **unlike)
     return dataclasses.replace(scenario, obstacles=scenario.obstacles + (second,))
 
 
@@ -149,7 +256,10 @@ def _two_movers() -> GridScenario:
     head_on_scenario(assumed_obstacle_max_vel=3),
     head_on_scenario(assumed_obstacle_max_vel=2),
     _two_movers(),
-], ids=["head-on", "under-assumption", "two-movers"])
+    _two_movers(max_vel=2),
+    _two_movers(dest_cell=1),
+    _two_movers(lane=0),
+], ids=["head-on", "under-assumption", "two-movers", "two-movers-unlike-maxvel",
+        "two-movers-unlike-dest", "two-movers-unlike-lane"])
 def test_checker_matches_object_level_bfs_on_head_on_scenarios(scenario):
-    expected, _ = reference_check(scenario, None, 10**6)
-    assert check_safety(scenario) == expected
+    assert_matches_reference(scenario, None, 10**6)

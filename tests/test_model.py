@@ -1,8 +1,11 @@
 """Scenario configuration loading, validation, and initial states."""
+from dataclasses import replace
+
 import pytest
 
 from passivesafe import (
     ScenarioError,
+    check_safety,
     initial_world_state,
     load_scenario,
     serialize_scenario,
@@ -129,3 +132,15 @@ def test_mover_starting_on_destination_is_already_static():
     )
     world = initial_world_state(load_scenario(text))
     assert world.obstacles[0].is_static
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_rejected_in_python_built_scenarios(value):
+    with pytest.raises(ScenarioError, match="assumptions.buffer must be a finite number"):
+        check_safety(head_on_scenario(buffer=value))
+    scenario = head_on_scenario()
+    with pytest.raises(ScenarioError, match="assumptions.visualRadius must be a finite"):
+        replace(scenario, assumptions=replace(scenario.assumptions, visual_radius=value,
+                                              reaction_radius=1)).validate()
+    with pytest.raises(ScenarioError, match="trackLengthCells must be an integer"):
+        replace(scenario, track_length_cells=value).validate()

@@ -178,6 +178,16 @@ def test_invalid_configs_rejected():
         cfg(robot_start=10.0, robot_dest=5.0).validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_numbers_rejected(value):
+    with pytest.raises(ScenarioError, match="dt must be a finite number"):
+        cfg(dt=value).validate()
+    with pytest.raises(ScenarioError, match="obstacleTrueMaxVel must be a finite number"):
+        cfg(obstacle_true_max_vel=value).validate()
+    with pytest.raises(ScenarioError, match="buffer must be a finite number"):
+        simulate(cfg(buffer=value))
+
+
 def test_derived_collision_distance_composition():
     config = cfg()
     t_brake = config.robot_max_vel / config.robot_decel

@@ -1,5 +1,7 @@
 """Sweep harness determinism and the command-line exit-code contract."""
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -305,12 +307,19 @@ def test_malformed_trace_line_exits_dataerr(tmp_path, capsys, damage, message):
 
 
 def test_console_script_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "passivesafe.cli", "check", str(CONFIGS / "head_on.json")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outcome"] == "Holds"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, passivesafe.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
