@@ -60,6 +60,7 @@ from .monitor import (
     estimate_obstacle_velocity,
     new_monitor,
     observe,
+    observe_at,
 )
 from .sim import (
     CollisionEvent,

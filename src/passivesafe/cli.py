@@ -130,7 +130,9 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=_int_at_least(0), default=None,
                    help="tick bound (default: to fixpoint)")
     p.add_argument("--budget", type=_int_at_least(1), default=checker.DEFAULT_STATE_BUDGET,
-                   help="state budget before giving up as inconclusive")
+                   help="state budget before giving up as inconclusive (default "
+                        "%(default)s; at the ~260 B per state measured on three movers, "
+                        "a search that runs into it needs about 1.3 GB)")
     p.add_argument("--trace", default=None, help="counterexample output path")
     p.set_defaults(func=_cmd_check)
 
@@ -143,7 +145,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run the collision-count grid")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
+                   help="parallel worker processes (at most one per grid cell is started)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("replay", help="validate a counterexample trace")

@@ -10,7 +10,7 @@ brake to a standstill and end the run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import Assumptions
 
@@ -41,12 +41,22 @@ class Feedback:
 
 @dataclass(slots=True)
 class MonitorState:
-    """Mutable monitor record; ``observe`` updates it in place."""
+    """Mutable monitor record; ``observe_at`` updates it in place.
+
+    It keeps the time and obstacle position of the last observation
+    (``last_t`` is None before the first) and the speed an estimate must
+    exceed to trip, ``assumed_obstacle_max_vel + tolerance``.
+    """
 
     assumptions: Assumptions
     tolerance: float
-    last_observation: Observation | None = None
+    last_t: float | None = None
+    last_obstacle_x: float = 0.0
     violation_latched: bool = False
+    trip_speed: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.trip_speed = self.assumptions.assumed_obstacle_max_vel + self.tolerance
 
 
 def new_monitor(assumptions: Assumptions, tolerance: float | None = None) -> MonitorState:
@@ -62,7 +72,8 @@ def estimate_obstacle_velocity(prev: Observation, cur: Observation) -> float:
 
     Positive while the obstacle's coordinate decreases (it approaches the
     robot head-on); negative means it is receding and can never trip the
-    monitor.
+    monitor.  ``observe_at`` makes the same estimate from the scalars it
+    keeps.
     """
     dt = cur.t - prev.t
     if dt <= 0:
@@ -70,31 +81,38 @@ def estimate_obstacle_velocity(prev: Observation, cur: Observation) -> float:
     return (prev.obstacle_x - cur.obstacle_x) / dt
 
 
-def observe(monitor: MonitorState, obs: Observation) -> tuple[MonitorState, Feedback | None]:
-    """Feed one observation; updates ``monitor`` in place and returns it
-    with the feedback, if this very observation exposes a violated
-    assumption.
+def observe_at(
+    monitor: MonitorState, t: float, robot_x: float, obstacle_x: float
+) -> Feedback | None:
+    """Feed one observation, given as scalars; updates ``monitor`` in place
+    and returns the feedback, if this very observation exposes a violated
+    assumption.  This is the monitor's one trip rule.
 
     Feedback fires only when the speed estimate exceeds the assumed bound
     plus tolerance *and* the obstacle is ahead within the reaction
     radius.  A fast obstacle outside the reaction area is noted only once
     the gap has closed to the radius.  The first observation of a stream
-    never fires (no estimate yet).
+    never fires (no estimate yet).  Timestamps must increase strictly.
     """
-    last = monitor.last_observation
-    if last is not None and obs.t <= last.t:
-        raise ObservationOrderError(f"non-increasing timestamps: {last.t} -> {obs.t}")
-
-    feedback = None
-    if last is not None:
-        estimate = estimate_obstacle_velocity(last, obs)
-        gap = obs.obstacle_x - obs.robot_x
-        assumed = monitor.assumptions.assumed_obstacle_max_vel
-        if (estimate > assumed + monitor.tolerance
-                and 0 <= gap <= monitor.assumptions.reaction_radius):
-            feedback = Feedback(t=obs.t, estimated_obstacle_vel=estimate, assumed_max=assumed)
-
-    monitor.last_observation = obs
-    if feedback is not None:
+    last_t = monitor.last_t
+    if last_t is None:
+        monitor.last_t = t
+        monitor.last_obstacle_x = obstacle_x
+        return None
+    if t <= last_t:
+        raise ObservationOrderError(f"non-increasing timestamps: {last_t} -> {t}")
+    estimate = (monitor.last_obstacle_x - obstacle_x) / (t - last_t)
+    monitor.last_t = t
+    monitor.last_obstacle_x = obstacle_x
+    if (estimate > monitor.trip_speed
+            and 0 <= obstacle_x - robot_x <= monitor.assumptions.reaction_radius):
         monitor.violation_latched = True
-    return monitor, feedback
+        return Feedback(t=t, estimated_obstacle_vel=estimate,
+                        assumed_max=monitor.assumptions.assumed_obstacle_max_vel)
+    return None
+
+
+def observe(monitor: MonitorState, obs: Observation) -> tuple[MonitorState, Feedback | None]:
+    """``observe_at`` on an ``Observation``; returns the monitor (the same
+    object, updated in place) with the feedback, if any."""
+    return monitor, observe_at(monitor, obs.t, obs.robot_x, obs.obstacle_x)

@@ -39,7 +39,7 @@ from .model import (
     _reject_unknown,
     parse_json,
 )
-from .monitor import Feedback, Observation, new_monitor, observe
+from .monitor import Feedback, new_monitor, observe_at
 
 
 class SimOutcome(str, Enum):
@@ -150,23 +150,57 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     Deterministic: equal configs (the seed is part of the config)
     produce equal traces.  ``collect_states`` can be switched off for
     bulk runs that only need events and the outcome.
+
+    The robot's mode table, where ``danger`` is the brake trigger of
+    step 3 (the monitor has latched, or the observed gap lies inside the
+    reaction area and below the look-ahead collision distance):
+
+        mode         no danger    danger
+        Idle         accelerate   accelerate
+        Accelerate   accelerate   brake
+        Drive        hold         brake
+        Brake        accelerate   brake
+        Stop         accelerate   hold
+
+    Accelerating sets v to ``min(v + accel * dt, max vel)`` and enters
+    Drive at the top speed, Accelerate below it; braking sets v to
+    ``max(v - decel * dt, 0)`` and enters Stop at 0, Brake above it;
+    holding keeps mode and v.  The grid robot, ``automata.robot_step``,
+    differs: there it may change lane while braking, Drive brakes when
+    the destination is within braking distance, and Idle accelerates only
+    away from the destination.  Here the track has one lane, and the
+    episode ends on reaching the destination, so Idle always accelerates.
+
+    The tick loop reads only locals and allocates no object on a tick
+    without an event.  The monitor sees each tick once, through
+    ``observe_at``, which alone decides when the assumption is violated.
     """
     config.validate()
-    rng = random.Random(config.seed)
+    draw = random.Random(config.seed).random
     dt = config.dt
+    max_vel = config.robot_max_vel
+    accel_dv = config.robot_accel * dt
+    decel_dv = config.robot_decel * dt
+    true_max = config.obstacle_true_max_vel
+    reaction = min(config.reaction_radius, config.visual_range)
     d_collision = config.derived_collision_distance()
+    threshold = config.collision_threshold
+    dest = config.robot_dest
     monitor = new_monitor(Assumptions(
         assumed_obstacle_max_vel=config.assumed_obstacle_max_vel,
         visual_radius=config.visual_range,
         buffer=config.buffer,
         reaction_radius=config.reaction_radius,
     ))
+    observe = observe_at
+    IDLE, ACCELERATE, DRIVE, BRAKE, STOP = (
+        RobotMode.IDLE, RobotMode.ACCELERATE, RobotMode.DRIVE, RobotMode.BRAKE, RobotMode.STOP)
 
     robot_x = config.robot_start
     robot_v = 0.0
-    mode = RobotMode.IDLE
+    mode = IDLE
     obstacle_x = config.obstacle_start
-    prev_obstacle_x = config.obstacle_start   # delayed view, tick-0 convention
+    prev_obstacle_x = obstacle_x   # delayed view, tick-0 convention
     obstacle_v = 0.0
 
     states: list[SimState] = []
@@ -181,36 +215,29 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
         t = tick * dt
 
         # (1) obstacle speed for this tick
-        obstacle_v = config.obstacle_true_max_vel * (1.0 - rng.random())
+        obstacle_v = true_max * (1.0 - draw())
 
         # (2) monitor observation with the delayed obstacle position
-        monitor, feedback = observe(
-            monitor, Observation(t=t, robot_x=robot_x, robot_v=robot_v,
-                                 obstacle_x=prev_obstacle_x)
-        )
+        feedback = observe(monitor, t, robot_x, prev_obstacle_x)
         if feedback is not None:
             events.append(feedback)
 
-        # (3) robot transition; the brake trigger reads the delayed gap
+        # (3) robot transition by the mode table; the trigger reads the
+        # delayed gap.  The table's two holds are the rows skipped below:
+        # Stop with danger, Drive without.
         gap_observed = prev_obstacle_x - robot_x
         danger = (
             monitor.violation_latched
-            or (0 <= gap_observed <= min(config.reaction_radius, config.visual_range)
-                and gap_observed <= d_collision)
+            or (0 <= gap_observed <= reaction and gap_observed <= d_collision)
         )
         mode_before = mode
-        if mode is RobotMode.IDLE:
-            mode, robot_v = _accelerated(robot_v, config)
-        elif mode is RobotMode.ACCELERATE:
-            mode, robot_v = _braked(robot_v, config) if danger else _accelerated(robot_v, config)
-        elif mode is RobotMode.DRIVE:
-            if danger:
-                mode, robot_v = _braked(robot_v, config)
-        elif mode is RobotMode.BRAKE:
-            mode, robot_v = _braked(robot_v, config) if danger else _accelerated(robot_v, config)
-        elif mode is RobotMode.STOP:
-            if not danger:
-                mode, robot_v = _accelerated(robot_v, config)
+        if danger and mode is not IDLE:
+            if mode is not STOP:
+                robot_v = max(robot_v - decel_dv, 0.0)
+                mode = STOP if robot_v == 0.0 else BRAKE
+        elif mode is not DRIVE:
+            robot_v = min(robot_v + accel_dv, max_vel)
+            mode = DRIVE if robot_v == max_vel else ACCELERATE
         if mode is not mode_before:
             events.append(ModeChangeEvent(t=t, mode_before=mode_before, mode_after=mode))
 
@@ -230,22 +257,18 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
         # (5) contact: the gap is inside the threshold now, or it crossed
         # zero within this tick.  Once the obstacle is past, the pair only
         # separates and no further contact is possible.
-        touching = 0 <= gap_after <= config.collision_threshold
-        crossed = gap_before >= 0 > gap_after
-        if touching or crossed:
+        if 0 <= gap_after <= threshold or gap_before >= 0 > gap_after:
             if not in_contact:
                 in_contact = True
-                event = CollisionEvent(
-                    t=t, robot_v=robot_v, gap=gap_after, active=robot_v > 0
-                )
-                events.append(event)
-                if event.active:
+                active = robot_v > 0
+                events.append(CollisionEvent(t=t, robot_v=robot_v, gap=gap_after, active=active))
+                if active:
                     outcome = SimOutcome.ACTIVE_COLLISION
                     break
         else:
             in_contact = False
 
-        if robot_x >= config.robot_dest:
+        if robot_x >= dest:
             outcome = SimOutcome.REACHED_GOAL
             break
         if monitor.violation_latched and robot_v == 0:
@@ -259,16 +282,6 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
         outcome=outcome,
         ticks=tick,
     )
-
-
-def _accelerated(v: float, config: SimConfig) -> tuple[RobotMode, float]:
-    v = min(v + config.robot_accel * config.dt, config.robot_max_vel)
-    return (RobotMode.DRIVE if v == config.robot_max_vel else RobotMode.ACCELERATE), v
-
-
-def _braked(v: float, config: SimConfig) -> tuple[RobotMode, float]:
-    v = max(v - config.robot_decel * config.dt, 0.0)
-    return (RobotMode.STOP if v == 0.0 else RobotMode.BRAKE), v
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,11 @@ def _run_cell(args: tuple[SweepSpec, int]) -> CellResult:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute the full grid; cell results come back in grid order no
-    matter how many worker processes ran them."""
+    matter how many worker processes ran them.  The pool gets at most one
+    process per cell, and one process means running in this one."""
     spec.validate()
     jobs = [(spec, i) for i in range(len(spec.cells()))]
+    workers = min(workers, len(jobs))
     if workers <= 1:
         cells = [_run_cell(job) for job in jobs]
     else:

@@ -10,6 +10,7 @@ from passivesafe import (
     estimate_obstacle_velocity,
     new_monitor,
     observe,
+    observe_at,
 )
 
 
@@ -40,6 +41,29 @@ def test_out_of_order_observation_rejected():
     with pytest.raises(ObservationOrderError):
         observe(monitor, obs(0.1, 4.9))
 
+
+
+def test_rejected_observation_leaves_monitor_unchanged():
+    monitor = new_monitor(Assumptions(0.2, 2.0, 0.1, 1.5))
+    assert observe_at(monitor, 0.2, 0.0, 1.0) is None
+    with pytest.raises(ObservationOrderError, match="0.2 -> 0.2"):
+        observe_at(monitor, 0.2, 0.0, 0.9)
+    feedback = observe_at(monitor, 0.3, 0.0, 0.96)   # estimated against t=0.2, x=1.0
+    assert feedback.estimated_obstacle_vel == pytest.approx(0.4)
+    assert monitor.violation_latched
+
+
+def test_trip_rule_boundaries():
+    """An estimate exactly at the bound does not trip; gaps of exactly 0
+    and exactly the reaction radius are inside the reaction area."""
+    assumptions = Assumptions(0.5, 2.0, 0.1, 1.5)
+    at_bound = new_monitor(assumptions, tolerance=0.0)
+    observe_at(at_bound, 0.5, 0.0, 1.25)
+    assert observe_at(at_bound, 1.0, 0.0, 1.0) is None     # estimate 0.5
+    for robot_x in (1.0, -0.5):                               # gap 0, gap 1.5
+        monitor = new_monitor(assumptions, tolerance=0.0)
+        observe_at(monitor, 0.5, robot_x, 1.5)
+        assert observe_at(monitor, 1.0, robot_x, 1.0) is not None   # estimate 1.0
 
 def test_first_observation_never_fires():
     monitor = new_monitor(Assumptions(0.2, 2.0, 0.1, 1.5))

@@ -224,3 +224,92 @@ def test_worst_case_obstacle_cannot_collide_at_sweep_floor(monkeypatch):
     # the bound is tight: a slightly smaller radius does let it through
     pinned_close = simulate(cfg(obstacle_true_max_vel=0.15, reaction_radius=0.45))
     assert pinned_close.outcome is SimOutcome.ACTIVE_COLLISION
+
+
+STILL, BACK_OFF = 1.0, 21.0   # draws: speed 1 * (1 - draw) is 0 or -20 m/s
+NEAR, FAR = 0.9, 12.0          # obstacle starts: inside and outside the trigger
+
+
+class _ScriptedRng:
+    """Stand-in generator that replays fixed draws.  A draw above 1 lies
+    outside ``random()``'s range on purpose: it sends the obstacle back,
+    which clears the brake trigger.  With real draws the observed gap never
+    grows, so Brake never meets a cleared trigger."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def random(self):
+        return next(self._draws)
+
+
+def _script_draws(monkeypatch, draws):
+    import types
+
+    import passivesafe.sim as sim_module
+
+    monkeypatch.setattr(sim_module, "random",
+                        types.SimpleNamespace(Random=lambda seed: _ScriptedRng(draws)))
+
+
+@pytest.mark.parametrize(
+    "mode_before, danger, action, mode_after, start, overrides, draws",
+    [
+        (RobotMode.IDLE, False, "accelerate", RobotMode.ACCELERATE, FAR, {}, [STILL]),
+        (RobotMode.IDLE, True, "accelerate", RobotMode.ACCELERATE, NEAR, {}, [STILL]),
+        (RobotMode.ACCELERATE, False, "accelerate", RobotMode.ACCELERATE,
+         FAR, {}, [STILL] * 2),
+        (RobotMode.ACCELERATE, True, "brake", RobotMode.BRAKE,
+         NEAR, {"robot_decel": 0.2}, [STILL] * 2),
+        (RobotMode.DRIVE, False, "hold", RobotMode.DRIVE,
+         FAR, {"robot_accel": 5.0}, [STILL] * 2),
+        (RobotMode.DRIVE, True, "brake", RobotMode.BRAKE,
+         NEAR, {"robot_accel": 5.0}, [STILL] * 2),
+        (RobotMode.BRAKE, False, "accelerate", RobotMode.DRIVE,
+         NEAR, {"robot_accel": 5.0}, [BACK_OFF, STILL, STILL]),
+        (RobotMode.BRAKE, True, "brake", RobotMode.BRAKE,
+         NEAR, {"robot_accel": 5.0}, [STILL] * 3),
+        (RobotMode.STOP, False, "accelerate", RobotMode.ACCELERATE,
+         NEAR, {"robot_decel": 5.0}, [BACK_OFF, STILL, STILL]),
+        (RobotMode.STOP, True, "hold", RobotMode.STOP,
+         NEAR, {"robot_decel": 5.0}, [STILL] * 3),
+    ],
+)
+def test_mode_table_row(monkeypatch, mode_before, danger, action, mode_after, start,
+                        overrides, draws):
+    """Each (mode, danger) row of ``simulate``'s mode table, pinned on the
+    last tick of a run cut to len(draws) ticks.  The 1 m buffer puts the
+    look-ahead distance above the 1 m reaction radius, so the trigger is
+    the observed gap alone."""
+    _script_draws(monkeypatch, draws)
+    config = cfg(obstacle_true_max_vel=1.0, buffer=1.0, reaction_radius=1.0,
+                 obstacle_start=start, max_ticks=len(draws), **overrides)
+    trace = simulate(config)
+    assert trace.outcome is SimOutcome.TICK_BUDGET_EXHAUSTED
+    assert trace.ticks == len(draws)
+
+    *_, before, after = trace.states
+    delayed_obstacle_x = trace.states[-3].obstacle_x if len(draws) > 1 else start
+    assert before.robot_mode is mode_before
+    assert not after.monitor_tripped
+    assert (0 <= delayed_obstacle_x - before.robot_x <= config.reaction_radius) is danger
+
+    v = before.robot_v
+    expected_v = {
+        "accelerate": min(v + config.robot_accel * config.dt, config.robot_max_vel),
+        "brake": max(v - config.robot_decel * config.dt, 0.0),
+        "hold": v,
+    }[action]
+    assert after.robot_v == expected_v
+    assert after.robot_mode is mode_after
+
+
+def test_exact_coincidence_is_contact(monkeypatch):
+    """A gap of exactly 0 is inside the threshold: robot and obstacle
+    meeting on one point at the end of tick 1 collide then, not a tick
+    later through the crossing test."""
+    _script_draws(monkeypatch, [0.5, 0.5])
+    config = cfg(dt=0.5, robot_accel=1.0, obstacle_start=0.5, obstacle_true_max_vel=1.0)
+    trace = simulate(config)
+    assert trace.outcome is SimOutcome.ACTIVE_COLLISION
+    assert trace.events[-1] == CollisionEvent(t=0.5, robot_v=0.5, gap=0.0, active=True)

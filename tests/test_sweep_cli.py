@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,76 @@ def test_nonpositive_budget_is_usage_error(capsys, budget):
     assert exc.value.code == EX_USAGE
     assert f"--budget: must be >= 1, got {budget}" in capsys.readouterr().err
 
+
+
+def _small_spec_file(tmp_path) -> str:
+    spec = {
+        "base": {},
+        "obstacleVelGrid": list(SMALL_SPEC.obstacle_vel_grid),
+        "reactionRadiusGrid": list(SMALL_SPEC.reaction_radius_grid),
+        "runsPerCell": SMALL_SPEC.runs_per_cell,
+        "seedBase": SMALL_SPEC.seed_base,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_nonpositive_workers_is_usage_error(tmp_path, capsys, workers):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", _small_spec_file(tmp_path), "--out", str(out), "--workers", workers])
+    assert exc.value.code == EX_USAGE
+    assert f"--workers: must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces the process pool with one that records the ``max_workers``
+    it is asked for and maps in this process, so no worker is started."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("workers, pools", [(2, [2]), (4, [4]), (5, [4]), (5000, [4])])
+def test_pool_has_at_most_one_process_per_cell(pool_sizes, workers, pools):
+    csv = sweep_result_to_csv(run_sweep(SMALL_SPEC, workers=workers))
+    assert pool_sizes == pools    # SMALL_SPEC has four cells
+    assert csv == sweep_result_to_csv(run_sweep(SMALL_SPEC, workers=1))
+    assert pool_sizes == pools
+
+
+def test_single_cell_sweep_runs_in_process(pool_sizes):
+    spec = replace(SMALL_SPEC, obstacle_vel_grid=(0.2,), reaction_radius_grid=(0.48,))
+    run_sweep(spec, workers=8)
+    assert pool_sizes == []
+
+
+def test_sweep_cli_caps_workers_at_cells(tmp_path, capsys, pool_sizes):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", _small_spec_file(tmp_path), "--out", str(out), "--workers", "5000"]) == 0
+    capsys.readouterr()
+    assert pool_sizes == [4]
+    assert out.read_text() == sweep_result_to_csv(run_sweep(SMALL_SPEC))
 
 def test_verdict_reports_depth_bound_and_fixpoint(capsys):
     scenario = str(CONFIGS / "head_on.json")
