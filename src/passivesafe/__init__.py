@@ -7,70 +7,38 @@ continuous simulator with an assumption monitor that brakes the robot
 when the environment breaks the speed bound it was verified against,
 plus a sweep harness that maps collision counts over obstacle speeds and
 reaction radii.
-"""
-from .automata import (
-    ChoiceError,
-    ObstacleChoice,
-    TransitionLabel,
-    enumerate_obstacle_choices,
-    lane_change_possible,
-    robot_step,
-    world_step,
-)
-from .checker import (
-    ExplorationStats,
-    Outcome,
-    SafetyVerdict,
-    Trace,
-    TraceError,
-    check_safety,
-    random_rollout,
-    replay_trace,
-    state_space_stats,
-)
-from .kinematics import (
-    CollisionDistance,
-    braking_distance_cells,
-    collision_danger,
-    collision_distance_meters,
-    is_passive_safe,
-    obstacle_driving_distance_cells,
-    ticks_to_stop,
-)
-from .model import (
-    Assumptions,
-    GridScenario,
-    InvariantViolation,
-    ObstacleSnapshot,
-    ObstacleSpec,
-    RobotMode,
-    RobotSnapshot,
-    ScenarioError,
-    WorldState,
-    initial_world_state,
-    load_scenario,
-    serialize_scenario,
-    validate_world,
-)
-from .monitor import (
-    Feedback,
-    MonitorState,
-    Observation,
-    ObservationOrderError,
-    estimate_obstacle_velocity,
-    new_monitor,
-    observe,
-    observe_at,
-)
-from .sim import (
-    CollisionEvent,
-    SimConfig,
-    SimOutcome,
-    SimState,
-    SimTrace,
-    load_sim_config,
-    simulate,
-)
-from .sweep import SweepResult, SweepSpec, load_sweep_spec, run_sweep, sweep_result_to_csv
 
+Every exported name resolves on first use (PEP 562), so importing the
+package, or one half of it, loads only the submodules that half needs.
+"""
+from importlib import import_module
+
+_EXPORTS = {
+    "automata": ("ChoiceError ObstacleChoice TransitionLabel enumerate_obstacle_choices "
+                 "lane_change_possible robot_step world_step"),
+    "checker": ("ExplorationStats Outcome SafetyVerdict Trace check_safety random_rollout "
+                "replay_trace state_space_stats"),
+    "kinematics": ("CollisionDistance braking_distance_cells collision_danger "
+                   "collision_distance_meters is_passive_safe obstacle_driving_distance_cells "
+                   "ticks_to_stop"),
+    "model": ("Assumptions GridScenario InvariantViolation ObstacleSnapshot ObstacleSpec "
+              "RobotMode RobotSnapshot ScenarioError TraceError WorldState initial_world_state "
+              "load_scenario serialize_scenario validate_world"),
+    "monitor": ("Feedback MonitorState Observation ObservationOrderError "
+                "estimate_obstacle_velocity new_monitor observe observe_at"),
+    "sim": "CollisionEvent SimConfig SimOutcome SimState SimTrace load_sim_config simulate",
+    "sweep": "SweepResult SweepSpec load_sweep_spec run_sweep sweep_result_to_csv",
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_SUBMODULE)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

@@ -9,18 +9,17 @@ includes the delayed obstacle view: two states whose robots have seen
 different histories must not be merged.
 
 The search keys states by a flat int tuple (see ``check_safety``) and
-merges states that differ only by swapping interchangeable movers; the
-object-level ``world_step``, ``state_key`` and ``replay_trace`` stay the
+merges states that differ only in where dead movers stand or by swapping
+interchangeable movers; the object-level ``world_step``, ``state_key`` and ``replay_trace`` stay the
 reference semantics that rebuilds, replays and tests compare against.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
 from pathlib import Path
@@ -34,6 +33,7 @@ from .automata import (
 )
 from .kinematics import is_passive_safe
 from .model import (
+    DEFAULT_STATE_BUDGET,
     GridScenario,
     ObstacleSnapshot,
     RobotMode,
@@ -51,8 +51,6 @@ from .model import (
     world_from_dict,
     world_to_dict,
 )
-
-DEFAULT_STATE_BUDGET = 5_000_000
 
 _MODES = tuple(RobotMode)
 _MODE_CODE = {mode: i for i, mode in enumerate(_MODES)}
@@ -81,8 +79,8 @@ class Trace:
 class ExplorationStats:
     """Exploration bookkeeping.
 
-    ``states`` counts states up to interchange of like movers (see
-    ``check_safety``).  ``transitions`` counts explored edges whose
+    ``states`` counts states up to parking of dead movers and
+    interchange of like movers (see ``check_safety``).  ``transitions`` counts explored edges whose
     target differs from the source; the terminal idle self-loop is not a
     transition.  Wall time
     is a measurement, not part of the identity of a run, so it is left
@@ -128,6 +126,7 @@ def state_key(world: WorldState):
 
 def state_digest(world: WorldState) -> str:
     """Content hash of the full state, stable across runs and processes."""
+    import hashlib     # loaded only when a trace is digested
     payload = json.dumps(world_to_dict(world), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -183,21 +182,35 @@ def check_safety(
     States are keyed by the int tuple ``(robot x, lane, v, mode index,
     mover xs..., mover prev xs...)``, which is ``state_key`` without the
     obstacles that are static from tick 0 (they live in the scenario) and
-    with a mover's ``is_static`` read as ``x == dest``.  Movers with the
-    same lane, destination and maxVel are interchangeable: no guard or
-    predicate reads an obstacle's id, so swapping two of them maps
-    reachable states onto states with the same future.  The key sorts
-    each such group's (x, prev x) pairs, and the search counts states up
-    to that interchange (Ip & Dill, "Better verification through
-    symmetry", FMSD 1996).  Without groups nothing is merged, and the
-    search is the object-level BFS over ``world_step`` state for state.
+    with a mover's ``is_static`` read as ``x == dest``.
+
+    Every guard and predicate reads only obstacles at or ahead of the
+    robot (``collision_danger``, ``lane_change_possible``,
+    ``is_passive_safe``), the robot's x never decreases and a mover's x
+    never increases.  So a mover whose x and prev x are both behind the
+    robot is dead: nothing reads it again.  The key parks it at (dest,
+    dest), where it has no picks left (a live-variable reduction:
+    Bozga, Fernandez & Ghirvu, SAS 1999).  Movers with the same lane,
+    destination and maxVel are interchangeable: no guard or predicate
+    reads an obstacle's id, so swapping two of them maps reachable
+    states onto states with the same future.  After parking, the key
+    sorts each such group's (x, prev x) pairs, and the search counts
+    states up to both reductions (Ip & Dill, "Better verification
+    through symmetry", FMSD 1996).  Within the budget, both keep the
+    outcome and the counterexample length of the object-level BFS over
+    ``world_step``; ``max_depth`` can be smaller, since the reduced
+    search reaches its fixpoint sooner.
 
     ``robot_step`` reads the robot and the delayed view only, so it is
     memoised on ``key[:4] + prev xs``; ``is_passive_safe`` reads the
     robot and the current obstacles, so it is memoised on ``key[:4] +
     xs``.  The picks only move mover xs, in the order
     ``enumerate_obstacle_choices`` gives them; the successor tails
-    (mover xs and prev xs) are memoised on the current xs.  A
+    (mover xs and prev xs) are memoised on the current xs, next to the
+    lowest x of a mover not yet parked.  A successor's prev xs are the
+    current xs, so a mover dies on a step exactly when that x is behind
+    the moved robot: one int compare per state.  Only then are the
+    tails parked, memoised on the xs and the robot's new x.  A
     ``WorldState`` is built only on a memo miss.
     """
     started = time.perf_counter()
@@ -220,8 +233,13 @@ def check_safety(
             for x in range(d, max(xs0[k] for k in group_of[j]) + 1)
         })
 
-    def tail(new_xs: tuple[int, ...], xs: tuple[int, ...]) -> tuple[int, ...]:
-        """A key's mover part, each group's (x, prev x) pairs sorted."""
+    def tail(new_xs: tuple[int, ...], xs: tuple[int, ...], robot_x: int) -> tuple[int, ...]:
+        """A key's mover part: each mover whose prev x (its larger x) is
+        behind ``robot_x`` parked at (dest, dest), then each group's
+        (x, prev x) pairs sorted."""
+        if xs and min(xs) < robot_x:
+            new_xs = tuple(d if x < robot_x else v for v, x, d in zip(new_xs, xs, dests))
+            xs = tuple(d if x < robot_x else x for x, d in zip(xs, dests))
         if not groups:
             return new_xs + xs
         new_xs, xs = list(new_xs), list(xs)
@@ -230,8 +248,8 @@ def check_safety(
                 new_xs[j], xs[j] = pair
         return tuple(new_xs) + tuple(xs)
 
-    def successor_tails(xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        return tuple(tail(new_xs, xs)
+    def successor_tails(xs: tuple[int, ...], robot_x: int = -1) -> tuple[tuple[int, ...], ...]:
+        return tuple(tail(new_xs, xs, robot_x)
                      for new_xs in product(*[steps[x] for steps, x in zip(advance, xs)]))
 
     rows = {xs0: init.obstacles}     # mover xs -> shared obstacle tuple
@@ -241,7 +259,7 @@ def check_safety(
         if row is None:
             cells = list(init.obstacles)
             for (i, obs), x in zip(movers, xs):
-                cells[i] = replace(obs, x=x, is_static=x == obs.dest_cell)
+                cells[i] = ObstacleSnapshot(obs.id, x, obs.lane, x == obs.dest_cell, obs.dest_cell)
             row = rows[xs] = tuple(cells)
         return row
 
@@ -259,7 +277,7 @@ def check_safety(
         for key in reversed(chain[:-1]):
             for choice in product(*[enumerate(steps[x], 1) for steps, x in zip(advance, xs)]):
                 new_xs = tuple(x for _, x in choice)
-                if tail(new_xs, xs) == key[4:]:
+                if tail(new_xs, xs, key[0]) == key[4:]:
                     break
             path.append(tuple(v for (v, _), x, d in zip(choice, xs, dests) if x != d))
             xs = new_xs
@@ -269,12 +287,14 @@ def check_safety(
         robot = RobotSnapshot(key[0], key[1], key[2], _MODES[key[3]])
         return WorldState(tick, robot, obstacles_at(key[4:4 + n]), obstacles_at(key[4 + n:]))
 
-    init_key = _robot_key(init.robot) + tail(xs0, xs0)
+    init_key = _robot_key(init.robot) + tail(xs0, xs0, init.robot.x)
     parents: dict = {init_key: None}     # doubles as the visited set
     queue = deque([(init_key, 0)])
     moved_robot: dict = {}      # key[:4] + prev xs -> robot key after robot_step
     safe: dict = {}             # key[:4] + xs -> is_passive_safe
-    tails: dict = {}            # xs -> successor tails in pick order
+    tails: dict = {}            # xs -> (successor tails in pick order, lowest unparked x)
+    parked: dict = {}           # xs + (robot x,) -> successor tails with dead movers parked
+    no_mover = scenario.track_length_cells      # above every robot x
     transitions = 0
     peak_frontier = 1
     max_depth = 0
@@ -300,9 +320,16 @@ def check_safety(
             world = world_at(key, tick)
             head = moved_robot[seen] = _robot_key(robot_step(world.robot, world, scenario))
         xs = key[4:4 + n]
-        succ_tails = tails.get(xs)
-        if succ_tails is None:
-            succ_tails = tails[xs] = successor_tails(xs)
+        entry = tails.get(xs)
+        if entry is None:
+            lowest = min((x for x, d in zip(xs, dests) if x != d), default=no_mover)
+            entry = tails[xs] = successor_tails(xs), lowest
+        succ_tails, lowest = entry
+        if lowest < head[0]:    # a mover dies: its prev x will be behind the robot
+            dead = xs + head[:1]
+            succ_tails = parked.get(dead)
+            if succ_tails is None:
+                succ_tails = parked[dead] = successor_tails(xs, head[0])
         tick += 1
         for succ_tail in succ_tails:
             succ_key = head + succ_tail

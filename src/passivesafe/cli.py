@@ -18,10 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import checker
-from .model import ScenarioError, load_scenario
-from .sim import SimOutcome, load_sim_config, simulate, write_trace_jsonl
-from .sweep import load_sweep_spec, run_sweep, sweep_result_to_csv
+from .model import DEFAULT_STATE_BUDGET, ScenarioError, TraceError, load_scenario
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -59,6 +56,7 @@ def _read(path: str) -> str:
 
 
 def _cmd_check(args) -> int:
+    from . import checker
     scenario = load_scenario(_read(args.scenario))
     verdict = checker.check_safety(
         scenario, depth_bound=args.depth, state_budget=args.budget
@@ -76,6 +74,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import SimOutcome, load_sim_config, simulate, write_trace_jsonl
     config = load_sim_config(_read(args.config))
     if args.seed is not None:
         from dataclasses import replace
@@ -96,6 +95,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import load_sweep_spec, run_sweep, sweep_result_to_csv
     spec = load_sweep_spec(_read(args.spec))
     result = run_sweep(spec, workers=args.workers)
     Path(args.out).write_text(sweep_result_to_csv(result))
@@ -108,6 +108,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from . import checker
     scenario = load_scenario(_read(args.scenario))
     trace = checker.trace_from_jsonl(_read(args.trace))
     final = checker.replay_trace(scenario, trace)
@@ -129,10 +130,10 @@ def build_parser() -> _Parser:
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--depth", type=_int_at_least(0), default=None,
                    help="tick bound (default: to fixpoint)")
-    p.add_argument("--budget", type=_int_at_least(1), default=checker.DEFAULT_STATE_BUDGET,
+    p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_STATE_BUDGET,
                    help="state budget before giving up as inconclusive (default "
-                        "%(default)s; at the ~260 B per state measured on three movers, "
-                        "a search that runs into it needs about 1.3 GB)")
+                        "%(default)s; at the ~350 B per state measured on three movers, "
+                        "a search that runs into it needs about 1.8 GB)")
     p.add_argument("--trace", default=None, help="counterexample output path")
     p.set_defaults(func=_cmd_check)
 
@@ -165,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     except _FileError as e:
         print(str(e), file=sys.stderr)
         return EX_NOINPUT
-    except (ScenarioError, checker.TraceError) as e:
+    except (ScenarioError, TraceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EX_DATAERR
 

@@ -18,6 +18,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 
+# States ``checker.check_safety`` may count before it gives up as
+# Inconclusive; kept here so the CLI can show it without loading the checker.
+DEFAULT_STATE_BUDGET = 5_000_000
+
+
 class ScenarioError(ValueError):
     """Invalid scenario configuration: bad syntax or a violated bound."""
 

@@ -3,16 +3,24 @@
 The reference below is the search over whole ``WorldState`` objects:
 every choice vector from ``enumerate_obstacle_choices`` goes through
 ``world_step`` (choices validated, robot stepped per vector) and states
-are identified by ``state_key``.  On random small scenarios without
-interchangeable movers the checker must return the same verdict:
-outcome, statistics apart from wall time, depth bound and an equal
-counterexample, which must replay.
+are identified by a key function, ``state_key`` unless told otherwise.
+
+The checker parks every obstacle that stands wholly behind the robot
+(``parked_key``): no guard or predicate reads it again.  Keyed by
+``parked_key``, the reference must return the checker's verdict on
+random small scenarios without interchangeable movers: outcome, states,
+peak frontier, max depth, depth bound and an equal counterexample, which
+must replay.  Only ``transitions`` may be lower in the checker, since a
+parked mover has one pick where the reference still tries them all.  A
+Holds search also counts exactly the image of the unreduced reachable
+set under parking.
 
 Movers with the same lane, destination and maxVel are interchangeable,
 and the checker counts states up to their interchange.  There the
-oracle works on orbits: the outcome and max depth are the reference's,
-a Holds search counts exactly the orbits of the reference's reachable
-set, and a counterexample has the reference's length and replays.
+oracle works on orbits: the outcome and max depth are the parked
+reference's, a Holds search counts exactly the image of the unreduced
+reachable set under parking and then sorting, and a counterexample has
+the reference's length and replays.
 """
 import dataclasses
 from collections import deque
@@ -41,11 +49,24 @@ from passivesafe.checker import state_digest, state_key
 from passivesafe.scenarios import head_on_scenario
 
 
-def reference_check(scenario, depth_bound, state_budget):
-    """Object-level BFS; returns the verdict, whether the bound cut a
-    state, and the ``state_key`` of every state it reached."""
+def parked_key(key):
+    """``state_key`` with every obstacle whose x and prev x are both
+    behind the robot parked on its destination as a static obstacle."""
+    robot, obstacles, prev_obstacles = key
+    parked = [
+        (o, p) if max(o.x, p.x) >= robot.x
+        else 2 * (dataclasses.replace(o, x=o.dest_cell, is_static=True),)
+        for o, p in zip(obstacles, prev_obstacles, strict=True)
+    ]
+    return robot, tuple(o for o, _ in parked), tuple(p for _, p in parked)
+
+
+def reference_check(scenario, depth_bound, state_budget, key_of=lambda key: key):
+    """Object-level BFS over states identified by ``key_of(state_key)``;
+    returns the verdict, whether the bound cut a state, and the key of
+    every state it reached."""
     init = initial_world_state(scenario)
-    parents = {state_key(init): None}
+    parents = {key_of(state_key(init)): None}
     queue = deque([init])
     transitions, peak_frontier, max_depth, cut = 0, 1, 0, False
 
@@ -72,10 +93,10 @@ def reference_check(scenario, depth_bound, state_budget):
         if depth_bound is not None and world.tick >= depth_bound:
             cut = True
             continue
-        key = state_key(world)
+        key = key_of(state_key(world))
         for choices in enumerate_obstacle_choices(world, scenario):
             successor = world_step(world, choices, scenario)
-            succ_key = state_key(successor)
+            succ_key = key_of(state_key(successor))
             if succ_key != key:
                 transitions += 1
             if succ_key in parents:
@@ -154,16 +175,23 @@ def orbit_key(key, kinds):
     ))
 
 
+def assert_counts_image(verdict, scenario, depth_bound, canonical):
+    """A Holds search counts exactly the image of the unreduced
+    reachable set (within the depth bound) under ``canonical``."""
+    if verdict.outcome is Outcome.HOLDS:
+        _, _, reached = reference_check(scenario, depth_bound, 10**6)
+        assert verdict.states_explored == len({canonical(key) for key in reached})
+
+
 def assert_orbit_equivalent(scenario, depth_bound, state_budget):
     """The orbit oracle for a scenario with interchangeable movers."""
-    expected, _, reached = reference_check(scenario, depth_bound, 10**6)
+    expected, _, _ = reference_check(scenario, depth_bound, 10**6, parked_key)
     full = check_safety(scenario, depth_bound)
     assert full.outcome is expected.outcome
     assert full.max_depth == expected.max_depth
     assert full.reached_fixpoint == expected.reached_fixpoint
-    if full.outcome is Outcome.HOLDS:
-        kinds = _kinds(scenario)
-        assert full.states_explored == len({orbit_key(key, kinds) for key in reached})
+    kinds = _kinds(scenario)
+    assert_counts_image(full, scenario, depth_bound, lambda key: orbit_key(parked_key(key), kinds))
     if full.counterexample is not None:
         assert len(full.counterexample.steps) == len(expected.counterexample.steps)
         assert not is_passive_safe(replay_trace(scenario, full.counterexample))
@@ -178,9 +206,13 @@ def assert_matches_reference(scenario, depth_bound, state_budget):
     if has_interchangeable_movers(scenario):
         assert_orbit_equivalent(scenario, depth_bound, state_budget)
         return
-    expected, cut, _ = reference_check(scenario, depth_bound, state_budget)
+    expected, cut, _ = reference_check(scenario, depth_bound, state_budget, parked_key)
     verdict = check_safety(scenario, depth_bound, state_budget)
-    assert verdict == expected
+    # Parked movers have one pick, so transitions alone may drop.
+    assert verdict.stats.transitions <= expected.stats.transitions
+    assert verdict == dataclasses.replace(
+        expected, stats=dataclasses.replace(expected.stats, transitions=verdict.stats.transitions))
+    assert_counts_image(verdict, scenario, depth_bound, parked_key)
     assert verdict.reached_fixpoint == (expected.outcome is Outcome.HOLDS and not cut)
     if verdict.counterexample is not None:
         final = replay_trace(scenario, verdict.counterexample)
@@ -195,6 +227,41 @@ state_budgets = st.integers(1, 40) | st.just(3000)
 @given(scenario=scenarios(), depth_bound=depth_bounds, state_budget=state_budgets)
 def test_checker_matches_object_level_bfs(scenario, depth_bound, state_budget):
     assert_matches_reference(scenario, depth_bound, state_budget)
+
+
+def _cex_length(verdict):
+    return None if verdict.counterexample is None else len(verdict.counterexample.steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios(), data=st.data())
+def test_verdict_ignores_obstacles_behind_the_robot_and_obstacle_order(scenario, data):
+    """Metamorphic: an obstacle added wholly behind the robot start (a
+    static one, or a mover, which can only fall further behind) and a
+    permuted obstacle order change neither the outcome nor the
+    counterexample length, in the checker or in the unreduced reference."""
+    base = check_safety(scenario)
+    variants = [dataclasses.replace(
+        scenario, obstacles=tuple(data.draw(st.permutations(scenario.obstacles))))]
+    if scenario.robot_start_cell > 0:
+        cell = data.draw(st.integers(0, scenario.robot_start_cell - 1))
+        behind = ObstacleSpec(id=51, start_cell=cell,    # scenarios() draws ids up to 50
+                              lane=data.draw(st.integers(0, scenario.lane_count - 1)),
+                              is_static=True)
+        if data.draw(st.booleans()):
+            behind = dataclasses.replace(behind, is_static=False,
+                                         dest_cell=data.draw(st.integers(0, cell)),
+                                         max_vel=data.draw(st.sampled_from([3, 2, 1])))
+        obstacles = list(scenario.obstacles)
+        obstacles.insert(data.draw(st.integers(0, len(obstacles))), behind)
+        variants.append(dataclasses.replace(scenario, obstacles=tuple(obstacles)))
+        reference, _, _ = reference_check(variants[-1], None, 10**6)
+        assert reference.outcome is base.outcome
+        assert _cex_length(reference) == _cex_length(base)
+    for variant in variants:
+        verdict = check_safety(variant)
+        assert verdict.outcome is base.outcome
+        assert _cex_length(verdict) == _cex_length(base)
 
 
 @st.composite

@@ -1,0 +1,51 @@
+"""The package's import surface: each half loads only what it needs.
+
+``passivesafe check`` must not pay for the runtime half, and a sweep must
+not pay for the checker.  Each case runs in a fresh interpreter, since
+this test process has imported everything already.
+"""
+import importlib
+import subprocess
+import sys
+
+import passivesafe
+
+
+def _loaded_after(statement: str, names: list[str]) -> list[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; {statement}; print(*[m for m in {names!r} if m in sys.modules])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_cli_loads_no_runtime_half_and_no_hashlib():
+    names = ["passivesafe.sim", "passivesafe.monitor", "passivesafe.sweep", "hashlib"]
+    assert _loaded_after("import passivesafe.cli", names) == []
+
+
+def test_sweep_loads_no_checker():
+    assert _loaded_after("import passivesafe.sweep", ["passivesafe.checker"]) == []
+
+
+def test_every_export_is_its_submodules_object():
+    for name in passivesafe.__all__:
+        value = getattr(passivesafe, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(passivesafe, "no_such_name")
+
+
+def test_submodules_import_from_the_package():
+    assert _loaded_after(
+        "from passivesafe import automata, checker, kinematics, model, monitor, sim, sweep; "
+        "import passivesafe; assert passivesafe.sim is sim",
+        ["passivesafe.checker", "passivesafe.sim"],
+    ) == ["passivesafe.checker", "passivesafe.sim"]
+    # A submodule is also an attribute of the bare package, loaded on first use.
+    assert _loaded_after("import passivesafe; passivesafe.checker.check_safety",
+                         ["passivesafe.checker", "passivesafe.sim"]) == ["passivesafe.checker"]
