@@ -9,12 +9,17 @@ where the same fields are read in meters and meters per second.
 Scenario files are JSON objects whose keys match the field names below in
 camelCase.  Unknown keys are rejected so that a typo in an experiment
 config fails loudly instead of silently falling back to a default.
+
+Each config record has one table from JSON key to field, in serialization
+order, here and in ``sim`` and ``sweep``.  Loaders check only a document's
+shape (``_record``); types and values are the record's ``validate()``, so
+a file and an object built in Python fail with the same message.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from enum import Enum
 
 
@@ -67,19 +72,9 @@ class Assumptions:
             object.__setattr__(self, "reaction_radius", self.visual_radius)
 
     def validate(self) -> None:
-        for key, value in (("assumedObstacleMaxVel", self.assumed_obstacle_max_vel),
-                           ("visualRadius", self.visual_radius),
-                           ("buffer", self.buffer),
-                           ("reactionRadius", self.reaction_radius)):
-            _as_number(value, f"assumptions.{key}")
-        if self.assumed_obstacle_max_vel <= 0:
-            raise ScenarioError("assumptions.assumedObstacleMaxVel must be > 0")
-        if self.visual_radius <= 0:
-            raise ScenarioError("assumptions.visualRadius must be > 0")
-        if self.buffer <= 0:
-            raise ScenarioError("assumptions.buffer must be > 0")
-        if self.reaction_radius <= 0:
-            raise ScenarioError("assumptions.reactionRadius must be > 0")
+        for key, field in _ASSUMPTION_KEYS.items():
+            if _as_number(getattr(self, field), f"assumptions.{key}") <= 0:
+                raise ScenarioError(f"assumptions.{key} must be > 0")
         if self.reaction_radius > self.visual_radius:
             raise ScenarioError(
                 "assumptions.reactionRadius must not exceed visualRadius"
@@ -103,17 +98,13 @@ class ObstacleSpec:
     max_vel: int | None = None
 
     def __post_init__(self):
+        # A non-bool is_static gets the defaults; validate() rejects it.
+        if self.is_static is False and None in (self.dest_cell, self.max_vel):
+            missing = "destCell" if self.dest_cell is None else "maxVel"
+            raise ScenarioError(f"obstacle {self.id}: {missing} is required for moving obstacles")
         if self.dest_cell is None:
-            if not self.is_static:
-                raise ScenarioError(
-                    f"obstacle {self.id}: destCell is required for moving obstacles"
-                )
             object.__setattr__(self, "dest_cell", self.start_cell)
         if self.max_vel is None:
-            if not self.is_static:
-                raise ScenarioError(
-                    f"obstacle {self.id}: maxVel is required for moving obstacles"
-                )
             object.__setattr__(self, "max_vel", 1)
 
 
@@ -131,18 +122,9 @@ class GridScenario:
     def validate(self) -> None:
         # Cells and velocities are integers; this also keeps NaN and
         # infinities out of scenarios built in Python.
-        for key, value in (("trackLengthCells", self.track_length_cells),
-                           ("laneCount", self.lane_count),
-                           ("robotStartCell", self.robot_start_cell),
-                           ("robotStartLane", self.robot_start_lane),
-                           ("robotMaxVel", self.robot_max_vel),
-                           ("robotDestCell", self.robot_dest_cell)):
-            _as_int(value, key)
-        for i, obs in enumerate(self.obstacles):
-            for key, value in (("id", obs.id), ("startCell", obs.start_cell),
-                               ("lane", obs.lane), ("destCell", obs.dest_cell),
-                               ("maxVel", obs.max_vel)):
-                _as_int(value, f"obstacles[{i}].{key}")
+        for key, field in _SCENARIO_KEYS.items():
+            if field not in ("obstacles", "assumptions"):
+                _as_int(getattr(self, field), key)
         if self.track_length_cells < 2:
             raise ScenarioError("trackLengthCells must be >= 2")
         if self.lane_count < 1:
@@ -159,7 +141,10 @@ class GridScenario:
         if not 0 <= self.robot_start_lane < self.lane_count:
             raise ScenarioError("robotStartLane: lane out of range")
         seen: set[int] = set()
-        for obs in self.obstacles:
+        for i, obs in enumerate(self.obstacles):
+            for key, field in _OBSTACLE_KEYS.items():
+                read = _as_bool if field == "is_static" else _as_int
+                read(getattr(obs, field), f"obstacles[{i}].{key}")
             if obs.id in seen:
                 raise ScenarioError(f"duplicate obstacle id {obs.id}")
             seen.add(obs.id)
@@ -279,19 +264,54 @@ def validate_world(world: WorldState, scenario: GridScenario) -> None:
 # ---------------------------------------------------------------------------
 
 _SCENARIO_KEYS = {
-    "trackLengthCells", "laneCount", "robotStartCell", "robotStartLane",
-    "robotMaxVel", "robotDestCell", "obstacles", "assumptions",
+    "trackLengthCells": "track_length_cells", "laneCount": "lane_count",
+    "robotStartCell": "robot_start_cell", "robotStartLane": "robot_start_lane",
+    "robotMaxVel": "robot_max_vel", "robotDestCell": "robot_dest_cell",
+    "obstacles": "obstacles", "assumptions": "assumptions",
 }
-_OBSTACLE_KEYS = {"id", "startCell", "lane", "isStatic", "destCell", "maxVel"}
+_OBSTACLE_KEYS = {
+    "id": "id", "startCell": "start_cell", "lane": "lane", "isStatic": "is_static",
+    "destCell": "dest_cell", "maxVel": "max_vel",
+}
 _ASSUMPTION_KEYS = {
-    "assumedObstacleMaxVel", "visualRadius", "buffer", "reactionRadius",
+    "assumedObstacleMaxVel": "assumed_obstacle_max_vel", "visualRadius": "visual_radius",
+    "buffer": "buffer", "reactionRadius": "reaction_radius",
 }
 
 
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+class _Null:
+    """A JSON null in a config record.  No type check accepts it, as none
+    accepts None; but None would read as an absent optional field."""
+
+    def __repr__(self) -> str:
+        return "null"
+
+
+def _record(cls, data, keys: dict[str, str], where: str, **nested):
+    """Build ``cls`` from the JSON object ``data``, which must hold every
+    field without a default and no key outside ``keys``.  A field named in
+    ``nested`` goes through its loader first."""
+    _as_object(data, where)
+    unknown = sorted(data.keys() - keys.keys())
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for key, field in keys.items():
+        if cls.__dataclass_fields__[field].default is MISSING:
+            _field(data, key, where)
+    fields = {keys[key]: _Null() if value is None else value for key, value in data.items()}
+    for field, load in nested.items():
+        if field in fields:
+            fields[field] = load(fields[field])
+    return cls(**fields)
+
+
+def _to_dict(record, keys: dict[str, str], **nested) -> dict:
+    """Inverse of ``_record``: a field named in ``nested`` goes through its dumper."""
+    data = {}
+    for key, field in keys.items():
+        value = getattr(record, field)
+        data[key] = nested[field](value) if field in nested else value
+    return data
 
 
 def _field(mapping: dict, key: str, where: str):
@@ -309,6 +329,12 @@ def _as_object(value, name: str) -> dict:
 def _as_list(value, name: str) -> list:
     if not isinstance(value, list):
         raise ScenarioError(f"{name} must be a list")
+    return value
+
+
+def _as_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{name} must be a boolean")
     return value
 
 
@@ -334,19 +360,12 @@ def _want_int(mapping: dict, key: str, where: str) -> int:
     return _as_int(_field(mapping, key, where), f"{where}.{key}")
 
 
-def _want_number(mapping: dict, key: str, where: str) -> float:
-    return _as_number(_field(mapping, key, where), f"{where}.{key}")
-
-
 def _want_list(mapping: dict, key: str, where: str) -> list:
     return _as_list(_field(mapping, key, where), f"{where}.{key}")
 
 
 def _want_bool(mapping: dict, key: str, where: str) -> bool:
-    value = _field(mapping, key, where)
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{where}.{key} must be a boolean")
-    return value
+    return _as_bool(_field(mapping, key, where), f"{where}.{key}")
 
 
 def _want_mode(mapping: dict, key: str, where: str) -> RobotMode:
@@ -370,45 +389,13 @@ def parse_json(source: str):
 
 
 def scenario_from_dict(data: dict) -> GridScenario:
-    _as_object(data, "scenario")
-    _reject_unknown(data, _SCENARIO_KEYS, "scenario")
-
-    obstacles = []
-    for i, raw in enumerate(_as_list(data.get("obstacles", []), "scenario.obstacles")):
-        where = f"obstacles[{i}]"
-        _reject_unknown(_as_object(raw, where), _OBSTACLE_KEYS, where)
-        is_static = _want_bool(raw, "isStatic", where)
-        obstacles.append(ObstacleSpec(
-            id=_want_int(raw, "id", where),
-            start_cell=_want_int(raw, "startCell", where),
-            lane=_want_int(raw, "lane", where),
-            is_static=is_static,
-            dest_cell=_want_int(raw, "destCell", where) if "destCell" in raw else None,
-            max_vel=_want_int(raw, "maxVel", where) if "maxVel" in raw else None,
-        ))
-
-    if "assumptions" in data:
-        raw = _as_object(data["assumptions"], "scenario.assumptions")
-        _reject_unknown(raw, _ASSUMPTION_KEYS, "assumptions")
-        assumptions = Assumptions(
-            assumed_obstacle_max_vel=_want_number(raw, "assumedObstacleMaxVel", "assumptions"),
-            visual_radius=_want_number(raw, "visualRadius", "assumptions"),
-            buffer=_want_number(raw, "buffer", "assumptions"),
-            reaction_radius=(_want_number(raw, "reactionRadius", "assumptions")
-                             if "reactionRadius" in raw else None),
-        )
-    else:
-        assumptions = Assumptions(1, 10, 1)
-
-    scenario = GridScenario(
-        track_length_cells=_want_int(data, "trackLengthCells", "scenario"),
-        lane_count=_want_int(data, "laneCount", "scenario"),
-        robot_start_cell=_want_int(data, "robotStartCell", "scenario"),
-        robot_start_lane=_want_int(data, "robotStartLane", "scenario"),
-        robot_max_vel=_want_int(data, "robotMaxVel", "scenario"),
-        robot_dest_cell=_want_int(data, "robotDestCell", "scenario"),
-        obstacles=tuple(obstacles),
-        assumptions=assumptions,
+    scenario = _record(
+        GridScenario, data, _SCENARIO_KEYS, "scenario",
+        obstacles=lambda raw: tuple(
+            _record(ObstacleSpec, obs, _OBSTACLE_KEYS, f"obstacles[{i}]")
+            for i, obs in enumerate(_as_list(raw, "obstacles"))
+        ),
+        assumptions=lambda raw: _record(Assumptions, raw, _ASSUMPTION_KEYS, "assumptions"),
     )
     scenario.validate()
     return scenario
@@ -420,31 +407,11 @@ def load_scenario(source: str) -> GridScenario:
 
 
 def scenario_to_dict(scenario: GridScenario) -> dict:
-    return {
-        "trackLengthCells": scenario.track_length_cells,
-        "laneCount": scenario.lane_count,
-        "robotStartCell": scenario.robot_start_cell,
-        "robotStartLane": scenario.robot_start_lane,
-        "robotMaxVel": scenario.robot_max_vel,
-        "robotDestCell": scenario.robot_dest_cell,
-        "obstacles": [
-            {
-                "id": o.id,
-                "startCell": o.start_cell,
-                "lane": o.lane,
-                "isStatic": o.is_static,
-                "destCell": o.dest_cell,
-                "maxVel": o.max_vel,
-            }
-            for o in scenario.obstacles
-        ],
-        "assumptions": {
-            "assumedObstacleMaxVel": scenario.assumptions.assumed_obstacle_max_vel,
-            "visualRadius": scenario.assumptions.visual_radius,
-            "buffer": scenario.assumptions.buffer,
-            "reactionRadius": scenario.assumptions.reaction_radius,
-        },
-    }
+    return _to_dict(
+        scenario, _SCENARIO_KEYS,
+        obstacles=lambda obstacles: [_to_dict(obs, _OBSTACLE_KEYS) for obs in obstacles],
+        assumptions=lambda assumptions: _to_dict(assumptions, _ASSUMPTION_KEYS),
+    )
 
 
 def serialize_scenario(scenario: GridScenario) -> str:

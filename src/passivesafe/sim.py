@@ -35,8 +35,8 @@ from .model import (
     ScenarioError,
     _as_int,
     _as_number,
-    _as_object,
-    _reject_unknown,
+    _record,
+    _to_dict,
     parse_json,
 )
 from .monitor import Feedback, new_monitor, observe_at
@@ -72,9 +72,7 @@ class SimConfig:
         for key, field in _CONFIG_KEYS.items():
             read = _as_int if field in ("seed", "max_ticks") else _as_number
             read(getattr(self, field), key)
-        if self.dt <= 0:
-            raise ScenarioError("dt must be > 0")
-        for name in ("robot_max_vel", "robot_accel", "robot_decel",
+        for name in ("dt", "robot_max_vel", "robot_accel", "robot_decel",
                      "obstacle_true_max_vel", "assumed_obstacle_max_vel"):
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"{name} must be > 0")
@@ -182,7 +180,7 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     accel_dv = config.robot_accel * dt
     decel_dv = config.robot_decel * dt
     true_max = config.obstacle_true_max_vel
-    reaction = min(config.reaction_radius, config.visual_range)
+    reaction = config.reaction_radius
     d_collision = config.derived_collision_distance()
     threshold = config.collision_threshold
     dest = config.robot_dest
@@ -289,30 +287,18 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
 # ---------------------------------------------------------------------------
 
 _CONFIG_KEYS = {
-    "dt": "dt",
-    "trackLength": "track_length",
-    "robotStart": "robot_start",
-    "robotDest": "robot_dest",
-    "robotMaxVel": "robot_max_vel",
-    "robotAccel": "robot_accel",
-    "robotDecel": "robot_decel",
-    "obstacleStart": "obstacle_start",
+    "dt": "dt", "trackLength": "track_length", "robotStart": "robot_start",
+    "robotDest": "robot_dest", "robotMaxVel": "robot_max_vel", "robotAccel": "robot_accel",
+    "robotDecel": "robot_decel", "obstacleStart": "obstacle_start",
     "obstacleTrueMaxVel": "obstacle_true_max_vel",
-    "assumedObstacleMaxVel": "assumed_obstacle_max_vel",
-    "visualRange": "visual_range",
-    "reactionRadius": "reaction_radius",
-    "buffer": "buffer",
-    "collisionThreshold": "collision_threshold",
-    "seed": "seed",
-    "maxTicks": "max_ticks",
+    "assumedObstacleMaxVel": "assumed_obstacle_max_vel", "visualRange": "visual_range",
+    "reactionRadius": "reaction_radius", "buffer": "buffer",
+    "collisionThreshold": "collision_threshold", "seed": "seed", "maxTicks": "max_ticks",
 }
-_FIELD_TO_KEY = {v: k for k, v in _CONFIG_KEYS.items()}
 
 
 def sim_config_from_dict(data: dict) -> SimConfig:
-    _as_object(data, "simulation config")
-    _reject_unknown(data, set(_CONFIG_KEYS), "simulation config")
-    config = SimConfig(**{_CONFIG_KEYS[key]: value for key, value in data.items()})
+    config = _record(SimConfig, data, _CONFIG_KEYS, "simulation config")
     config.validate()
     return config
 
@@ -322,7 +308,7 @@ def load_sim_config(source: str) -> SimConfig:
 
 
 def sim_config_to_dict(config: SimConfig) -> dict:
-    return {key: getattr(config, field) for key, field in _CONFIG_KEYS.items()}
+    return _to_dict(config, _CONFIG_KEYS)
 
 
 def _event_to_dict(event: SimEvent) -> dict:

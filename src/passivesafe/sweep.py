@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .model import ScenarioError, _as_int, _as_number, _as_object, _reject_unknown, parse_json
+from .model import ScenarioError, _as_int, _as_number, _record, parse_json
 from .sim import SimConfig, SimOutcome, sim_config_from_dict, simulate
 
 CSV_HEADER = "obstacle_vel_mps,reaction_radius_m,runs,active_collisions,reached_goal,stopped_safe"
@@ -18,18 +18,25 @@ CSV_HEADER = "obstacle_vel_mps,reaction_radius_m,runs,active_collisions,reached_
 
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
-    base: SimConfig
-    obstacle_vel_grid: tuple[float, ...]
-    reaction_radius_grid: tuple[float, ...]
+    base: SimConfig = SimConfig()
+    obstacle_vel_grid: tuple[float, ...] = ()
+    reaction_radius_grid: tuple[float, ...] = ()
     runs_per_cell: int = 10
     seed_base: int = 0
 
     def validate(self) -> None:
         self.base.validate()
-        if not self.obstacle_vel_grid:
-            raise ScenarioError("obstacleVelGrid must not be empty")
-        if not self.reaction_radius_grid:
-            raise ScenarioError("reactionRadiusGrid must not be empty")
+        for key, field in _SPEC_KEYS.items():
+            value = getattr(self, field)
+            if field.endswith("_grid"):
+                if not isinstance(value, (tuple, list)):
+                    raise ScenarioError(f"{key} must be a list of numbers")
+                for i, item in enumerate(value):
+                    _as_number(item, f"{key}[{i}]")
+                if not value:
+                    raise ScenarioError(f"{key} must not be empty")
+            elif field != "base":
+                _as_int(value, key)
         if self.runs_per_cell < 1:
             raise ScenarioError("runsPerCell must be >= 1")
 
@@ -113,26 +120,21 @@ def sweep_result_to_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SPEC_KEYS = {"base", "obstacleVelGrid", "reactionRadiusGrid", "runsPerCell", "seedBase"}
+_SPEC_KEYS = {
+    "base": "base", "obstacleVelGrid": "obstacle_vel_grid",
+    "reactionRadiusGrid": "reaction_radius_grid", "runsPerCell": "runs_per_cell",
+    "seedBase": "seed_base",
+}
+
+
+def _grid(value):
+    """A JSON list as a tuple; anything else is left for validate()."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def sweep_spec_from_dict(data: dict) -> SweepSpec:
-    _as_object(data, "sweep spec")
-    _reject_unknown(data, _SPEC_KEYS, "sweep spec")
-    base = sim_config_from_dict(data.get("base", {}))
-    grids = {}
-    for key in ("obstacleVelGrid", "reactionRadiusGrid"):
-        values = data.get(key, [])
-        if not isinstance(values, list):
-            raise ScenarioError(f"{key} must be a list of numbers")
-        grids[key] = tuple(_as_number(v, f"{key}[{i}]") for i, v in enumerate(values))
-    spec = SweepSpec(
-        base=base,
-        obstacle_vel_grid=grids["obstacleVelGrid"],
-        reaction_radius_grid=grids["reactionRadiusGrid"],
-        runs_per_cell=_as_int(data.get("runsPerCell", 10), "runsPerCell"),
-        seed_base=_as_int(data.get("seedBase", 0), "seedBase"),
-    )
+    spec = _record(SweepSpec, data, _SPEC_KEYS, "sweep spec", base=sim_config_from_dict,
+                   obstacle_vel_grid=_grid, reaction_radius_grid=_grid)
     spec.validate()
     return spec
 

@@ -26,7 +26,7 @@ import dataclasses
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passivesafe import (
@@ -41,7 +41,9 @@ from passivesafe import (
     enumerate_obstacle_choices,
     initial_world_state,
     is_passive_safe,
+    load_scenario,
     replay_trace,
+    serialize_scenario,
     world_step,
 )
 from passivesafe.automata import TransitionLabel
@@ -152,6 +154,12 @@ def scenarios(draw):
             reaction_radius=visual,
         ),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios())
+def test_scenario_round_trip(scenario):
+    assert load_scenario(serialize_scenario(scenario)) == scenario
 
 
 def _kinds(scenario):
@@ -330,3 +338,82 @@ def _two_movers(**unlike) -> GridScenario:
         "two-movers-unlike-dest", "two-movers-unlike-lane"])
 def test_checker_matches_object_level_bfs_on_head_on_scenarios(scenario):
     assert_matches_reference(scenario, None, 10**6)
+
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios())
+def test_holds_survives_a_larger_assumed_bound_or_buffer(scenario):
+    """Metamorphic: a Holds verdict stays Holds when the assumed obstacle
+    bound rises by 1 and when the buffer rises by 1."""
+    assumptions = scenario.assumptions
+    if check_safety(scenario).outcome is not Outcome.HOLDS:
+        return
+    for change in ({"assumed_obstacle_max_vel": assumptions.assumed_obstacle_max_vel + 1},
+                   {"buffer": assumptions.buffer + 1}):
+        variant = dataclasses.replace(
+            scenario, assumptions=dataclasses.replace(assumptions, **change))
+        assert check_safety(variant).outcome is Outcome.HOLDS, change
+
+
+# One lane; the mover starts on its destination, so it is static from tick
+# 0.  The robot reaches cell 15 at speed 2 with the obstacle on cell 17.
+TUNNEL = GridScenario(
+    track_length_cells=20, lane_count=1, robot_start_cell=0, robot_start_lane=0,
+    robot_max_vel=2, robot_dest_cell=19,
+    obstacles=(ObstacleSpec(id=0, start_cell=17, lane=0, is_static=False, dest_cell=17,
+                            max_vel=3),),
+    assumptions=Assumptions(assumed_obstacle_max_vel=1, visual_radius=1, buffer=1),
+)
+
+
+def test_robot_at_speed_moves_onto_a_static_obstacle_unflagged():
+    """Finding, pinned.  With visual radius 1 the robot on cell 15 does not
+    see the obstacle two cells ahead and moves onto its cell at speed 2.
+    ``is_passive_safe`` looks only at the cell directly ahead, so no state
+    is unsafe and the check says Holds.  With visual radius 2 the robot
+    brakes onto cell 16 and the check says Violated."""
+    world = initial_world_state(TUNNEL)
+    while world.robot.x < 17:
+        world = world_step(world, next(iter(enumerate_obstacle_choices(world, TUNNEL))), TUNNEL)
+        assert is_passive_safe(world)
+    assert (world.robot.x, world.robot.v, world.obstacles[0].x) == (17, 2, 17)
+    assert check_safety(TUNNEL).outcome is Outcome.HOLDS
+    seeing = dataclasses.replace(TUNNEL, assumptions=Assumptions(1, 2, 1))
+    assert check_safety(seeing).outcome is Outcome.VIOLATED
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="fails on TUNNEL: see "
+                   "test_robot_at_speed_moves_onto_a_static_obstacle_unflagged")
+@settings(max_examples=100, deadline=None)
+@example(scenario=TUNNEL, wider=1)
+@given(scenario=scenarios(), wider=st.integers(1, 10))
+def test_holds_survives_a_larger_visual_radius(scenario, wider):
+    """Metamorphic: a Holds verdict stays Holds when the visual radius rises."""
+    if check_safety(scenario).outcome is not Outcome.HOLDS:
+        return
+    assumptions = dataclasses.replace(
+        scenario.assumptions, visual_radius=scenario.assumptions.visual_radius + wider)
+    assert check_safety(dataclasses.replace(scenario, assumptions=assumptions)).outcome \
+        is Outcome.HOLDS
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios(), data=st.data())
+def test_verdict_ignores_lane_mirroring_and_obstacle_ids(scenario, data):
+    """Metamorphic: mirroring every lane (``lane -> laneCount-1-lane``,
+    the robot's included) and relabelling the obstacle ids change neither
+    the outcome nor the counterexample length."""
+    base = check_safety(scenario)
+    top = scenario.lane_count - 1
+    mirrored = dataclasses.replace(
+        scenario, robot_start_lane=top - scenario.robot_start_lane,
+        obstacles=tuple(dataclasses.replace(o, lane=top - o.lane) for o in scenario.obstacles))
+    ids = data.draw(st.lists(st.integers(0, 99), min_size=len(scenario.obstacles),
+                             max_size=len(scenario.obstacles), unique=True))
+    relabelled = dataclasses.replace(scenario, obstacles=tuple(
+        dataclasses.replace(o, id=i) for o, i in zip(scenario.obstacles, ids, strict=True)))
+    for variant in (mirrored, relabelled):
+        verdict = check_safety(variant)
+        assert verdict.outcome is base.outcome
+        assert _cex_length(verdict) == _cex_length(base)

@@ -1,14 +1,28 @@
 """Scenario configuration loading, validation, and initial states."""
+import dataclasses
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passivesafe import (
+    Assumptions,
+    GridScenario,
+    ObstacleSpec,
     ScenarioError,
+    SimConfig,
+    SweepSpec,
     check_safety,
     initial_world_state,
     load_scenario,
+    load_sim_config,
+    load_sweep_spec,
+    model,
     serialize_scenario,
+    sim,
+    sweep,
     validate_world,
 )
 from passivesafe.scenarios import empty_scenario, head_on_scenario
@@ -144,3 +158,90 @@ def test_non_finite_numbers_rejected_in_python_built_scenarios(value):
                                               reaction_radius=1)).validate()
     with pytest.raises(ScenarioError, match="trackLengthCells must be an integer"):
         replace(scenario, track_length_cells=value).validate()
+
+
+def test_non_bool_is_static_rejected():
+    scenario = head_on_scenario()
+    mover = replace(scenario.obstacles[0], is_static="false")
+    scenario = replace(scenario, obstacles=(mover,) + scenario.obstacles[1:])
+    with pytest.raises(ScenarioError, match=r"obstacles\[0\]\.isStatic must be a boolean"):
+        check_safety(scenario)
+    # A falsy isStatic does not make a mover that lacks destCell and maxVel.
+    with pytest.raises(ScenarioError, match=r"obstacles\[0\]\.isStatic must be a boolean"):
+        load_scenario(MINIMAL.replace(
+            '"obstacles": []', '"obstacles": [{"id": 0, "startCell": 5, "lane": 0, "isStatic": 0}]'))
+
+
+@pytest.mark.parametrize("field, key", [
+    ("assumed_obstacle_max_vel", "assumedObstacleMaxVel"), ("visual_radius", "visualRadius"),
+    ("buffer", "buffer"), ("reaction_radius", "reactionRadius"),
+])
+def test_assumptions_must_be_positive(field, key):
+    assumptions = replace(head_on_scenario().assumptions, **{field: 0})
+    with pytest.raises(ScenarioError, match=f"assumptions.{key} must be > 0"):
+        assumptions.validate()
+
+
+@pytest.mark.parametrize("record, keys", [
+    (GridScenario, model._SCENARIO_KEYS),
+    (ObstacleSpec, model._OBSTACLE_KEYS),
+    (Assumptions, model._ASSUMPTION_KEYS),
+    (SimConfig, sim._CONFIG_KEYS),
+    (SweepSpec, sweep._SPEC_KEYS),
+], ids=lambda value: getattr(value, "__name__", ""))
+def test_key_table_maps_onto_exactly_the_record_fields(record, keys):
+    """Each config record's table lists every field once, in field order,
+    under the field's name in camelCase.  The nested fields (obstacles,
+    assumptions, base) hold records with tables of their own, checked by
+    the round trips."""
+    assert list(keys.values()) == [field.name for field in dataclasses.fields(record)]
+    for key, field in keys.items():
+        first, *rest = field.split("_")
+        assert key == first + "".join(word.capitalize() for word in rest)
+
+
+def test_json_null_is_no_absent_field():
+    """None marks an absent optional field; a JSON null is rejected."""
+    with pytest.raises(ScenarioError, match="assumptions.reactionRadius must be a number"):
+        load_scenario(MINIMAL.replace('"buffer": 1', '"buffer": 1, "reactionRadius": null'))
+    with pytest.raises(ScenarioError, match=r"obstacles\[0\]\.destCell must be an integer"):
+        load_scenario(MINIMAL.replace(
+            '"obstacles": []',
+            '"obstacles": [{"id": 0, "startCell": 5, "lane": 0, "isStatic": true,'
+            ' "destCell": null}]'))
+
+
+_positive = st.floats(1e-3, 10) | st.integers(1, 10)
+
+
+@st.composite
+def sim_configs(draw):
+    start = draw(st.floats(0, 5))
+    dest = start + draw(st.floats(0.1, 10))
+    obstacle = start + draw(st.floats(0.1, 20))
+    visual = draw(_positive)
+    return SimConfig(
+        dt=draw(_positive), track_length=max(dest, obstacle) + draw(st.floats(0, 5)),
+        robot_start=start, robot_dest=dest, robot_max_vel=draw(_positive),
+        robot_accel=draw(_positive), robot_decel=draw(_positive), obstacle_start=obstacle,
+        obstacle_true_max_vel=draw(_positive), assumed_obstacle_max_vel=draw(_positive),
+        visual_range=visual, reaction_radius=visual * draw(st.floats(0.01, 1)),
+        buffer=draw(st.floats(0, 1)), collision_threshold=draw(_positive),
+        seed=draw(st.integers(-2**63, 2**63)), max_ticks=draw(st.integers(1, 10**6)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=sim_configs())
+def test_sim_config_round_trip(config):
+    assert load_sim_config(json.dumps(sim.sim_config_to_dict(config))) == config
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=sim_configs(), grids=st.lists(st.lists(_positive, min_size=1, max_size=4),
+                                          min_size=2, max_size=2),
+       runs=st.integers(1, 100), seed_base=st.integers(-10**6, 10**6))
+def test_sweep_spec_round_trip(base, grids, runs, seed_base):
+    spec = SweepSpec(base, tuple(grids[0]), tuple(grids[1]), runs, seed_base)
+    text = json.dumps(model._to_dict(spec, sweep._SPEC_KEYS, base=sim.sim_config_to_dict))
+    assert load_sweep_spec(text) == spec

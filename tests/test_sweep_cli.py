@@ -9,7 +9,9 @@ import pytest
 
 from passivesafe import SimConfig, SweepSpec, load_sweep_spec, run_sweep, sweep_result_to_csv
 from passivesafe.cli import EX_DATAERR, EX_NOINPUT, EX_USAGE, main
-from passivesafe.model import ScenarioError
+from passivesafe.model import ScenarioError, _to_dict
+from passivesafe.sim import sim_config_to_dict
+from passivesafe.sweep import _SPEC_KEYS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -80,6 +82,22 @@ def test_sweep_spec_rejects_unknown_key():
 def test_sweep_spec_rejects_empty_grid():
     with pytest.raises(ScenarioError, match="obstacleVelGrid"):
         load_sweep_spec('{"base": {}, "obstacleVelGrid": [], "reactionRadiusGrid": [0.5]}')
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"runs_per_cell": 1.5}, "runsPerCell must be an integer"),
+    ({"runs_per_cell": True}, "runsPerCell must be an integer"),
+    ({"obstacle_vel_grid": (0.2, "0.3")}, r"obstacleVelGrid\[1\] must be a number"),
+    ({"obstacle_vel_grid": 0.2}, "obstacleVelGrid must be a list of numbers"),
+    ({"seed_base": 0.5}, "seedBase must be an integer"),
+])
+def test_python_built_and_loaded_specs_fail_alike(change, message):
+    spec = replace(SMALL_SPEC, **change)
+    with pytest.raises(ScenarioError, match=message):
+        run_sweep(spec)
+    text = json.dumps(_to_dict(spec, _SPEC_KEYS, base=sim_config_to_dict))
+    with pytest.raises(ScenarioError, match=message):
+        load_sweep_spec(text)
 
 
 # ---------------------------------------------------------------------------
