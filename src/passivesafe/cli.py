@@ -158,9 +158,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built by the first main() call and reused by every later one in the
+# process: parse_args leaves the parser as it was, and building it (five
+# parsers, each with its own formatter and message lookups) takes about
+# a quarter of a short `check`.
+_parser: _Parser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except _FileError as e:

@@ -72,10 +72,10 @@ class SimConfig:
         for key, field in _CONFIG_KEYS.items():
             read = _as_int if field in ("seed", "max_ticks") else _as_number
             read(getattr(self, field), key)
-        for name in ("dt", "robot_max_vel", "robot_accel", "robot_decel",
-                     "obstacle_true_max_vel", "assumed_obstacle_max_vel"):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"{name} must be > 0")
+        for key in ("dt", "robotMaxVel", "robotAccel", "robotDecel",
+                    "obstacleTrueMaxVel", "assumedObstacleMaxVel"):
+            if getattr(self, _CONFIG_KEYS[key]) <= 0:
+                raise ScenarioError(f"{key} must be > 0")
         if self.collision_threshold <= 0:
             raise ScenarioError("collisionThreshold must be > 0")
         if self.visual_range <= 0:
@@ -168,13 +168,31 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     the destination is within braking distance, and Idle accelerates only
     away from the destination.  Here the track has one lane, and the
     episode ends on reaching the destination, so Idle always accelerates.
+    """
+    config.validate()
+    states, events, outcome, ticks = _episode(config, config.seed, collect_states)
+    return SimTrace(
+        config=config,
+        states=tuple(states),
+        events=tuple(events),
+        outcome=outcome,
+        ticks=ticks,
+    )
+
+
+def _episode(
+    config: SimConfig, seed: int, collect_states: bool
+) -> tuple[list[SimState], list[SimEvent], SimOutcome, int]:
+    """The episode of ``simulate`` on a config that has passed
+    ``validate()``, drawn from ``seed`` instead of ``config.seed``, so a
+    sweep cell validates its config once and runs it for each of its
+    seeds.  Returns the states, events, outcome and tick count.
 
     The tick loop reads only locals and allocates no object on a tick
     without an event.  The monitor sees each tick once, through
     ``observe_at``, which alone decides when the assumption is violated.
     """
-    config.validate()
-    draw = random.Random(config.seed).random
+    draw = random.Random(seed).random
     dt = config.dt
     max_vel = config.robot_max_vel
     accel_dv = config.robot_accel * dt
@@ -273,13 +291,7 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
             outcome = SimOutcome.STOPPED_SAFE
             break
 
-    return SimTrace(
-        config=config,
-        states=tuple(states),
-        events=tuple(events),
-        outcome=outcome,
-        ticks=tick,
-    )
+    return states, events, outcome, tick
 
 
 # ---------------------------------------------------------------------------

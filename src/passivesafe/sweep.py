@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .model import ScenarioError, _as_int, _as_number, _record, parse_json
-from .sim import SimConfig, SimOutcome, sim_config_from_dict, simulate
+from .sim import SimConfig, SimOutcome, _episode, sim_config_from_dict
 
 CSV_HEADER = "obstacle_vel_mps,reaction_radius_m,runs,active_collisions,reached_goal,stopped_safe"
 
@@ -66,23 +66,16 @@ class SweepResult:
     cells: tuple[CellResult, ...]
 
 
-def _run_cell(args: tuple[SweepSpec, int]) -> CellResult:
-    spec, cell_index = args
-    vel, radius = spec.cells()[cell_index]
+def _run_cell(job: tuple[SimConfig, int, int]) -> CellResult:
+    config, first_seed, runs = job
     counts = {outcome: 0 for outcome in SimOutcome}
-    for run_index in range(spec.runs_per_cell):
-        config = replace(
-            spec.base,
-            obstacle_true_max_vel=vel,
-            reaction_radius=radius,
-            seed=spec.seed_base + cell_index * spec.runs_per_cell + run_index,
-        )
-        trace = simulate(config, collect_states=False)
-        counts[trace.outcome] += 1
+    for seed in range(first_seed, first_seed + runs):
+        _, _, outcome, _ = _episode(config, seed, collect_states=False)
+        counts[outcome] += 1
     return CellResult(
-        obstacle_vel=vel,
-        reaction_radius=radius,
-        runs=spec.runs_per_cell,
+        obstacle_vel=config.obstacle_true_max_vel,
+        reaction_radius=config.reaction_radius,
+        runs=runs,
         active_collisions=counts[SimOutcome.ACTIVE_COLLISION],
         reached_goal=counts[SimOutcome.REACHED_GOAL],
         stopped_safe=counts[SimOutcome.STOPPED_SAFE],
@@ -92,10 +85,17 @@ def _run_cell(args: tuple[SweepSpec, int]) -> CellResult:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute the full grid; cell results come back in grid order no
-    matter how many worker processes ran them.  The pool gets at most one
-    process per cell, and one process means running in this one."""
+    matter how many worker processes ran them.  Every cell's config is
+    built and validated once, in grid order, before any episode runs.
+    The pool gets at most one process per cell, and one process means
+    running in this one."""
     spec.validate()
-    jobs = [(spec, i) for i in range(len(spec.cells()))]
+    runs = spec.runs_per_cell
+    jobs = []
+    for i, (vel, radius) in enumerate(spec.cells()):
+        config = replace(spec.base, obstacle_true_max_vel=vel, reaction_radius=radius)
+        config.validate()
+        jobs.append((config, spec.seed_base + i * runs, runs))
     workers = min(workers, len(jobs))
     if workers <= 1:
         cells = [_run_cell(job) for job in jobs]

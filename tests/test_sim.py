@@ -1,4 +1,5 @@
 """Runtime simulation: determinism, clamping, braking, contact handling."""
+import json
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,7 @@ from passivesafe import (
     simulate,
 )
 from passivesafe.model import ScenarioError
-from passivesafe.sim import trace_to_jsonl
+from passivesafe.sim import _CONFIG_KEYS, load_sim_config, sim_config_to_dict, trace_to_jsonl
 
 
 def cfg(**overrides):
@@ -176,6 +177,16 @@ def test_invalid_configs_rejected():
         cfg(obstacle_true_max_vel=-0.1).validate()
     with pytest.raises(ScenarioError):
         cfg(robot_start=10.0, robot_dest=5.0).validate()
+
+
+@pytest.mark.parametrize("key", ["dt", "robotMaxVel", "robotAccel", "robotDecel",
+                                 "obstacleTrueMaxVel", "assumedObstacleMaxVel"])
+def test_positive_field_messages_name_json_key(key):
+    loaded = json.dumps({**sim_config_to_dict(SimConfig()), key: 0})
+    with pytest.raises(ScenarioError, match=f"^{key} must be > 0$"):
+        load_sim_config(loaded)
+    with pytest.raises(ScenarioError, match=f"^{key} must be > 0$"):
+        simulate(cfg(**{_CONFIG_KEYS[key]: -0.5}))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from passivesafe import SimConfig, SweepSpec, load_sweep_spec, run_sweep, sweep_result_to_csv
+from passivesafe import SimConfig, SweepSpec, cli, load_sweep_spec, run_sweep, sweep_result_to_csv
+from passivesafe import sweep as sweep_module
 from passivesafe.cli import EX_DATAERR, EX_NOINPUT, EX_USAGE, main
 from passivesafe.model import ScenarioError, _to_dict
 from passivesafe.sim import sim_config_to_dict
@@ -288,6 +289,121 @@ def test_sweep_cli_caps_workers_at_cells(tmp_path, capsys, pool_sizes):
     capsys.readouterr()
     assert pool_sizes == [4]
     assert out.read_text() == sweep_result_to_csv(run_sweep(SMALL_SPEC))
+
+@pytest.fixture
+def episodes(monkeypatch):
+    """Counts the episodes the sweep runs, in this process."""
+    calls = []
+    real = sweep_module._episode
+
+    def counting(config, seed, **kwargs):
+        calls.append(seed)
+        return real(config, seed, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "_episode", counting)
+    return calls
+
+
+def test_sweep_runs_each_seed_of_each_cell_once(episodes):
+    run_sweep(SMALL_SPEC)
+    assert episodes == list(range(7, 7 + 4 * 5))
+
+
+@pytest.mark.parametrize("grid, value, message", [
+    ("obstacleVelGrid", 0.0, "obstacleTrueMaxVel must be > 0"),
+    ("obstacleVelGrid", -0.1, "obstacleTrueMaxVel must be > 0"),
+    ("reactionRadiusGrid", 2.5, "need 0 < reactionRadius <= visualRange"),
+])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_invalid_grid_value_fails_before_any_episode(tmp_path, capsys, pool_sizes, episodes,
+                                                     grid, value, message, workers):
+    spec = json.loads(Path(_small_spec_file(tmp_path)).read_text())
+    spec[grid] = [*spec[grid], value]   # the last cells, after valid ones
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", str(path), "--out", str(out), "--workers", workers]) == EX_DATAERR
+    assert _one_line_error(capsys) == f"error: {message}\n"
+    assert episodes == [] and pool_sizes == []
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Starts the process's shared parser afresh and counts its builds."""
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    return builds
+
+
+def test_check_options_do_not_leak_into_the_next_call(tmp_path, monkeypatch, capsys,
+                                                      parser_builds):
+    monkeypatch.chdir(tmp_path)
+    scenario = str(CONFIGS / "head_on_under_assumption.json")
+    custom = str(tmp_path / "custom.jsonl")
+    assert main(["check", scenario, "--depth", "3", "--trace", custom]) == 0
+    assert json.loads(capsys.readouterr().out)["depthBound"] == 3
+    assert main(["check", scenario, "--depth", "8", "--trace", custom]) == 2
+    assert json.loads(capsys.readouterr().out)["counterexamplePath"] == custom
+    assert main(["check", scenario]) == 2
+    plain = json.loads(capsys.readouterr().out)
+    assert plain["depthBound"] is None
+    assert plain["counterexamplePath"] == "head_on_under_assumption.counterexample.jsonl"
+    assert parser_builds == [1]
+
+
+def test_usage_error_leaves_the_parser_usable(capsys, parser_builds):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(CONFIGS / "head_on.json"), "--budget", "0"])
+    assert exc.value.code == EX_USAGE
+    assert main(["check", str(CONFIGS / "head_on.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "Holds"
+    assert parser_builds == [1]
+
+
+def test_interleaved_commands_match_fresh_parsers(tmp_path, monkeypatch, capsys, parser_builds):
+    scenario = str(CONFIGS / "head_on_under_assumption.json")
+    trace = str(tmp_path / "ce.jsonl")
+    csv = str(tmp_path / "out.csv")
+    calls = [
+        ["check", scenario, "--trace", trace],
+        ["replay", scenario, trace],
+        ["simulate", str(CONFIGS / "runtime.json"), "--seed", "4"],
+        ["sweep", _small_spec_file(tmp_path), "--out", csv, "--workers", "1"],
+        ["check", str(CONFIGS / "head_on.json"), "--budget", "10"],
+        ["simulate", str(CONFIGS / "runtime.json")],
+        ["replay", str(CONFIGS / "head_on.json"), trace],
+        ["sweep", _small_spec_file(tmp_path), "--out", csv],
+        ["check", str(CONFIGS / "head_on.json")],
+    ]
+
+    def run_all(fresh: bool):
+        results = []
+        for argv in calls:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", None)
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    shared = run_all(fresh=False)
+    assert parser_builds == [1]
+    assert shared == run_all(fresh=True)
+    assert len(parser_builds) == 1 + len(calls)
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 3, 0, EX_DATAERR, 0, 0]
+
 
 def test_verdict_reports_depth_bound_and_fixpoint(capsys):
     scenario = str(CONFIGS / "head_on.json")
