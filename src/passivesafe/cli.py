@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 safe/holds, 2 violated/active collision, 3 inconclusive
 (state budget or tick budget exhausted), 64 usage error, 65 malformed
-input data, 66 missing or unreadable file.
+input data, 66 a file that is missing, cannot be read or cannot be
+written.
 """
 from __future__ import annotations
 
@@ -55,6 +56,13 @@ def _read(path: str) -> str:
         raise _FileError(f"cannot read {path}: {e.strerror}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise _FileError(f"cannot write {path}: {e.strerror}")
+
+
 def _cmd_check(args) -> int:
     from . import checker
     scenario = load_scenario(_read(args.scenario))
@@ -64,7 +72,7 @@ def _cmd_check(args) -> int:
     trace_path = None
     if verdict.counterexample is not None:
         trace_path = args.trace or (Path(args.scenario).stem + ".counterexample.jsonl")
-        checker.write_trace_jsonl(verdict.counterexample, scenario, trace_path)
+        _write(trace_path, checker.trace_to_jsonl(verdict.counterexample, scenario))
     print(json.dumps(checker.verdict_to_dict(verdict, trace_path)))
     return {
         checker.Outcome.HOLDS: 0,
@@ -74,14 +82,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .sim import SimOutcome, load_sim_config, simulate, write_trace_jsonl
+    from .sim import SimOutcome, load_sim_config, simulate, trace_to_jsonl
     config = load_sim_config(_read(args.config))
     if args.seed is not None:
         from dataclasses import replace
         config = replace(config, seed=args.seed)
     trace = simulate(config)
     if args.trace:
-        write_trace_jsonl(trace, args.trace)
+        _write(args.trace, trace_to_jsonl(trace))
     print(json.dumps({
         "outcome": trace.outcome.value,
         "ticks": trace.ticks,
@@ -98,7 +106,7 @@ def _cmd_sweep(args) -> int:
     from .sweep import load_sweep_spec, run_sweep, sweep_result_to_csv
     spec = load_sweep_spec(_read(args.spec))
     result = run_sweep(spec, workers=args.workers)
-    Path(args.out).write_text(sweep_result_to_csv(result))
+    _write(args.out, sweep_result_to_csv(result))
     print(json.dumps({
         "cells": len(result.cells),
         "runsPerCell": spec.runs_per_cell,

@@ -93,6 +93,12 @@ def observe_at(
     radius.  A fast obstacle outside the reaction area is noted only once
     the gap has closed to the radius.  The first observation of a stream
     never fires (no estimate yet).  Timestamps must increase strictly.
+
+    So an observation whose gap ``obstacle_x - robot_x`` lies outside
+    ``[0, reaction_radius]`` never fires and leaves the latch as it was;
+    it only becomes the sample the next estimate reads.  ``sim`` relies
+    on this: it observes only inside the reaction area, plus the sample
+    just before it.
     """
     last_t = monitor.last_t
     if last_t is None:

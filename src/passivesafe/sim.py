@@ -5,8 +5,9 @@ lane.  Every tick:
 
   1. the obstacle draws a fresh speed uniformly from (0, true max]
      using the run's seeded generator;
-  2. the assumption monitor sees the robot state and the one-tick-delayed
-     obstacle position;
+  2. while the one-tick-delayed obstacle position lies inside the
+     robot's reaction area, the assumption monitor sees it and the robot
+     state (outside that area it cannot fire);
   3. the robot transitions: it brakes while the monitor has latched a
      violation, or while the observed gap is inside its reaction area
      and below the look-ahead collision distance; otherwise it
@@ -26,7 +27,6 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .kinematics import collision_distance_meters
 from .model import (
@@ -189,8 +189,14 @@ def _episode(
     seeds.  Returns the states, events, outcome and tick count.
 
     The tick loop reads only locals and allocates no object on a tick
-    without an event.  The monitor sees each tick once, through
-    ``observe_at``, which alone decides when the assumption is violated.
+    without an event.  ``observe_at`` alone decides when the assumption
+    is violated, and it cannot fire while the observed gap lies outside
+    ``[0, reaction radius]``; so the loop calls it only on ticks inside
+    the reaction area (about a tenth of the ticks of the benchmark's
+    sweep).  On the first such tick after a skipped one it first feeds
+    the skipped tick's sample, which can only be recorded, so every
+    estimate reads the same two consecutive ticks as a call on every
+    tick would.  The latch is a local, set from the feedback returned.
     """
     draw = random.Random(seed).random
     dt = config.dt
@@ -222,30 +228,36 @@ def _episode(
     states: list[SimState] = []
     events: list[SimEvent] = []
     in_contact = False
+    latched = False
+    skipped_robot_x = skipped_seen = None   # the last tick's sample, if skipped
     outcome = SimOutcome.TICK_BUDGET_EXHAUSTED
 
     if collect_states:
         states.append(SimState(0.0, robot_x, robot_v, mode, obstacle_x, obstacle_v, False))
 
     for tick in range(1, config.max_ticks + 1):
-        t = tick * dt
-
         # (1) obstacle speed for this tick
         obstacle_v = true_max * (1.0 - draw())
 
-        # (2) monitor observation with the delayed obstacle position
-        feedback = observe(monitor, t, robot_x, prev_obstacle_x)
-        if feedback is not None:
-            events.append(feedback)
+        # (2) monitor observation with the delayed obstacle position,
+        # only inside the reaction area, after catching up a skipped tick
+        gap_observed = prev_obstacle_x - robot_x
+        in_reach = 0 <= gap_observed <= reaction
+        if in_reach:
+            if skipped_seen is not None:
+                observe(monitor, (tick - 1) * dt, skipped_robot_x, skipped_seen)
+                skipped_seen = None
+            feedback = observe(monitor, tick * dt, robot_x, prev_obstacle_x)
+            if feedback is not None:
+                latched = True
+                events.append(feedback)
+        else:
+            skipped_robot_x, skipped_seen = robot_x, prev_obstacle_x
 
         # (3) robot transition by the mode table; the trigger reads the
         # delayed gap.  The table's two holds are the rows skipped below:
         # Stop with danger, Drive without.
-        gap_observed = prev_obstacle_x - robot_x
-        danger = (
-            monitor.violation_latched
-            or (0 <= gap_observed <= reaction and gap_observed <= d_collision)
-        )
+        danger = latched or (in_reach and gap_observed <= d_collision)
         mode_before = mode
         if danger and mode is not IDLE:
             if mode is not STOP:
@@ -255,7 +267,7 @@ def _episode(
             robot_v = min(robot_v + accel_dv, max_vel)
             mode = DRIVE if robot_v == max_vel else ACCELERATE
         if mode is not mode_before:
-            events.append(ModeChangeEvent(t=t, mode_before=mode_before, mode_after=mode))
+            events.append(ModeChangeEvent(t=tick * dt, mode_before=mode_before, mode_after=mode))
 
         # (4) integrate positions
         gap_before = obstacle_x - robot_x
@@ -266,18 +278,19 @@ def _episode(
 
         if collect_states:
             states.append(SimState(
-                t, robot_x, robot_v, mode, obstacle_x, obstacle_v,
-                monitor.violation_latched,
-            ))
+                tick * dt, robot_x, robot_v, mode, obstacle_x, obstacle_v, latched))
 
         # (5) contact: the gap is inside the threshold now, or it crossed
         # zero within this tick.  Once the obstacle is past, the pair only
-        # separates and no further contact is possible.
-        if 0 <= gap_after <= threshold or gap_before >= 0 > gap_after:
+        # separates and no further contact is possible.  Since the
+        # threshold is > 0, this is ``0 <= gap_after <= threshold or
+        # gap_before >= 0 > gap_after`` with one compare on a far tick.
+        if gap_after <= threshold and (gap_after >= 0 or gap_before >= 0):
             if not in_contact:
                 in_contact = True
                 active = robot_v > 0
-                events.append(CollisionEvent(t=t, robot_v=robot_v, gap=gap_after, active=active))
+                events.append(CollisionEvent(
+                    t=tick * dt, robot_v=robot_v, gap=gap_after, active=active))
                 if active:
                     outcome = SimOutcome.ACTIVE_COLLISION
                     break
@@ -287,7 +300,7 @@ def _episode(
         if robot_x >= dest:
             outcome = SimOutcome.REACHED_GOAL
             break
-        if monitor.violation_latched and robot_v == 0:
+        if latched and robot_v == 0:
             outcome = SimOutcome.STOPPED_SAFE
             break
 
@@ -371,7 +384,3 @@ def trace_to_jsonl(trace: SimTrace) -> str:
         ),
     }))
     return "\n".join(lines) + "\n"
-
-
-def write_trace_jsonl(trace: SimTrace, path: str | Path) -> None:
-    Path(path).write_text(trace_to_jsonl(trace))

@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passivesafe import (
     Assumptions,
@@ -163,3 +165,55 @@ def test_compliant_streams_never_fire():
             assert updated is monitor
             assert feedback is None
             assert not monitor.violation_latched
+
+
+@st.composite
+def streams(draw):
+    """A monitor and an observation stream with strictly increasing
+    times, gaps on both sides of the reaction area and on its edges, and
+    obstacle steps fast enough to trip the monitor."""
+    radius = draw(st.sampled_from([1.0, 0.48]) | st.floats(0.01, 3.0))
+    gaps = st.sampled_from([0.0, radius, -0.01, radius + 0.01]) | st.floats(-1.0, 2 * radius)
+    samples, t = [], 0.0
+    for dt, robot_x, gap in draw(st.lists(
+            st.tuples(st.floats(0.01, 0.5), st.floats(-2.0, 2.0), gaps), max_size=40)):
+        t += dt
+        samples.append((t, robot_x, robot_x + gap))
+    assumed = draw(st.sampled_from([0.2]) | st.floats(0.01, 3.0))
+    return Assumptions(assumed, 2 * radius, 0.1, radius), samples
+
+
+def in_reach(assumptions, robot_x, obstacle_x):
+    return 0 <= obstacle_x - robot_x <= assumptions.reaction_radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams())
+def test_observation_outside_reaction_area_never_fires(stream):
+    assumptions, samples = stream
+    monitor = new_monitor(assumptions)
+    for t, robot_x, obstacle_x in samples:
+        latched = monitor.violation_latched
+        feedback = observe_at(monitor, t, robot_x, obstacle_x)
+        if not in_reach(assumptions, robot_x, obstacle_x):
+            assert feedback is None
+            assert monitor.violation_latched == latched
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams())
+def test_dropping_out_of_reach_samples_keeps_the_feedback(stream):
+    """The simulator observes only inside the reaction area, and first
+    feeds the sample just before, if that one was outside: the same
+    feedback as observing every sample."""
+    assumptions, samples = stream
+
+    def feedback_of(kept):
+        monitor = new_monitor(assumptions)
+        return [observe_at(monitor, *sample) for sample in kept]
+
+    kept = [sample for i, sample in enumerate(samples)
+            if in_reach(assumptions, *sample[1:])
+            or (i + 1 < len(samples) and in_reach(assumptions, *samples[i + 1][1:]))]
+    fired = [f for f in feedback_of(samples) if f is not None]
+    assert [f for f in feedback_of(kept) if f is not None] == fired

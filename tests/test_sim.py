@@ -1,6 +1,7 @@
 """Runtime simulation: determinism, clamping, braking, contact handling."""
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +12,11 @@ from passivesafe import (
     SimOutcome,
     simulate,
 )
+from passivesafe.cli import main
 from passivesafe.model import ScenarioError
 from passivesafe.sim import _CONFIG_KEYS, load_sim_config, sim_config_to_dict, trace_to_jsonl
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def cfg(**overrides):
@@ -324,3 +328,22 @@ def test_exact_coincidence_is_contact(monkeypatch):
     trace = simulate(config)
     assert trace.outcome is SimOutcome.ACTIVE_COLLISION
     assert trace.events[-1] == CollisionEvent(t=0.5, robot_v=0.5, gap=0.0, active=True)
+
+
+def test_precondition_gap_reproducer_collides(capsys):
+    """True speed = assumed and a reaction radius equal to the derived
+    look-ahead distance do not rule out an active collision: the distance
+    leaves out the collision threshold, the obstacle's unseen tick and
+    the robot's travel in the tick it brakes.  Pinned as it runs today,
+    with the brake trigger unchanged, until a sufficient precondition is
+    derived."""
+    path = CONFIGS / "runtime_precondition_gap.json"
+    config = load_sim_config(path.read_text())
+    assert config.obstacle_true_max_vel == config.assumed_obstacle_max_vel
+    assert config.reaction_radius == config.derived_collision_distance()
+    assert main(["simulate", str(path), "--seed", "1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "outcome": "ActiveCollision", "ticks": 136, "seed": 1}
+    outcomes = [simulate(replace(config, seed=seed), collect_states=False).outcome
+                for seed in range(300)]
+    assert outcomes.count(SimOutcome.ACTIVE_COLLISION) == 38

@@ -3,9 +3,9 @@
 ``reference_simulate`` below is the simple form of the simulator: every
 tick it builds an ``Observation`` for ``monitor.observe`` and reads the
 config through ``_accelerated`` / ``_braked``.  ``simulate`` runs the same
-arithmetic on hoisted locals with ``monitor.observe_at``, so on every
-valid config the two must return equal traces, states and events
-included, and write the same trace JSONL bytes.
+arithmetic on hoisted locals and calls ``monitor.observe_at`` only inside
+the reaction area, so on every valid config the two must return equal
+traces, states and events included, and write the same trace JSONL bytes.
 
 The digests pin the command-line outputs to the bytes the plain loop
 wrote: the sweep CSV of ``configs/sweep.json`` at one and two workers,
@@ -14,10 +14,11 @@ and the ``simulate --trace`` JSONL of ``configs/runtime.json`` for seeds
 """
 import hashlib
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passivesafe.cli import main
@@ -199,8 +200,20 @@ def sim_configs(draw):
     )
 
 
+# ``simulate`` calls the monitor only inside the reaction area, after
+# feeding it a skipped previous tick; the reference calls it every tick.
 @settings(max_examples=300, deadline=None)
 @given(sim_configs())
+# in reach from tick 1: no skipped tick to feed
+@example(replace(SimConfig(), obstacle_start=0.9, obstacle_true_max_vel=0.3, seed=3))
+# first in reach at tick 2: the skipped tick fed is the stream's first
+@example(replace(SimConfig(), robot_accel=5.0, obstacle_start=1.04, seed=3))
+# the gap jumps from beyond the radius to below 0 in one tick: no call at all
+@example(replace(SimConfig(), dt=0.5, robot_accel=6.0, robot_max_vel=2.0,
+                 reaction_radius=0.1, obstacle_start=1.0, seed=3))
+# feedback on the first tick in reach (tick 58), estimated against the
+# skipped tick 57
+@example(replace(SimConfig(), obstacle_true_max_vel=3.0, seed=1))
 def test_simulate_matches_reference(config):
     for collect_states in (True, False):
         fast = simulate(config, collect_states)

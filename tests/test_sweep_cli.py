@@ -198,6 +198,20 @@ def test_missing_file_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", str(CONFIGS / "head_on_under_assumption.json"), "--trace", "{out}"],
+    ["simulate", str(CONFIGS / "runtime.json"), "--trace", "{out}"],
+    ["sweep", "{spec}", "--out", "{out}"],
+], ids=["check", "simulate", "sweep"])
+def test_unwritable_output_exits_noinput(tmp_path, capsys, argv):
+    out = str(tmp_path / "missing" / "out")
+    argv = [arg.format(out=out, spec=_small_spec_file(tmp_path)) for arg in argv]
+    assert main(argv) == EX_NOINPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {out}: No such file or directory\n"
+
+
 def test_malformed_scenario_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"trackLengthCells": 10}')
