@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -56,9 +57,10 @@ def _read(path: str) -> str:
         raise _FileError(f"cannot read {path}: {e.strerror}")
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, mode) as out:
+            out.write(text)
     except OSError as e:
         raise _FileError(f"cannot write {path}: {e.strerror}")
 
@@ -74,6 +76,11 @@ def _cmd_check(args) -> int:
         trace_path = args.trace or (Path(args.scenario).stem + ".counterexample.jsonl")
         _write(trace_path, checker.trace_to_jsonl(verdict.counterexample, scenario))
     print(json.dumps(checker.verdict_to_dict(verdict, trace_path)))
+    if verdict.outcome is checker.Outcome.INCONCLUSIVE:
+        stats = verdict.stats
+        print(f"inconclusive: state budget {args.budget} exceeded: {stats.states} states, "
+              f"{stats.transitions} transitions, peak frontier {stats.peak_frontier}, "
+              f"max depth {stats.max_depth}", file=sys.stderr)
     return {
         checker.Outcome.HOLDS: 0,
         checker.Outcome.VIOLATED: 2,
@@ -104,8 +111,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .sweep import load_sweep_spec, run_sweep, sweep_result_to_csv
-    spec = load_sweep_spec(_read(args.spec))
-    result = run_sweep(spec, workers=args.workers)
+    spec = load_sweep_spec(_read(args.spec))   # validates every cell's config
+    # Fail on an unwritable --out before any episode runs; appending
+    # nothing keeps an existing file's bytes until the CSV is ready.
+    created = not os.path.lexists(args.out)
+    _write(args.out, "", mode="a")
+    try:
+        result = run_sweep(spec, workers=args.workers)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
     _write(args.out, sweep_result_to_csv(result))
     print(json.dumps({
         "cells": len(result.cells),
@@ -154,8 +170,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run the collision-count grid")
     p.add_argument("spec", help="sweep spec JSON file")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--workers", type=_int_at_least(1), default=1,
-                   help="parallel worker processes (at most one per grid cell is started)")
+    p.add_argument("--workers", type=_int_at_least(1), default=1, metavar="N",
+                   help="worker processes, this one included: N - 1 are forked, with at "
+                        "most one process per grid cell; without os.fork the sweep runs "
+                        "in this process (default 1)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("replay", help="validate a counterexample trace")

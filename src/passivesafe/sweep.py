@@ -8,7 +8,9 @@ byte of the output.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
+from typing import NoReturn
 
 from .model import ScenarioError, _as_int, _as_number, _record, parse_json
 from .sim import SimConfig, SimOutcome, _episode, sim_config_from_dict
@@ -25,6 +27,12 @@ class SweepSpec:
     seed_base: int = 0
 
     def validate(self) -> None:
+        self.cell_configs()
+
+    def cell_configs(self) -> list[SimConfig]:
+        """Checks the spec's own fields, then returns the base config with
+        each cell's obstacle speed and reaction radius, in grid order, each
+        validated."""
         self.base.validate()
         for key, field in _SPEC_KEYS.items():
             value = getattr(self, field)
@@ -39,6 +47,11 @@ class SweepSpec:
                 _as_int(value, key)
         if self.runs_per_cell < 1:
             raise ScenarioError("runsPerCell must be >= 1")
+        configs = [replace(self.base, obstacle_true_max_vel=vel, reaction_radius=radius)
+                   for vel, radius in self.cells()]
+        for config in configs:
+            config.validate()
+        return configs
 
     def cells(self) -> list[tuple[float, float]]:
         """Cell order is velocity-major; the cell index feeds seeding."""
@@ -85,28 +98,58 @@ def _run_cell(job: tuple[SimConfig, int, int]) -> CellResult:
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Execute the full grid; cell results come back in grid order no
-    matter how many worker processes ran them.  Every cell's config is
-    built and validated once, in grid order, before any episode runs.
-    The pool gets at most one process per cell, and one process means
-    running in this one."""
-    spec.validate()
+    matter how many processes ran them.  Every cell's config is validated
+    before any episode runs.  N ``workers`` (at most one per cell; 1
+    without ``os.fork``) are this process, worker 0, and N - 1 forked
+    children; worker k runs cells k, k + N, k + 2N, …  A child pipes back
+    one line of outcome counts per cell and leaves only through
+    ``os._exit`` (status 0 once its reply is written), so it never returns
+    into the caller, flushes inherited stdio buffers or runs atexit
+    handlers.  Every pipe is read to EOF and every child reaped before
+    this returns or raises; a failed child makes it raise RuntimeError."""
     runs = spec.runs_per_cell
-    jobs = []
-    for i, (vel, radius) in enumerate(spec.cells()):
-        config = replace(spec.base, obstacle_true_max_vel=vel, reaction_radius=radius)
-        config.validate()
-        jobs.append((config, spec.seed_base + i * runs, runs))
-    workers = min(workers, len(jobs))
-    if workers <= 1:
-        cells = [_run_cell(job) for job in jobs]
-    else:
-        # Imported here: the process pool costs start-up time every other
-        # command would pay for nothing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, jobs))
+    jobs = [(config, spec.seed_base + i * runs, runs)
+            for i, config in enumerate(spec.cell_configs())]
+    workers = min(workers, len(jobs)) if hasattr(os, "fork") else 1
+    cells, pids, pipes = [None] * len(jobs), [], []
+    try:
+        for k in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end))
+            with open(write_end, "w") as reply:
+                pid = os.fork()
+                if pid == 0:
+                    _child(jobs[k::workers], reply)
+            pids.append(pid)
+        cells[0::workers] = [_run_cell(job) for job in jobs[0::workers]]
+        replies = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, (status, reply) in enumerate(zip(statuses, replies), start=1):
+        if status:
+            raise RuntimeError(f"sweep worker {k} failed: exit code "
+                               f"{os.waitstatus_to_exitcode(status)}")
+        cells[k::workers] = [
+            CellResult(config.obstacle_true_max_vel, config.reaction_radius, runs,
+                       *map(int, line.split(",")))
+            for (config, _, _), line in zip(jobs[k::workers], reply.splitlines())
+        ]
     return SweepResult(spec=spec, cells=tuple(cells))
+
+
+def _child(jobs: list[tuple[SimConfig, int, int]], reply) -> NoReturn:
+    """A forked worker's whole life: one ``a,b,c,d`` line of outcome
+    counts per job, in CellResult's field order, then exit."""
+    code = 1
+    try:
+        reply.writelines(f"{c.active_collisions},{c.reached_goal},{c.stopped_safe},"
+                         f"{c.tick_budget_exhausted}\n" for c in map(_run_cell, jobs))
+        reply.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def sweep_result_to_csv(result: SweepResult) -> str:

@@ -30,6 +30,13 @@ def test_sweep_loads_no_checker():
     assert _loaded_after("import passivesafe.sweep", ["passivesafe.checker"]) == []
 
 
+def test_parallel_sweep_loads_no_process_pool():
+    statement = ("from passivesafe import SweepSpec, run_sweep; "
+                 "run_sweep(SweepSpec(obstacle_vel_grid=(0.2, 0.3), reaction_radius_grid=(0.8,), "
+                 "runs_per_cell=1), workers=2)")
+    assert _loaded_after(statement, ["concurrent.futures", "multiprocessing", "pickle"]) == []
+
+
 def test_every_export_is_its_submodules_object():
     for name in passivesafe.__all__:
         value = getattr(passivesafe, name)

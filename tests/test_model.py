@@ -238,10 +238,12 @@ def test_sim_config_round_trip(config):
 
 
 @settings(max_examples=100, deadline=None)
-@given(base=sim_configs(), grids=st.lists(st.lists(_positive, min_size=1, max_size=4),
-                                          min_size=2, max_size=2),
+@given(base=sim_configs(), vels=st.lists(_positive, min_size=1, max_size=4),
+       radius_fractions=st.lists(st.floats(0.01, 1), min_size=1, max_size=4),
        runs=st.integers(1, 100), seed_base=st.integers(-10**6, 10**6))
-def test_sweep_spec_round_trip(base, grids, runs, seed_base):
-    spec = SweepSpec(base, tuple(grids[0]), tuple(grids[1]), runs, seed_base)
+def test_sweep_spec_round_trip(base, vels, radius_fractions, runs, seed_base):
+    # Loading validates every cell's config, so every radius is within visualRange.
+    radii = tuple(base.visual_range * f for f in radius_fractions)
+    spec = SweepSpec(base, tuple(vels), radii, runs, seed_base)
     text = json.dumps(model._to_dict(spec, sweep._SPEC_KEYS, base=sim.sim_config_to_dict))
     assert load_sweep_spec(text) == spec

@@ -1,5 +1,6 @@
 """Sweep harness determinism and the command-line exit-code contract."""
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -125,7 +126,12 @@ def test_check_violated_writes_replayable_trace(tmp_path, capsys):
 
 def test_check_budget_exhaustion_exits_three(capsys):
     assert main(["check", str(CONFIGS / "head_on.json"), "--budget", "10"]) == 3
-    assert json.loads(capsys.readouterr().out)["outcome"] == "Inconclusive"
+    captured = capsys.readouterr()
+    assert captured.out == (
+        '{"outcome": "Inconclusive", "statesExplored": 11, "maxDepth": 2, '
+        '"counterexampleLength": null, "depthBound": null, "reachedFixpoint": false}\n')
+    assert captured.err == ("inconclusive: state budget 10 exceeded: 11 states, "
+                            "10 transitions, peak frontier 7, max depth 2\n")
 
 
 def test_replay_against_wrong_scenario_fails(tmp_path, capsys):
@@ -259,50 +265,70 @@ def test_nonpositive_workers_is_usage_error(tmp_path, capsys, workers):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replaces the process pool with one that records the ``max_workers``
-    it is asked for and maps in this process, so no worker is started."""
-    import concurrent.futures
+def forks(monkeypatch):
+    """Records each ``os.fork`` this process makes, then forks for real."""
+    calls = []
+    real = os.fork
 
-    sizes = []
+    def recording():
+        calls.append(1)
+        return real()
 
-    class SerialPool:
-        def __init__(self, max_workers=None):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return sizes
+    monkeypatch.setattr(os, "fork", recording)
+    return calls
 
 
-@pytest.mark.parametrize("workers, pools", [(2, [2]), (4, [4]), (5, [4]), (5000, [4])])
-def test_pool_has_at_most_one_process_per_cell(pool_sizes, workers, pools):
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers, children", [(2, 1), (4, 3), (5, 3), (5000, 3)])
+def test_sweep_forks_at_most_one_process_per_cell(forks, workers, children):
     csv = sweep_result_to_csv(run_sweep(SMALL_SPEC, workers=workers))
-    assert pool_sizes == pools    # SMALL_SPEC has four cells
+    assert len(forks) == children    # SMALL_SPEC has four cells; this process is one
     assert csv == sweep_result_to_csv(run_sweep(SMALL_SPEC, workers=1))
-    assert pool_sizes == pools
+    assert len(forks) == children
 
 
-def test_single_cell_sweep_runs_in_process(pool_sizes):
+def test_single_cell_sweep_runs_in_process(forks):
     spec = replace(SMALL_SPEC, obstacle_vel_grid=(0.2,), reaction_radius_grid=(0.48,))
     run_sweep(spec, workers=8)
-    assert pool_sizes == []
+    assert forks == []
 
 
-def test_sweep_cli_caps_workers_at_cells(tmp_path, capsys, pool_sizes):
+def test_sweep_cli_caps_workers_at_cells(tmp_path, capsys, forks):
     out = tmp_path / "out.csv"
     assert main(["sweep", _small_spec_file(tmp_path), "--out", str(out), "--workers", "5000"]) == 0
     capsys.readouterr()
-    assert pool_sizes == [4]
+    assert len(forks) == 3
     assert out.read_text() == sweep_result_to_csv(run_sweep(SMALL_SPEC))
+
+
+def test_parallel_sweep_leaves_no_child():
+    run_sweep(SMALL_SPEC, workers=3)
+    _assert_no_child_left()
+
+
+def _fail_in_cell_1(monkeypatch):
+    """Makes the first episode of SMALL_SPEC's cell 1 raise; at two
+    workers, cell 1 is in the forked worker's stripe."""
+    real = sweep_module._episode
+
+    def failing(config, seed, **kwargs):
+        if seed == SMALL_SPEC.seed_base + SMALL_SPEC.runs_per_cell:
+            raise ValueError("episode failed")
+        return real(config, seed, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "_episode", failing)
+
+
+def test_failed_child_raises_and_is_reaped(monkeypatch):
+    _fail_in_cell_1(monkeypatch)
+    with pytest.raises(RuntimeError, match="sweep worker 1 failed: exit code 1"):
+        run_sweep(SMALL_SPEC, workers=2)
+    _assert_no_child_left()
+
 
 @pytest.fixture
 def episodes(monkeypatch):
@@ -329,7 +355,7 @@ def test_sweep_runs_each_seed_of_each_cell_once(episodes):
     ("reactionRadiusGrid", 2.5, "need 0 < reactionRadius <= visualRange"),
 ])
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_invalid_grid_value_fails_before_any_episode(tmp_path, capsys, pool_sizes, episodes,
+def test_invalid_grid_value_fails_before_any_episode(tmp_path, capsys, forks, episodes,
                                                      grid, value, message, workers):
     spec = json.loads(Path(_small_spec_file(tmp_path)).read_text())
     spec[grid] = [*spec[grid], value]   # the last cells, after valid ones
@@ -338,8 +364,31 @@ def test_invalid_grid_value_fails_before_any_episode(tmp_path, capsys, pool_size
     out = tmp_path / "out.csv"
     assert main(["sweep", str(path), "--out", str(out), "--workers", workers]) == EX_DATAERR
     assert _one_line_error(capsys) == f"error: {message}\n"
-    assert episodes == [] and pool_sizes == []
+    assert episodes == [] and forks == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_unwritable_sweep_output_fails_before_any_episode(tmp_path, capsys, forks, episodes,
+                                                          workers):
+    out = str(tmp_path / "missing" / "out.csv")
+    argv = ["sweep", _small_spec_file(tmp_path), "--out", out, "--workers", workers]
+    assert main(argv) == EX_NOINPUT
+    assert _one_line_error(capsys) == f"cannot write {out}: No such file or directory\n"
+    assert episodes == [] and forks == []
+
+
+@pytest.mark.parametrize("workers, error", [("1", ValueError), ("2", RuntimeError)])
+@pytest.mark.parametrize("before", [None, "an earlier sweep\n"])
+def test_failed_sweep_leaves_no_partial_csv(tmp_path, monkeypatch, capsys, workers, error, before):
+    _fail_in_cell_1(monkeypatch)
+    out = tmp_path / "out.csv"
+    if before is not None:
+        out.write_text(before)
+    with pytest.raises(error):
+        main(["sweep", _small_spec_file(tmp_path), "--out", str(out), "--workers", workers])
+    assert (out.read_text() if out.exists() else None) == before
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
