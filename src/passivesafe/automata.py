@@ -1,28 +1,13 @@
 """Executable transition relations for the robot and its obstacles.
 
 The robot is a five-mode machine (Idle, Accelerate, Drive, Brake, Stop)
-with unit acceleration and deceleration.  Moving obstacles pick a
+run by ``model.MODE_TABLE``, with unit acceleration and deceleration and
+its position capped at the destination cell.  Moving obstacles pick a
 velocity from [1, max_vel] every tick; the set of those picks is the
 only nondeterminism in a world step.  Robot and obstacles advance in
 lockstep, and the robot decides on the one-tick-delayed obstacle view,
 so a step reads ``world.prev_obstacles`` and writes the current
 ``world.obstacles`` into the successor's ``prev_obstacles``.
-
-Mode logic per tick (the target mode decides the velocity update:
-entering Accelerate adds one, entering Brake sheds one, Drive holds,
-Idle/Stop mean standing still):
-
-    Idle        -> Accelerate unless already at the destination
-    Accelerate  -> Brake on danger; Drive once v reaches max
-    Drive       -> Brake on danger or when the destination is within
-                   braking distance of the current velocity
-    Brake       -> Accelerate when the braking trigger has cleared, or
-                   sideways into a free adjacent lane while danger holds;
-                   otherwise keep shedding speed, Stop at v = 0
-    Stop        -> Idle at the destination; Accelerate once danger clears
-
-The position then advances by the updated velocity, capped at the
-destination cell.
 """
 from __future__ import annotations
 
@@ -31,10 +16,12 @@ from dataclasses import dataclass
 
 from .kinematics import braking_distance_cells, collision_danger
 from .model import (
+    MODE_TABLE,
     GridScenario,
     ObstacleSnapshot,
     RobotMode,
     RobotSnapshot,
+    VelocityAction,
     WorldState,
 )
 
@@ -66,16 +53,6 @@ class TransitionLabel:
     state_hash: str = ""
 
 
-def _accelerated(v: int, vmax: int) -> tuple[RobotMode, int]:
-    v = min(v + 1, vmax)
-    return (RobotMode.DRIVE if v == vmax else RobotMode.ACCELERATE), v
-
-
-def _braked(v: int) -> tuple[RobotMode, int]:
-    v = max(v - 1, 0)
-    return (RobotMode.STOP if v == 0 else RobotMode.BRAKE), v
-
-
 def lane_change_possible(
     robot: RobotSnapshot, world: WorldState, scenario: GridScenario
 ) -> int | None:
@@ -100,40 +77,26 @@ def lane_change_possible(
 def robot_step(
     robot: RobotSnapshot, world: WorldState, scenario: GridScenario
 ) -> RobotSnapshot:
-    """Advance the robot one tick against the (old) world it observes."""
-    danger = collision_danger(world, scenario)
-    at_dest = robot.x == scenario.robot_dest_cell
+    """Advance the robot one tick against the (old) world it observes:
+    its mode's ``MODE_TABLE`` cell for (danger, near destination) picks
+    a unit velocity update."""
     near_dest = scenario.robot_dest_cell - robot.x <= braking_distance_cells(robot.v)
-    vmax = scenario.robot_max_vel
+    action = MODE_TABLE[robot.mode][2 * collision_danger(world, scenario) + near_dest]
     mode, v, lane = robot.mode, robot.v, robot.lane
-
-    if mode is RobotMode.IDLE:
-        if not at_dest:
-            mode, v = _accelerated(v, vmax)
-    elif mode is RobotMode.ACCELERATE:
-        if danger:
-            mode, v = _braked(v)
+    if action is VelocityAction.DODGE:
+        free_lane = lane_change_possible(robot, world, scenario)
+        if free_lane is None:
+            action = VelocityAction.BRAKE
         else:
-            mode, v = _accelerated(v, vmax)
-    elif mode is RobotMode.DRIVE:
-        if danger or near_dest:
-            mode, v = _braked(v)
-    elif mode is RobotMode.BRAKE:
-        if not danger and not near_dest:
-            # The braking trigger has cleared: drive on at reduced speed.
-            mode, v = _accelerated(v, vmax)
-        else:
-            free_lane = lane_change_possible(robot, world, scenario) if danger else None
-            if free_lane is not None:
-                lane = free_lane
-                mode, v = _accelerated(v, vmax)
-            else:
-                mode, v = _braked(v)
-    elif mode is RobotMode.STOP:
-        if at_dest:
-            mode = RobotMode.IDLE
-        elif not danger:
-            mode, v = _accelerated(v, vmax)
+            lane, action = free_lane, VelocityAction.ACCELERATE
+    if action is VelocityAction.ACCELERATE:
+        v = min(v + 1, scenario.robot_max_vel)
+        mode = RobotMode.DRIVE if v == scenario.robot_max_vel else RobotMode.ACCELERATE
+    elif action is VelocityAction.BRAKE:
+        v = max(v - 1, 0)
+        mode = RobotMode.STOP if v == 0 else RobotMode.BRAKE
+    elif action is VelocityAction.PARK:
+        mode = RobotMode.IDLE
 
     x = min(robot.x + v, scenario.robot_dest_cell)
     return RobotSnapshot(x=x, lane=lane, v=v, mode=mode)

@@ -372,17 +372,24 @@ def replay_trace(scenario: GridScenario, trace: Trace) -> WorldState:
     """Deterministically re-execute a trace, validating every label.
 
     Independent check on counterexamples: each step's choices must be
-    legal for the state they are applied to and each stored state hash
-    must match the recomputed one.  Returns the final state.
+    legal for the state they are applied to, and its tick, modes and
+    stored state hash must match the replayed step.  Returns the final
+    state.
     """
     world = initial_world_state(scenario)
     if state_key(world) != state_key(trace.initial) or trace.initial.tick != 0:
         raise TraceError("trace initial state does not match the scenario")
     for k, label in enumerate(trace.steps):
+        before = world.robot.mode
         try:
             world = world_step(world, label.choices, scenario)
         except ChoiceError as e:
             raise TraceError(f"invalid label at step {k}: {e}") from e
+        stated = (label.tick, label.mode_before, label.mode_after)
+        if stated != (world.tick, before, world.robot.mode):
+            raise TraceError(f"invalid label at step {k}: tick {label.tick}, "
+                             f"{label.mode_before.value} -> {label.mode_after.value}; replayed "
+                             f"tick {world.tick}, {before.value} -> {world.robot.mode.value}")
         if label.state_hash and state_digest(world) != label.state_hash:
             raise TraceError(f"invalid label at step {k}: state hash mismatch")
     return world

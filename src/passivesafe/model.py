@@ -48,6 +48,37 @@ class RobotMode(str, Enum):
     STOP = "Stop"
 
 
+class VelocityAction(str, Enum):
+    """One tick's velocity update, a cell of ``MODE_TABLE``."""
+
+    ACCELERATE = "accelerate"  # one step up, capped at top speed: Drive there, else Accelerate
+    BRAKE = "brake"            # one step down, floored at 0: Stop there, else Brake
+    HOLD = "hold"              # keep mode and velocity
+    PARK = "park"              # enter Idle (reached only at v = 0, on the destination)
+    DODGE = "dodge"            # move to a free side lane and accelerate, else brake
+
+
+# The robot controller of both halves: ``automata.robot_step`` on the grid
+# (steps of one cell per tick) and the sim's episode (steps of acceleration
+# or deceleration times dt).  A mode's row is read at column
+# ``2 * danger + near``.  Danger is ``kinematics.collision_danger`` on the
+# grid; in the sim, a latched monitor or an observed gap inside the reaction
+# area and below the look-ahead distance.  Near: the destination lies within
+# braking distance of the current velocity (at v = 0, "at the destination").
+# The sim's episode ends at its destination on a one-lane track, so it reads
+# only the far columns, with dodge as brake.
+_A = VelocityAction
+MODE_TABLE: dict[RobotMode, tuple[VelocityAction, ...]] = {
+    #                      calm, far      calm, near     danger, far    danger, near
+    RobotMode.IDLE:       (_A.ACCELERATE, _A.HOLD,       _A.ACCELERATE, _A.HOLD),
+    RobotMode.ACCELERATE: (_A.ACCELERATE, _A.ACCELERATE, _A.BRAKE,      _A.BRAKE),
+    RobotMode.DRIVE:      (_A.HOLD,       _A.BRAKE,      _A.BRAKE,      _A.BRAKE),
+    RobotMode.BRAKE:      (_A.ACCELERATE, _A.BRAKE,      _A.DODGE,      _A.DODGE),
+    RobotMode.STOP:       (_A.ACCELERATE, _A.PARK,       _A.HOLD,       _A.PARK),
+}
+del _A
+
+
 @dataclass(frozen=True, slots=True)
 class Assumptions:
     """What the robot believes about its environment.

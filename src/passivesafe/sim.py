@@ -8,10 +8,10 @@ lane.  Every tick:
   2. while the one-tick-delayed obstacle position lies inside the
      robot's reaction area, the assumption monitor sees it and the robot
      state (outside that area it cannot fire);
-  3. the robot transitions: it brakes while the monitor has latched a
-     violation, or while the observed gap is inside its reaction area
-     and below the look-ahead collision distance; otherwise it
-     accelerates toward its top speed and drives;
+  3. the robot takes its mode's far action from ``model.MODE_TABLE``;
+     there is danger while the monitor has latched a violation, or while
+     the observed gap is inside its reaction area and below the
+     look-ahead collision distance;
   4. positions integrate the updated velocities over dt;
   5. contact is checked against the collision threshold; contact while
      the robot still moves is an active collision and ends the run.
@@ -30,9 +30,11 @@ from enum import Enum
 
 from .kinematics import collision_distance_meters
 from .model import (
+    MODE_TABLE,
     Assumptions,
     RobotMode,
     ScenarioError,
+    VelocityAction,
     _as_int,
     _as_number,
     _record,
@@ -102,6 +104,11 @@ class SimConfig:
         ).total
 
 
+# Per mode, ``MODE_TABLE``'s far columns (calm, danger), dodge read as brake.
+_FAR_ACTIONS = {mode: tuple(VelocityAction.BRAKE if a is VelocityAction.DODGE else a
+                            for a in row[0::2]) for mode, row in MODE_TABLE.items()}
+
+
 @dataclass(frozen=True, slots=True)
 class SimState:
     t: float
@@ -148,26 +155,6 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     Deterministic: equal configs (the seed is part of the config)
     produce equal traces.  ``collect_states`` can be switched off for
     bulk runs that only need events and the outcome.
-
-    The robot's mode table, where ``danger`` is the brake trigger of
-    step 3 (the monitor has latched, or the observed gap lies inside the
-    reaction area and below the look-ahead collision distance):
-
-        mode         no danger    danger
-        Idle         accelerate   accelerate
-        Accelerate   accelerate   brake
-        Drive        hold         brake
-        Brake        accelerate   brake
-        Stop         accelerate   hold
-
-    Accelerating sets v to ``min(v + accel * dt, max vel)`` and enters
-    Drive at the top speed, Accelerate below it; braking sets v to
-    ``max(v - decel * dt, 0)`` and enters Stop at 0, Brake above it;
-    holding keeps mode and v.  The grid robot, ``automata.robot_step``,
-    differs: there it may change lane while braking, Drive brakes when
-    the destination is within braking distance, and Idle accelerates only
-    away from the destination.  Here the track has one lane, and the
-    episode ends on reaching the destination, so Idle always accelerates.
     """
     config.validate()
     states, events, outcome, ticks = _episode(config, config.seed, collect_states)
@@ -215,12 +202,14 @@ def _episode(
         reaction_radius=config.reaction_radius,
     ))
     observe = observe_at
-    IDLE, ACCELERATE, DRIVE, BRAKE, STOP = (
-        RobotMode.IDLE, RobotMode.ACCELERATE, RobotMode.DRIVE, RobotMode.BRAKE, RobotMode.STOP)
+    HOLD, BRAKING = VelocityAction.HOLD, VelocityAction.BRAKE
+    ACCELERATE, DRIVE, BRAKE, STOP = (
+        RobotMode.ACCELERATE, RobotMode.DRIVE, RobotMode.BRAKE, RobotMode.STOP)
 
     robot_x = config.robot_start
     robot_v = 0.0
-    mode = IDLE
+    mode = RobotMode.IDLE
+    calm, alarmed = _FAR_ACTIONS[mode]
     obstacle_x = config.obstacle_start
     prev_obstacle_x = obstacle_x   # delayed view, tick-0 convention
     obstacle_v = 0.0
@@ -254,20 +243,21 @@ def _episode(
         else:
             skipped_robot_x, skipped_seen = robot_x, prev_obstacle_x
 
-        # (3) robot transition by the mode table; the trigger reads the
-        # delayed gap.  The table's two holds are the rows skipped below:
-        # Stop with danger, Drive without.
-        danger = latched or (in_reach and gap_observed <= d_collision)
-        mode_before = mode
-        if danger and mode is not IDLE:
-            if mode is not STOP:
+        # (3) robot transition by the mode's far actions; the trigger
+        # reads the delayed gap.  Only an action that is not hold can
+        # change the mode, and only a new mode looks up a new pair.
+        action = alarmed if latched or (in_reach and gap_observed <= d_collision) else calm
+        if action is not HOLD:
+            mode_before = mode
+            if action is BRAKING:
                 robot_v = max(robot_v - decel_dv, 0.0)
                 mode = STOP if robot_v == 0.0 else BRAKE
-        elif mode is not DRIVE:
-            robot_v = min(robot_v + accel_dv, max_vel)
-            mode = DRIVE if robot_v == max_vel else ACCELERATE
-        if mode is not mode_before:
-            events.append(ModeChangeEvent(t=tick * dt, mode_before=mode_before, mode_after=mode))
+            else:
+                robot_v = min(robot_v + accel_dv, max_vel)
+                mode = DRIVE if robot_v == max_vel else ACCELERATE
+            if mode is not mode_before:
+                events.append(ModeChangeEvent(tick * dt, mode_before, mode))
+                calm, alarmed = _FAR_ACTIONS[mode]
 
         # (4) integrate positions
         gap_before = obstacle_x - robot_x

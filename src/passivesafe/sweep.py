@@ -106,7 +106,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     ``os._exit`` (status 0 once its reply is written), so it never returns
     into the caller, flushes inherited stdio buffers or runs atexit
     handlers.  Every pipe is read to EOF and every child reaped before
-    this returns or raises; a failed child makes it raise RuntimeError."""
+    this returns or raises; a failed child makes it raise RuntimeError,
+    with the text of the child's exception when it sent one."""
     runs = spec.runs_per_cell
     jobs = [(config, spec.seed_base + i * runs, runs)
             for i, config in enumerate(spec.cell_configs())]
@@ -130,7 +131,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     for k, (status, reply) in enumerate(zip(statuses, replies), start=1):
         if status:
             raise RuntimeError(f"sweep worker {k} failed: exit code "
-                               f"{os.waitstatus_to_exitcode(status)}")
+                               f"{os.waitstatus_to_exitcode(status)}"
+                               + (f": {reply.strip()}" if reply.strip() else ""))
         cells[k::workers] = [
             CellResult(config.obstacle_true_max_vel, config.reaction_radius, runs,
                        *map(int, line.split(",")))
@@ -141,13 +143,19 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
 def _child(jobs: list[tuple[SimConfig, int, int]], reply) -> NoReturn:
     """A forked worker's whole life: one ``a,b,c,d`` line of outcome
-    counts per job, in CellResult's field order, then exit."""
+    counts per job, in CellResult's field order, and exit 0; or, if a job
+    raises, only its exception's text (``ValueError: boom``) and exit 1."""
     code = 1
     try:
-        reply.writelines(f"{c.active_collisions},{c.reached_goal},{c.stopped_safe},"
-                         f"{c.tick_budget_exhausted}\n" for c in map(_run_cell, jobs))
+        try:
+            status, text = 0, "".join(
+                f"{c.active_collisions},{c.reached_goal},{c.stopped_safe},"
+                f"{c.tick_budget_exhausted}\n" for c in map(_run_cell, jobs))
+        except Exception as e:
+            status, text = 1, f"{type(e).__name__}: {e}"
+        reply.write(text)
         reply.flush()
-        code = 0
+        code = status
     finally:
         os._exit(code)
 

@@ -7,12 +7,15 @@ from passivesafe import (
     Assumptions,
     ChoiceError,
     GridScenario,
+    InvariantViolation,
     ObstacleChoice,
     ObstacleSnapshot,
     ObstacleSpec,
     RobotMode,
     RobotSnapshot,
     WorldState,
+    braking_distance_cells,
+    collision_danger,
     enumerate_obstacle_choices,
     initial_world_state,
     lane_change_possible,
@@ -110,6 +113,95 @@ def test_position_never_passes_destination():
     for _ in range(30):
         world = world_step(world, (), scenario)
         assert world.robot.x <= scenario.robot_dest_cell
+
+
+def _accelerated(v: int, vmax: int) -> tuple[RobotMode, int]:
+    v = min(v + 1, vmax)
+    return (RobotMode.DRIVE if v == vmax else RobotMode.ACCELERATE), v
+
+
+def _braked(v: int) -> tuple[RobotMode, int]:
+    v = max(v - 1, 0)
+    return (RobotMode.STOP if v == 0 else RobotMode.BRAKE), v
+
+
+def reference_robot_step(
+    robot: RobotSnapshot, world: WorldState, scenario: GridScenario
+) -> RobotSnapshot:
+    """The grid robot as a branch per mode, before ``MODE_TABLE``.
+
+    The checker differential test runs the same ``robot_step`` on both of
+    its sides, so only this copy can catch a wrong table cell."""
+    danger = collision_danger(world, scenario)
+    at_dest = robot.x == scenario.robot_dest_cell
+    near_dest = scenario.robot_dest_cell - robot.x <= braking_distance_cells(robot.v)
+    vmax = scenario.robot_max_vel
+    mode, v, lane = robot.mode, robot.v, robot.lane
+
+    if mode is RobotMode.IDLE:
+        if not at_dest:
+            mode, v = _accelerated(v, vmax)
+    elif mode is RobotMode.ACCELERATE:
+        if danger:
+            mode, v = _braked(v)
+        else:
+            mode, v = _accelerated(v, vmax)
+    elif mode is RobotMode.DRIVE:
+        if danger or near_dest:
+            mode, v = _braked(v)
+    elif mode is RobotMode.BRAKE:
+        if not danger and not near_dest:
+            # The braking trigger has cleared: drive on at reduced speed.
+            mode, v = _accelerated(v, vmax)
+        else:
+            free_lane = lane_change_possible(robot, world, scenario) if danger else None
+            if free_lane is not None:
+                lane = free_lane
+                mode, v = _accelerated(v, vmax)
+            else:
+                mode, v = _braked(v)
+    elif mode is RobotMode.STOP:
+        if at_dest:
+            mode = RobotMode.IDLE
+        elif not danger:
+            mode, v = _accelerated(v, vmax)
+
+    x = min(robot.x + v, scenario.robot_dest_cell)
+    return RobotSnapshot(x=x, lane=lane, v=v, mode=mode)
+
+
+@pytest.mark.parametrize("danger", [False, True], ids=["calm", "danger"])
+@pytest.mark.parametrize("sides_blocked", [False, True], ids=["sides-free", "sides-blocked"])
+def test_robot_step_matches_reference(danger, sides_blocked):
+    """Every mode, every velocity and the last eight cells before the
+    destination (braking from 3 takes six), on the middle of three lanes.
+    Danger is a parked obstacle in the next cell of the robot's lane; a
+    blocked side is one in the next cell of that lane.  States that
+    ``validate_world`` rejects (Idle or Stop with speed, Drive below top
+    speed) are skipped: no step reaches them."""
+    dest, vmax = 20, 3
+    checked = 0
+    for x in range(dest - 7, dest + 1):
+        lanes = [1] * danger + [0, 2] * sides_blocked
+        scenario = GridScenario(
+            track_length_cells=40, lane_count=3, robot_start_cell=0, robot_start_lane=1,
+            robot_max_vel=vmax, robot_dest_cell=dest,
+            obstacles=tuple(ObstacleSpec(i, x + 1, lane, True) for i, lane in enumerate(lanes)),
+            assumptions=Assumptions(assumed_obstacle_max_vel=1, visual_radius=10, buffer=1),
+        )
+        for mode in RobotMode:
+            for v in range(vmax + 1):
+                world = make_world(scenario, robot=RobotSnapshot(x=x, lane=1, v=v, mode=mode))
+                try:
+                    validate_world(world, scenario)
+                except InvariantViolation:
+                    continue
+                assert collision_danger(world, scenario) is danger
+                assert (lane_change_possible(world.robot, world, scenario) is None) is sides_blocked
+                assert robot_step(world.robot, world, scenario) == \
+                    reference_robot_step(world.robot, world, scenario), (mode, v, x)
+                checked += 1
+    assert checked == 8 * (1 + 4 + 1 + 4 + 1)   # cells × admitted v of Idle .. Stop
 
 
 # ---------------------------------------------------------------------------

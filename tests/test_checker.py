@@ -1,5 +1,6 @@
 """Reachability checking: verdicts, counterexamples, replay, statistics."""
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from passivesafe import (
     ObstacleChoice,
     Outcome,
+    RobotMode,
     Trace,
     TraceError,
     check_safety,
@@ -271,6 +273,22 @@ def test_replay_rejects_hash_mismatch():
     )
     tampered = Trace(trace.initial, trace.steps[:1] + (tampered_step,) + trace.steps[2:])
     with pytest.raises(TraceError, match="step 1"):
+        replay_trace(scenario, tampered)
+
+
+@pytest.mark.parametrize("fields", [
+    {"tick": 99},
+    {"mode_before": RobotMode.STOP},
+    {"mode_after": RobotMode.IDLE},
+    {"tick": 99, "mode_before": RobotMode.STOP, "mode_after": RobotMode.IDLE},
+], ids=["tick", "modeBefore", "modeAfter", "all"])
+def test_replay_rejects_label_that_misstates_its_step(fields):
+    """The stored hash still matches; only the label's tick or modes lie."""
+    scenario = head_on_scenario(assumed_obstacle_max_vel=2)
+    trace = check_safety(scenario).counterexample
+    tampered = Trace(trace.initial,
+                     trace.steps[:2] + (replace(trace.steps[2], **fields),) + trace.steps[3:])
+    with pytest.raises(TraceError, match="invalid label at step 2: tick "):
         replay_trace(scenario, tampered)
 
 

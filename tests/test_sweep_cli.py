@@ -325,8 +325,9 @@ def _fail_in_cell_1(monkeypatch):
 
 def test_failed_child_raises_and_is_reaped(monkeypatch):
     _fail_in_cell_1(monkeypatch)
-    with pytest.raises(RuntimeError, match="sweep worker 1 failed: exit code 1"):
+    with pytest.raises(RuntimeError) as failure:
         run_sweep(SMALL_SPEC, workers=2)
+    assert str(failure.value) == "sweep worker 1 failed: exit code 1: ValueError: episode failed"
     _assert_no_child_left()
 
 
