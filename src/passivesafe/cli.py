@@ -163,7 +163,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run one runtime episode")
     p.add_argument("config", help="simulation config JSON file")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
+                   help="override the config seed")
     p.add_argument("--trace", default=None, help="trace JSONL output path")
     p.set_defaults(func=_cmd_simulate)
 

@@ -16,6 +16,13 @@ lane.  Every tick:
   5. contact is checked against the collision threshold; contact while
      the robot still moves is an active collision and ends the run.
 
+An episode runs in two phases.  Before the first tick whose observed
+gap is at most the reaction radius, the monitor cannot fire and there is
+no danger, so the robot's calm motion depends on the config alone: it is
+computed once per config, and those ticks only draw, move the obstacle
+and test for entry, contact, the goal and the tick budget.  That phase
+leaves out only what cannot happen there, so the split is exact.
+
 The robot only ever reacts inside its reaction area, which may be
 smaller than its sensing range: a deliberately small reaction area makes
 the robot brake too late even against obstacles that honor the assumed
@@ -27,6 +34,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
+from operator import is_
 
 from .kinematics import collision_distance_meters
 from .model import (
@@ -94,6 +102,8 @@ class SimConfig:
             raise ScenarioError("robotDest and obstacleStart must fit on the track")
         if self.max_ticks < 1:
             raise ScenarioError("maxTicks must be >= 1")
+        if self.seed < 0:   # random.Random would seed from abs(seed)
+            raise ScenarioError("seed must be >= 0")
 
     def derived_collision_distance(self) -> float:
         """Look-ahead distance at top speed under the assumed bound; also
@@ -167,6 +177,40 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     )
 
 
+# The fields ``_approach`` last read, and what it computed from them.
+_last_approach: tuple = ((None,) * 8, None)
+
+
+def _approach(config: SimConfig) -> tuple[list, list, list]:
+    """The robot's motion before the reaction area, on calm far actions
+    (all accelerate or hold): ``(x, v, mode)`` after ticks 0..L, each
+    tick's ``(tick, x before, x after)`` and ``(tick, ModeChangeEvent)``
+    pairs, up to the goal, the tick budget or the obstacle's start in
+    reach.  Reused while the fields read are the same objects (a sweep
+    cell's are), which keeps 1 and 1.0 or 0.0 and -0.0 apart."""
+    global _last_approach
+    fields = (config.dt, config.robot_max_vel, config.robot_accel, config.robot_start,
+              config.robot_dest, config.obstacle_start, config.reaction_radius,
+              config.max_ticks)
+    last_fields, approach = _last_approach
+    if not all(map(is_, fields, last_fields)):
+        dt, max_vel, accel, x, dest, obstacle_start, reaction, max_ticks = fields
+        v, mode, accel_dv = 0.0, RobotMode.IDLE, accel * dt
+        robot = [(x, v, mode)]
+        while len(robot) <= max_ticks and x < dest and obstacle_start - x > reaction:
+            if _FAR_ACTIONS[mode][0] is not VelocityAction.HOLD:
+                v = min(v + accel_dv, max_vel)
+                mode = RobotMode.DRIVE if v == max_vel else RobotMode.ACCELERATE
+            x += v * dt
+            robot.append((x, v, mode))
+        steps = [(n, robot[n - 1][0], robot[n][0]) for n in range(1, len(robot))]
+        mode_changes = [(n, ModeChangeEvent(n * dt, robot[n - 1][2], robot[n][2]))
+                        for n in range(1, len(robot)) if robot[n][2] is not robot[n - 1][2]]
+        approach = steps, robot, mode_changes
+        _last_approach = fields, approach
+    return approach
+
+
 def _episode(
     config: SimConfig, seed: int, collect_states: bool
 ) -> tuple[list[SimState], list[SimEvent], SimOutcome, int]:
@@ -175,9 +219,17 @@ def _episode(
     sweep cell validates its config once and runs it for each of its
     seeds.  Returns the states, events, outcome and tick count.
 
-    The tick loop reads only locals and allocates no object on a tick
-    without an event.  ``observe_at`` alone decides when the assumption
-    is violated, and it cannot fire while the observed gap lies outside
+    Phase 1 runs the ticks before the first one whose observed gap is at
+    most the reaction radius: without monitor calls or danger there, the
+    robot moves as ``_approach`` computed it for the config, whose end
+    bounds the phase at the goal and the tick budget, and the loop only
+    draws, moves the obstacle and tests for entry and contact.  Phase 2,
+    the full tick, runs from then on.  Phase 1 leaves out only what
+    cannot happen before that tick, so the split is exact for any draws.
+
+    Phase 2 reads only locals and allocates no object on a tick without
+    an event.  ``observe_at`` alone decides when the assumption is
+    violated, and it cannot fire while the observed gap lies outside
     ``[0, reaction radius]``; so the loop calls it only on ticks inside
     the reaction area (about a tenth of the ticks of the benchmark's
     sweep).  On the first such tick after a skipped one it first feeds
@@ -187,13 +239,52 @@ def _episode(
     """
     draw = random.Random(seed).random
     dt = config.dt
+    true_max = config.obstacle_true_max_vel
+    reaction = config.reaction_radius
+    threshold = config.collision_threshold
+    steps, robot, mode_changes = _approach(config)
+    obstacle_x = prev_obstacle_x = config.obstacle_start   # tick-0 convention
+    obstacle_v = 0.0
+    states: list[SimState] = []
+    events: list[SimEvent] = []
+    in_contact = False
+    skipped_robot_x = skipped_seen = None   # the last tick's sample, if skipped
+
+    if collect_states:
+        states.append(SimState(0.0, *robot[0], obstacle_x, obstacle_v, False))
+
+    # Phase 1, ticks 1..done.  The entry test reads nothing the draw sets,
+    # so it comes first; a contact ends the phase with its tick.
+    done = len(steps)
+    for tick, robot_x, robot_x_after in steps:
+        if prev_obstacle_x - robot_x <= reaction:
+            done = tick - 1
+            break
+        obstacle_v = true_max * (1.0 - draw())
+        skipped_robot_x, skipped_seen, prev_obstacle_x = robot_x, prev_obstacle_x, obstacle_x
+        obstacle_x -= obstacle_v * dt
+        if collect_states:
+            states.append(SimState(tick * dt, *robot[tick], obstacle_x, obstacle_v, False))
+        gap_after = obstacle_x - robot_x_after
+        if gap_after <= threshold and (gap_after >= 0 or prev_obstacle_x - robot_x >= 0):
+            done, in_contact = tick, True
+            break
+    robot_x, robot_v, mode = robot[done]
+    events.extend(event for n, event in mode_changes if n <= done)
+    if in_contact:
+        events.append(CollisionEvent(done * dt, robot_v, gap_after, active=robot_v > 0))
+        if robot_v > 0:
+            return states, events, SimOutcome.ACTIVE_COLLISION, done
+    if robot_x >= config.robot_dest:
+        return states, events, SimOutcome.REACHED_GOAL, done
+    if done == config.max_ticks:
+        return states, events, SimOutcome.TICK_BUDGET_EXHAUSTED, done
+
+    # Phase 2: the full tick, from the first tick in reach on.
     max_vel = config.robot_max_vel
     accel_dv = config.robot_accel * dt
     decel_dv = config.robot_decel * dt
-    true_max = config.obstacle_true_max_vel
-    reaction = config.reaction_radius
     d_collision = config.derived_collision_distance()
-    threshold = config.collision_threshold
     dest = config.robot_dest
     monitor = new_monitor(Assumptions(
         assumed_obstacle_max_vel=config.assumed_obstacle_max_vel,
@@ -205,26 +296,11 @@ def _episode(
     HOLD, BRAKING = VelocityAction.HOLD, VelocityAction.BRAKE
     ACCELERATE, DRIVE, BRAKE, STOP = (
         RobotMode.ACCELERATE, RobotMode.DRIVE, RobotMode.BRAKE, RobotMode.STOP)
-
-    robot_x = config.robot_start
-    robot_v = 0.0
-    mode = RobotMode.IDLE
     calm, alarmed = _FAR_ACTIONS[mode]
-    obstacle_x = config.obstacle_start
-    prev_obstacle_x = obstacle_x   # delayed view, tick-0 convention
-    obstacle_v = 0.0
-
-    states: list[SimState] = []
-    events: list[SimEvent] = []
-    in_contact = False
     latched = False
-    skipped_robot_x = skipped_seen = None   # the last tick's sample, if skipped
     outcome = SimOutcome.TICK_BUDGET_EXHAUSTED
 
-    if collect_states:
-        states.append(SimState(0.0, robot_x, robot_v, mode, obstacle_x, obstacle_v, False))
-
-    for tick in range(1, config.max_ticks + 1):
+    for tick in range(done + 1, config.max_ticks + 1):
         # (1) obstacle speed for this tick
         obstacle_v = true_max * (1.0 - draw())
 

@@ -47,6 +47,8 @@ class SweepSpec:
                 _as_int(value, key)
         if self.runs_per_cell < 1:
             raise ScenarioError("runsPerCell must be >= 1")
+        if self.seed_base < 0:   # a negative seed would repeat a positive one's stream
+            raise ScenarioError("seedBase must be >= 0")
         configs = [replace(self.base, obstacle_true_max_vel=vel, reaction_radius=radius)
                    for vel, radius in self.cells()]
         for config in configs:

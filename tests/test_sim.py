@@ -4,6 +4,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from passivesafe import (
     CollisionEvent,
@@ -13,8 +14,15 @@ from passivesafe import (
     simulate,
 )
 from passivesafe.cli import main
-from passivesafe.model import ScenarioError
-from passivesafe.sim import _CONFIG_KEYS, load_sim_config, sim_config_to_dict, trace_to_jsonl
+from passivesafe.model import ScenarioError, VelocityAction
+from passivesafe.sim import (
+    _CONFIG_KEYS,
+    _FAR_ACTIONS,
+    load_sim_config,
+    sim_config_to_dict,
+    trace_to_jsonl,
+)
+from test_sim_differential import sim_configs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -292,10 +300,10 @@ def _script_draws(monkeypatch, draws):
 )
 def test_mode_table_row(monkeypatch, mode_before, danger, action, mode_after, start,
                         overrides, draws):
-    """Each (mode, danger) row of ``simulate``'s mode table, pinned on the
-    last tick of a run cut to len(draws) ticks.  The 1 m buffer puts the
-    look-ahead distance above the 1 m reaction radius, so the trigger is
-    the observed gap alone."""
+    """``model.MODE_TABLE``'s far columns as the sim reads them, one (mode,
+    danger) cell per case, pinned on the last tick of a run cut to
+    len(draws) ticks.  The 1 m buffer puts the look-ahead distance above
+    the 1 m reaction radius, so the trigger is the observed gap alone."""
     _script_draws(monkeypatch, draws)
     config = cfg(obstacle_true_max_vel=1.0, buffer=1.0, reaction_radius=1.0,
                  obstacle_start=start, max_ticks=len(draws), **overrides)
@@ -317,6 +325,38 @@ def test_mode_table_row(monkeypatch, mode_before, danger, action, mode_after, st
     }[action]
     assert after.robot_v == expected_v
     assert after.robot_mode is mode_after
+
+
+def test_calm_far_actions_only_accelerate_or_hold():
+    """The approach before the reaction area is computed on this premise."""
+    assert {calm for calm, _ in _FAR_ACTIONS.values()} == {
+        VelocityAction.ACCELERATE, VelocityAction.HOLD}
+
+
+@pytest.mark.parametrize("field, before, value, text", [
+    ("robot_start", 0.0, -0.0, '"robotX": -0.0,'),
+    ("robot_max_vel", 1.0, 1, '"robotV": 1,'),
+])
+def test_next_config_with_equal_values_gets_its_own_approach(field, before, value, text):
+    """The sim reuses its precomputed approach only while the fields it
+    reads are the same objects: a value equal to the last config's, but
+    of another sign or type, still shows in the trace."""
+    assert text not in trace_to_jsonl(simulate(cfg(**{field: before})))
+    assert text in trace_to_jsonl(simulate(cfg(**{field: value})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sim_configs())
+def test_observed_gap_never_grows_with_real_draws(config):
+    """With real draws the obstacle never backs off and the robot never
+    reverses, so the gap the robot observes (the delayed obstacle position
+    minus its own) never grows.  So with real draws, the ticks before the
+    first one in reach all come before the obstacle's start is in reach,
+    where the sim's precomputed approach ends."""
+    states = simulate(config).states
+    gaps = [states[max(tick - 2, 0)].obstacle_x - states[tick - 1].robot_x
+            for tick in range(1, len(states))]
+    assert all(later <= earlier for earlier, later in zip(gaps, gaps[1:]))
 
 
 def test_exact_coincidence_is_contact(monkeypatch):

@@ -214,6 +214,20 @@ def sim_configs(draw):
 # feedback on the first tick in reach (tick 58), estimated against the
 # skipped tick 57
 @example(replace(SimConfig(), obstacle_true_max_vel=3.0, seed=1))
+# The approach (phase 1) ends before the first tick in reach: an active
+# contact at tick 200, the threshold being above the reaction radius ...
+@example(replace(SimConfig(), reaction_radius=0.05, collision_threshold=0.3, seed=3))
+# ... a passive one at tick 175, the acceleration step rounding to 0 ...
+@example(replace(SimConfig(), robot_accel=5e-324, reaction_radius=0.05,
+                 collision_threshold=0.3, obstacle_start=2.0, max_ticks=400, seed=3))
+# ... the goal at tick 105 ...
+@example(replace(SimConfig(), robot_dest=5.0, seed=3))
+# ... and the tick budget at tick 50
+@example(replace(SimConfig(), max_ticks=50, seed=3))
+# first in reach at tick 7, with the robot still accelerating
+@example(replace(SimConfig(), obstacle_start=1.15, seed=3))
+# in reach from tick 1, the gap exactly the reaction radius: no approach
+@example(replace(SimConfig(), obstacle_start=1.0, seed=3))
 def test_simulate_matches_reference(config):
     for collect_states in (True, False):
         fast = simulate(config, collect_states)

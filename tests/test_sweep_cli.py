@@ -232,6 +232,13 @@ def test_negative_depth_is_usage_error(capsys):
     assert "--depth: must be >= 0" in capsys.readouterr().err
 
 
+def test_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(CONFIGS / "runtime.json"), "--seed", "-1"])
+    assert exc.value.code == EX_USAGE
+    assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 def test_nonpositive_budget_is_usage_error(capsys, budget):
     with pytest.raises(SystemExit) as exc:
