@@ -86,6 +86,9 @@ class SimConfig:
                     "obstacleTrueMaxVel", "assumedObstacleMaxVel"):
             if getattr(self, _CONFIG_KEYS[key]) <= 0:
                 raise ScenarioError(f"{key} must be > 0")
+        for key in ("robotAccel", "robotDecel"):    # one tick's speed change
+            if getattr(self, _CONFIG_KEYS[key]) * self.dt == 0:
+                raise ScenarioError(f"{key} * dt must be > 0, not round to 0")
         if self.collision_threshold <= 0:
             raise ScenarioError("collisionThreshold must be > 0")
         if self.visual_range <= 0:

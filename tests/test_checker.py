@@ -324,19 +324,21 @@ def test_trace_jsonl_rejects_garbage():
         trace_from_jsonl("")
 
 
-def _assert_fixpoint(config: str, states: int) -> None:
+def _assert_fixpoint(config: str, stats: tuple[int, int, int, int]) -> None:
+    """``stats`` is (states, transitions, peak frontier, max depth)."""
     verdict = check_safety(load_scenario((CONFIGS / config).read_text()))
     assert verdict.outcome is Outcome.HOLDS and verdict.reached_fixpoint
     # counted up to interchange of movers and parking of dead ones
-    assert verdict.states_explored == states
-    assert verdict.max_depth == 30
+    s = verdict.stats
+    assert (s.states, s.transitions, s.peak_frontier, s.max_depth) == stats
 
 
 def test_two_interchangeable_movers_reach_fixpoint():
-    _assert_fixpoint("head_on_two_movers.json", 9_548)
+    _assert_fixpoint("head_on_two_movers.json", (9_548, 84_807, 2_658, 30))
 
 
 @pytest.mark.slow
 def test_three_interchangeable_movers_reach_fixpoint():
-    """About 6 s and 110 MB: deselected by default, run with ``pytest -m slow``."""
-    _assert_fixpoint("head_on_three_movers.json", 240_388)
+    """About 2 s and 100 MB under pytest: deselected by default, run
+    with ``pytest -m slow``."""
+    _assert_fixpoint("head_on_three_movers.json", (240_388, 6_388_591, 70_221, 30))

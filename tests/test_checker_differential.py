@@ -21,9 +21,16 @@ oracle works on orbits: the outcome and max depth are the parked
 reference's, a Holds search counts exactly the image of the unreduced
 reachable set under parking and then sorting, and a counterexample has
 the reference's length and replays.
+
+``reference_check_safety`` is the checker's own keyed search as it was
+before repeated expansions were counted instead of walked and the
+search ran level by level.  Against it the verdict must be equal in
+full, ``transitions`` and ``peak_frontier`` included.
 """
 import dataclasses
+import time
 from collections import deque
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,8 +53,16 @@ from passivesafe import (
     serialize_scenario,
     world_step,
 )
-from passivesafe.automata import TransitionLabel
-from passivesafe.checker import state_digest, state_key
+from passivesafe.automata import TransitionLabel, robot_step
+from passivesafe.checker import (
+    _MODES,
+    _mover_groups,
+    _rebuild_trace,
+    _robot_key,
+    state_digest,
+    state_key,
+)
+from passivesafe.model import DEFAULT_STATE_BUDGET, ObstacleSnapshot, RobotSnapshot, WorldState
 from passivesafe.scenarios import head_on_scenario
 
 
@@ -110,6 +125,153 @@ def reference_check(scenario, depth_bound, state_budget, key_of=lambda key: key)
             if len(parents) > state_budget:
                 return verdict(Outcome.INCONCLUSIVE)
             queue.append(successor)
+    return verdict(Outcome.HOLDS)
+
+
+def reference_check_safety(scenario, depth_bound=None, state_budget=DEFAULT_STATE_BUDGET):
+    """``check_safety``'s search before it recorded expansions: one queue
+    of (key, tick) pairs, and every successor of every state walked.
+
+    The object-level reference above lets the checker's transitions be
+    lower; this copy pins every field of the verdict, so a repeated
+    expansion that is counted wrong, or a peak frontier taken at the
+    wrong moment, shows here."""
+    started = time.perf_counter()
+    scenario.validate()
+    init = initial_world_state(scenario)
+    movers = [(i, obs) for i, obs in enumerate(init.obstacles) if not obs.is_static]
+    n = len(movers)
+    dests = tuple(obs.dest_cell for _, obs in movers)
+    xs0 = tuple(obs.x for _, obs in movers)
+    group_of = _mover_groups(scenario, [obs for _, obs in movers])
+    groups = [g for g in dict.fromkeys(group_of) if len(g) > 1]
+    # Per mover and cell: the cells its picks 1..maxVel lead to, in pick
+    # order.  After a swap a mover may stand on any cell of its group.
+    advance = []
+    for j, (_, obs) in enumerate(movers):
+        max_vel = scenario.obstacle_by_id(obs.id).max_vel
+        d = obs.dest_cell
+        advance.append({
+            x: tuple(max(x - v, d) for v in range(1, max_vel + 1)) if x != d else (x,)
+            for x in range(d, max(xs0[k] for k in group_of[j]) + 1)
+        })
+
+    def tail(new_xs: tuple[int, ...], xs: tuple[int, ...], robot_x: int) -> tuple[int, ...]:
+        """A key's mover part: each mover whose prev x (its larger x) is
+        behind ``robot_x`` parked at (dest, dest), then each group's
+        (x, prev x) pairs sorted."""
+        if xs and min(xs) < robot_x:
+            new_xs = tuple(d if x < robot_x else v for v, x, d in zip(new_xs, xs, dests))
+            xs = tuple(d if x < robot_x else x for x, d in zip(xs, dests))
+        if not groups:
+            return new_xs + xs
+        new_xs, xs = list(new_xs), list(xs)
+        for group in groups:
+            for j, pair in zip(group, sorted([(new_xs[j], xs[j]) for j in group])):
+                new_xs[j], xs[j] = pair
+        return tuple(new_xs) + tuple(xs)
+
+    def successor_tails(xs: tuple[int, ...], robot_x: int = -1) -> tuple[tuple[int, ...], ...]:
+        return tuple(tail(new_xs, xs, robot_x)
+                     for new_xs in product(*[steps[x] for steps, x in zip(advance, xs)]))
+
+    rows = {xs0: init.obstacles}     # mover xs -> shared obstacle tuple
+
+    def obstacles_at(xs: tuple[int, ...]) -> tuple[ObstacleSnapshot, ...]:
+        row = rows.get(xs)
+        if row is None:
+            cells = list(init.obstacles)
+            for (i, obs), x in zip(movers, xs):
+                cells[i] = ObstacleSnapshot(obs.id, x, obs.lane, x == obs.dest_cell, obs.dest_cell)
+            row = rows[xs] = tuple(cells)
+        return row
+
+    def pick_path(key: tuple) -> list[tuple[int, ...]]:
+        """The velocity picks that lead from the initial state to ``key``:
+        at each step, the first pick vector the search would try whose
+        successor has the next key on the path.  Following the real
+        movers, whose order the keys forget, keeps every pick legal."""
+        chain = []
+        while key is not None:
+            chain.append(key)
+            key = parents[key]
+        xs = xs0
+        path = []
+        for key in reversed(chain[:-1]):
+            for choice in product(*[enumerate(steps[x], 1) for steps, x in zip(advance, xs)]):
+                new_xs = tuple(x for _, x in choice)
+                if tail(new_xs, xs, key[0]) == key[4:]:
+                    break
+            path.append(tuple(v for (v, _), x, d in zip(choice, xs, dests) if x != d))
+            xs = new_xs
+        return path
+
+    def world_at(key: tuple, tick: int) -> WorldState:
+        robot = RobotSnapshot(key[0], key[1], key[2], _MODES[key[3]])
+        return WorldState(tick, robot, obstacles_at(key[4:4 + n]), obstacles_at(key[4 + n:]))
+
+    init_key = _robot_key(init.robot) + tail(xs0, xs0, init.robot.x)
+    parents: dict = {init_key: None}     # doubles as the visited set
+    queue = deque([(init_key, 0)])
+    moved_robot: dict = {}      # key[:4] + prev xs -> robot key after robot_step
+    safe: dict = {}             # key[:4] + xs -> is_passive_safe
+    tails: dict = {}            # xs -> (successor tails in pick order, lowest unparked x)
+    parked: dict = {}           # xs + (robot x,) -> successor tails with dead movers parked
+    no_mover = scenario.track_length_cells      # above every robot x
+    transitions = 0
+    peak_frontier = 1
+    max_depth = 0
+
+    def verdict(outcome: Outcome, counterexample: Trace | None = None) -> SafetyVerdict:
+        stats = ExplorationStats(len(parents), transitions, peak_frontier, max_depth,
+                                 time.perf_counter() - started)
+        return SafetyVerdict(outcome, stats, counterexample, depth_bound)
+
+    # The initial state has zero velocity and cannot violate, but keep the
+    # check total rather than relying on that.
+    if not is_passive_safe(init):
+        return verdict(Outcome.VIOLATED, Trace(init, ()))
+
+    while queue:
+        peak_frontier = max(peak_frontier, len(queue))
+        key, tick = queue.popleft()
+        if depth_bound is not None and tick >= depth_bound:
+            continue
+        seen = key[:4] + key[4 + n:]
+        head = moved_robot.get(seen)
+        if head is None:
+            world = world_at(key, tick)
+            head = moved_robot[seen] = _robot_key(robot_step(world.robot, world, scenario))
+        xs = key[4:4 + n]
+        entry = tails.get(xs)
+        if entry is None:
+            lowest = min((x for x, d in zip(xs, dests) if x != d), default=no_mover)
+            entry = tails[xs] = successor_tails(xs), lowest
+        succ_tails, lowest = entry
+        if lowest < head[0]:    # a mover dies: its prev x will be behind the robot
+            dead = xs + head[:1]
+            succ_tails = parked.get(dead)
+            if succ_tails is None:
+                succ_tails = parked[dead] = successor_tails(xs, head[0])
+        tick += 1
+        for succ_tail in succ_tails:
+            succ_key = head + succ_tail
+            if succ_key != key:
+                transitions += 1
+            if succ_key in parents:
+                continue
+            parents[succ_key] = key
+            max_depth = tick    # the queue pops ticks in order
+            now = succ_key[:4 + n]
+            ok = safe.get(now)
+            if ok is None:
+                ok = safe[now] = is_passive_safe(world_at(succ_key, tick))
+            if not ok:
+                return verdict(Outcome.VIOLATED, _rebuild_trace(scenario, pick_path(succ_key)))
+            if len(parents) > state_budget:
+                return verdict(Outcome.INCONCLUSIVE)
+            queue.append((succ_key, tick))
+
     return verdict(Outcome.HOLDS)
 
 
@@ -318,6 +480,22 @@ def test_checker_matches_reference_up_to_interchange(scenario, depth_bound, stat
     assert_orbit_equivalent(scenario, depth_bound, state_budget)
 
 
+def assert_matches_walked_search(scenario):
+    """Equal verdicts in full (outcome, counterexample, depth bound and
+    all four statistics) with the copied search: unbounded, at depth
+    bounds 0-3 and at state budgets 1-50."""
+    runs = [{}] + [{"depth_bound": d} for d in range(4)] + \
+        [{"state_budget": b} for b in range(1, 51)]
+    for run in runs:
+        assert check_safety(scenario, **run) == reference_check_safety(scenario, **run), run
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios() | interchangeable_scenarios())
+def test_checker_matches_walked_search(scenario):
+    assert_matches_walked_search(scenario)
+
+
 def _two_movers(**unlike) -> GridScenario:
     """The head-on scenario with a second mover three cells behind the
     first; ``unlike`` sets the second mover's fields apart."""
@@ -338,6 +516,7 @@ def _two_movers(**unlike) -> GridScenario:
         "two-movers-unlike-dest", "two-movers-unlike-lane"])
 def test_checker_matches_object_level_bfs_on_head_on_scenarios(scenario):
     assert_matches_reference(scenario, None, 10**6)
+    assert_matches_walked_search(scenario)
 
 
 

@@ -201,6 +201,33 @@ def test_positive_field_messages_name_json_key(key):
         simulate(cfg(**{_CONFIG_KEYS[key]: -0.5}))
 
 
+@pytest.mark.parametrize("key, overrides", [
+    # the robot would sit in Accelerate at v = 0 to the tick budget
+    ("robotAccel", {"robot_accel": 5e-324}),
+    # the robot would "brake" without slowing into an active collision (tick 60)
+    ("robotDecel", {"robot_decel": 5e-324, "obstacle_true_max_vel": 3.0, "seed": 1}),
+    ("robotAccel", {"robot_accel": 1e-300, "dt": 1e-30}),
+])
+def test_speed_step_rounding_to_zero_rejected(tmp_path, capsys, key, overrides):
+    """A positive acceleration or deceleration whose one-tick step
+    ``value * dt`` is 0.0 as a float is rejected, by ``simulate`` and by
+    the CLI (exit 65), for a config and for a sweep spec's base."""
+    message = f"^{key} \\* dt must be > 0, not round to 0$"
+    with pytest.raises(ScenarioError, match=message):
+        simulate(cfg(**overrides))
+    fields = sim_config_to_dict(cfg(**overrides))
+    config = tmp_path / "runtime.json"
+    config.write_text(json.dumps(fields))
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({**json.loads((CONFIGS / "sweep.json").read_text()),
+                                "base": fields}))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(config)]) == 65
+    assert main(["sweep", str(spec), "--out", str(out)]) == 65
+    assert capsys.readouterr().err.count(f"{key} * dt must be > 0") == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_numbers_rejected(value):
     with pytest.raises(ScenarioError, match="dt must be a finite number"):

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passivesafe.cli import main
-from passivesafe.model import Assumptions, RobotMode
+from passivesafe.model import Assumptions, RobotMode, ScenarioError
 from passivesafe.monitor import Observation, new_monitor, observe
 from passivesafe.sim import (
     CollisionEvent,
@@ -217,9 +217,6 @@ def sim_configs(draw):
 # The approach (phase 1) ends before the first tick in reach: an active
 # contact at tick 200, the threshold being above the reaction radius ...
 @example(replace(SimConfig(), reaction_radius=0.05, collision_threshold=0.3, seed=3))
-# ... a passive one at tick 175, the acceleration step rounding to 0 ...
-@example(replace(SimConfig(), robot_accel=5e-324, reaction_radius=0.05,
-                 collision_threshold=0.3, obstacle_start=2.0, max_ticks=400, seed=3))
 # ... the goal at tick 105 ...
 @example(replace(SimConfig(), robot_dest=5.0, seed=3))
 # ... and the tick budget at tick 50
@@ -234,6 +231,18 @@ def test_simulate_matches_reference(config):
         slow = reference_simulate(config, collect_states)
         assert fast == slow
         assert trace_to_jsonl(fast) == trace_to_jsonl(slow)
+
+
+def test_acceleration_step_rounding_to_zero_is_rejected():
+    """Once the phase-1 example of a passive contact (tick 175): with
+    ``robotAccel * dt`` rounding to 0 the robot never left v = 0.  Both
+    loops now reject the config, so a valid one cannot stand still
+    before the reaction area."""
+    config = replace(SimConfig(), robot_accel=5e-324, reaction_radius=0.05,
+                     collision_threshold=0.3, obstacle_start=2.0, max_ticks=400, seed=3)
+    for run in (simulate, reference_simulate):
+        with pytest.raises(ScenarioError, match=r"^robotAccel \* dt must be > 0"):
+            run(config)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
