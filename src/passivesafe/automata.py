@@ -12,7 +12,7 @@ so a step reads ``world.prev_obstacles`` and writes the current
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .kinematics import braking_distance_cells, collision_danger
 from .model import (
@@ -30,27 +30,23 @@ class ChoiceError(ValueError):
     """Choice vector does not match the world it is applied to."""
 
 
-@dataclass(frozen=True, slots=True)
-class ObstacleChoice:
+class ObstacleChoice(namedtuple("ObstacleChoice", "obstacle_id velocity")):
     """One moving obstacle's velocity pick for a single tick."""
 
-    obstacle_id: int
-    velocity: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionLabel:
-    """Record of one world step, enough to replay and explain it.
+class TransitionLabel(namedtuple("TransitionLabel", "tick mode_before mode_after choices "
+                                 "state_hash", defaults=("",))):
+    """Record of one world step, enough to replay and explain it: the
+    tick, the robot's modes before and after, and the choices (a tuple of
+    ``ObstacleChoice``).
 
     ``state_hash`` is the digest of the state the step produced; replay
     recomputes and compares it.
     """
 
-    tick: int
-    mode_before: RobotMode
-    mode_after: RobotMode
-    choices: tuple[ObstacleChoice, ...]
-    state_hash: str = ""
+    __slots__ = ()
 
 
 def lane_change_possible(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from itertools import product
 from pathlib import Path
@@ -46,6 +46,7 @@ from .model import (
     _want_mode,
     initial_world_state,
     obstacle_to_dict,
+    read_utf8,
     robot_to_dict,
     world_from_dict,
     world_to_dict,
@@ -66,16 +67,14 @@ class Outcome(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
+class Trace(namedtuple("Trace", "initial steps")):
     """Replayable counterexample: initial state plus one label per step."""
 
-    initial: WorldState
-    steps: tuple[TransitionLabel, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ExplorationStats:
+class ExplorationStats(namedtuple("ExplorationStats",
+                                  "states transitions peak_frontier max_depth wall_time_s")):
     """Exploration bookkeeping.
 
     ``states`` counts states up to parking of dead movers and
@@ -83,23 +82,31 @@ class ExplorationStats:
     target differs from the source; the terminal idle self-loop is not a
     transition.  When an expansion repeats one whose successors are all
     known, its transitions are counted, not walked, to the same number.
-    Wall time is a measurement, not part of the identity of a run, so it
-    is left out of equality.
+    Wall time is a measurement, not part of the identity of a run, so
+    equality and the hash read the four counts only.
     """
 
-    states: int
-    transitions: int
-    peak_frontier: int
-    max_depth: int
-    wall_time_s: float = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, ExplorationStats):
+            return NotImplemented
+        return self[:4] == other[:4]
+
+    def __ne__(self, other):     # tuple's own would compare wall_time_s
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:4])
 
 
-@dataclass(frozen=True, slots=True)
-class SafetyVerdict:
-    outcome: Outcome
-    stats: ExplorationStats
-    counterexample: Trace | None = None
-    depth_bound: int | None = None
+class SafetyVerdict(namedtuple("SafetyVerdict", "outcome stats counterexample depth_bound",
+                               defaults=(None, None))):
+    """An ``Outcome``, the ``ExplorationStats`` behind it, the ``Trace`` of
+    a violation and the depth bound the search ran under."""
+
+    __slots__ = ()
 
     @property
     def states_explored(self) -> int:
@@ -501,7 +508,7 @@ def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
 
 
 def write_trace_jsonl(trace: Trace, scenario: GridScenario, path: str | Path) -> None:
-    Path(path).write_text(trace_to_jsonl(trace, scenario))
+    Path(path).write_text(trace_to_jsonl(trace, scenario), encoding="utf-8")
 
 
 def _label_from_dict(record: dict) -> TransitionLabel:
@@ -549,4 +556,4 @@ def trace_from_jsonl(text: str) -> Trace:
 
 
 def read_trace_jsonl(path: str | Path) -> Trace:
-    return trace_from_jsonl(Path(path).read_text())
+    return trace_from_jsonl(read_utf8(path, TraceError))

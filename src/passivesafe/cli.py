@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 safe/holds, 2 violated/active collision, 3 inconclusive
 (state budget or tick budget exhausted), 64 usage error, 65 malformed
-input data, 66 a file that is missing, cannot be read or cannot be
-written.
+input data (a file that is not UTF-8 included), 66 a file that is
+missing, cannot be read or cannot be written.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .model import DEFAULT_STATE_BUDGET, ScenarioError, TraceError, load_scenario
+from .model import DEFAULT_STATE_BUDGET, ScenarioError, TraceError, load_scenario, read_utf8
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -52,14 +52,14 @@ def _int_at_least(low: int):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return read_utf8(path)
     except OSError as e:
         raise _FileError(f"cannot read {path}: {e.strerror}")
 
 
 def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, mode) as out:
+        with open(path, mode, encoding="utf-8") as out:
             out.write(text)
     except OSError as e:
         raise _FileError(f"cannot write {path}: {e.strerror}")

@@ -7,19 +7,15 @@ The runtime analogue works in meters with a configurable deceleration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import GridScenario, WorldState
 
 
-@dataclass(frozen=True, slots=True)
-class CollisionDistance:
+class CollisionDistance(namedtuple("CollisionDistance", "d_brake d_obstacle buffer total")):
     """The three terms of the look-ahead distance and their exact sum."""
 
-    d_brake: float
-    d_obstacle: float
-    buffer: float
-    total: float
+    __slots__ = ()
 
 
 def braking_distance_cells(v: int) -> int:

@@ -14,12 +14,25 @@ Each config record has one table from JSON key to field, in serialization
 order, here and in ``sim`` and ``sweep``.  Loaders check only a document's
 shape (``_record``); types and values are the record's ``validate()``, so
 a file and an object built in Python fail with the same message.
+
+Records follow the half that loads them.  The grid half's records (here,
+in ``automata``, ``kinematics`` and ``checker``) are ``collections.namedtuple``
+subclasses with ``__slots__ = ()``.  One builds faster than a frozen
+dataclass and reads a field more slowly; what decides is start-up:
+``check`` and ``replay`` import no ``dataclasses``, whose import and class
+decorators took about 20 ms of each ``check`` process.  Edit such a
+record with ``_replace``, which skips the record's ``__new__`` and so its
+defaulting.  Like any tuple, it equals a tuple with the same items and
+iterates over its fields, so records of different kinds are never
+compared or mixed in one set.  The runtime half (``sim``, ``monitor``,
+``sweep``) keeps dataclasses: frozen ones, edited with
+``dataclasses.replace``, and the mutable ``MonitorState``.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass
+from collections import namedtuple
 from enum import Enum
 
 
@@ -79,8 +92,8 @@ MODE_TABLE: dict[RobotMode, tuple[VelocityAction, ...]] = {
 del _A
 
 
-@dataclass(frozen=True, slots=True)
-class Assumptions:
+class Assumptions(namedtuple("Assumptions", "assumed_obstacle_max_vel visual_radius buffer "
+                             "reaction_radius", defaults=(None,))):
     """What the robot believes about its environment.
 
     assumed_obstacle_max_vel: speed bound the robot assumes for moving
@@ -93,14 +106,14 @@ class Assumptions:
         feedback (runtime only; defaults to the visual radius).
     """
 
-    assumed_obstacle_max_vel: float
-    visual_radius: float
-    buffer: float
-    reaction_radius: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.reaction_radius is None:
-            object.__setattr__(self, "reaction_radius", self.visual_radius)
+    def __new__(cls, assumed_obstacle_max_vel: float, visual_radius: float, buffer: float,
+                reaction_radius: float | None = None):
+        if reaction_radius is None:
+            reaction_radius = visual_radius
+        return super().__new__(cls, assumed_obstacle_max_vel, visual_radius, buffer,
+                               reaction_radius)
 
     def validate(self) -> None:
         for key, field in _ASSUMPTION_KEYS.items():
@@ -112,8 +125,8 @@ class Assumptions:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class ObstacleSpec:
+class ObstacleSpec(namedtuple("ObstacleSpec", "id start_cell lane is_static dest_cell max_vel",
+                              defaults=(None, None))):
     """Static description of one obstacle.
 
     Moving obstacles head toward decreasing cells (toward the robot), so
@@ -121,34 +134,26 @@ class ObstacleSpec:
     ignored for static obstacles and default to the start cell and 1.
     """
 
-    id: int
-    start_cell: int
-    lane: int
-    is_static: bool
-    dest_cell: int | None = None
-    max_vel: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, id: int, start_cell: int, lane: int, is_static: bool,
+                dest_cell: int | None = None, max_vel: int | None = None):
         # A non-bool is_static gets the defaults; validate() rejects it.
-        if self.is_static is False and None in (self.dest_cell, self.max_vel):
-            missing = "destCell" if self.dest_cell is None else "maxVel"
-            raise ScenarioError(f"obstacle {self.id}: {missing} is required for moving obstacles")
-        if self.dest_cell is None:
-            object.__setattr__(self, "dest_cell", self.start_cell)
-        if self.max_vel is None:
-            object.__setattr__(self, "max_vel", 1)
+        if is_static is False and None in (dest_cell, max_vel):
+            missing = "destCell" if dest_cell is None else "maxVel"
+            raise ScenarioError(f"obstacle {id}: {missing} is required for moving obstacles")
+        return super().__new__(cls, id, start_cell, lane, is_static,
+                               start_cell if dest_cell is None else dest_cell,
+                               1 if max_vel is None else max_vel)
 
 
-@dataclass(frozen=True, slots=True)
-class GridScenario:
-    track_length_cells: int
-    lane_count: int
-    robot_start_cell: int
-    robot_start_lane: int
-    robot_max_vel: int
-    robot_dest_cell: int
-    obstacles: tuple[ObstacleSpec, ...] = ()
-    assumptions: Assumptions = Assumptions(1, 10, 1)
+class GridScenario(namedtuple("GridScenario", "track_length_cells lane_count robot_start_cell "
+                              "robot_start_lane robot_max_vel robot_dest_cell obstacles "
+                              "assumptions", defaults=((), Assumptions(1, 10, 1)))):
+    """A grid track, the robot's start and destination, the obstacles
+    (a tuple of ``ObstacleSpec``) and the robot's ``Assumptions``."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         # Cells and velocities are integers; this also keeps NaN and
@@ -202,25 +207,19 @@ class GridScenario:
         raise KeyError(obstacle_id)
 
 
-@dataclass(frozen=True, slots=True)
-class RobotSnapshot:
-    x: int
-    lane: int
-    v: int
-    mode: RobotMode
+class RobotSnapshot(namedtuple("RobotSnapshot", "x lane v mode")):
+    """The robot's cell, lane, velocity and ``RobotMode``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ObstacleSnapshot:
-    id: int
-    x: int
-    lane: int
-    is_static: bool
-    dest_cell: int
+class ObstacleSnapshot(namedtuple("ObstacleSnapshot", "id x lane is_static dest_cell")):
+    """One obstacle's id, cell, lane, whether it stands still, and destination."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class WorldState:
+class WorldState(namedtuple("WorldState", "tick robot obstacles prev_obstacles")):
     """Full design-time state.
 
     ``prev_obstacles`` is the obstacle list of the predecessor state: the
@@ -228,10 +227,7 @@ class WorldState:
     equals ``obstacles``.
     """
 
-    tick: int
-    robot: RobotSnapshot
-    obstacles: tuple[ObstacleSnapshot, ...]
-    prev_obstacles: tuple[ObstacleSnapshot, ...]
+    __slots__ = ()
 
 
 def initial_world_state(scenario: GridScenario) -> WorldState:
@@ -321,13 +317,17 @@ class _Null:
 def _record(cls, data, keys: dict[str, str], where: str, **nested):
     """Build ``cls`` from the JSON object ``data``, which must hold every
     field without a default and no key outside ``keys``.  A field named in
-    ``nested`` goes through its loader first."""
+    ``nested`` goes through its loader first.  A grid record lists its
+    defaults in ``_field_defaults``; the runtime records (``SimConfig``,
+    ``SweepSpec``) are dataclasses with a default on every field, so none
+    of their keys is required."""
     _as_object(data, where)
     unknown = sorted(data.keys() - keys.keys())
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    defaults = getattr(cls, "_field_defaults", None)
     for key, field in keys.items():
-        if cls.__dataclass_fields__[field].default is MISSING:
+        if defaults is not None and field not in defaults:
             _field(data, key, where)
     fields = {keys[key]: _Null() if value is None else value for key, value in data.items()}
     for field, load in nested.items():
@@ -405,6 +405,17 @@ def _want_mode(mapping: dict, key: str, where: str) -> RobotMode:
         return RobotMode(value)
     except ValueError:
         raise ScenarioError(f"{where}.{key}: unknown robot mode {value!r}") from None
+
+
+def read_utf8(path, error: type[ValueError] = ScenarioError) -> str:
+    """A file's text.  JSON is UTF-8 (RFC 8259); other bytes raise
+    ``error``, naming the file and the offset of the first bad byte."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def parse_json(source: str):

@@ -1,6 +1,5 @@
 """Reachability checking: verdicts, counterexamples, replay, statistics."""
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -287,7 +286,7 @@ def test_replay_rejects_label_that_misstates_its_step(fields):
     scenario = head_on_scenario(assumed_obstacle_max_vel=2)
     trace = check_safety(scenario).counterexample
     tampered = Trace(trace.initial,
-                     trace.steps[:2] + (replace(trace.steps[2], **fields),) + trace.steps[3:])
+                     trace.steps[:2] + (trace.steps[2]._replace(**fields),) + trace.steps[3:])
     with pytest.raises(TraceError, match="invalid label at step 2: tick "):
         replay_trace(scenario, tampered)
 

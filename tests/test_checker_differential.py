@@ -27,7 +27,6 @@ before repeated expansions were counted instead of walked and the
 search ran level by level.  Against it the verdict must be equal in
 full, ``transitions`` and ``peak_frontier`` included.
 """
-import dataclasses
 import time
 from collections import deque
 from itertools import product
@@ -72,7 +71,7 @@ def parked_key(key):
     robot, obstacles, prev_obstacles = key
     parked = [
         (o, p) if max(o.x, p.x) >= robot.x
-        else 2 * (dataclasses.replace(o, x=o.dest_cell, is_static=True),)
+        else 2 * (o._replace(x=o.dest_cell, is_static=True),)
         for o, p in zip(obstacles, prev_obstacles, strict=True)
     ]
     return robot, tuple(o for o, _ in parked), tuple(p for _, p in parked)
@@ -380,8 +379,8 @@ def assert_matches_reference(scenario, depth_bound, state_budget):
     verdict = check_safety(scenario, depth_bound, state_budget)
     # Parked movers have one pick, so transitions alone may drop.
     assert verdict.stats.transitions <= expected.stats.transitions
-    assert verdict == dataclasses.replace(
-        expected, stats=dataclasses.replace(expected.stats, transitions=verdict.stats.transitions))
+    assert verdict == expected._replace(
+        stats=expected.stats._replace(transitions=verdict.stats.transitions))
     assert_counts_image(verdict, scenario, depth_bound, parked_key)
     assert verdict.reached_fixpoint == (expected.outcome is Outcome.HOLDS and not cut)
     if verdict.counterexample is not None:
@@ -411,20 +410,19 @@ def test_verdict_ignores_obstacles_behind_the_robot_and_obstacle_order(scenario,
     permuted obstacle order change neither the outcome nor the
     counterexample length, in the checker or in the unreduced reference."""
     base = check_safety(scenario)
-    variants = [dataclasses.replace(
-        scenario, obstacles=tuple(data.draw(st.permutations(scenario.obstacles))))]
+    variants = [scenario._replace(obstacles=tuple(data.draw(st.permutations(scenario.obstacles))))]
     if scenario.robot_start_cell > 0:
         cell = data.draw(st.integers(0, scenario.robot_start_cell - 1))
         behind = ObstacleSpec(id=51, start_cell=cell,    # scenarios() draws ids up to 50
                               lane=data.draw(st.integers(0, scenario.lane_count - 1)),
                               is_static=True)
         if data.draw(st.booleans()):
-            behind = dataclasses.replace(behind, is_static=False,
-                                         dest_cell=data.draw(st.integers(0, cell)),
-                                         max_vel=data.draw(st.sampled_from([3, 2, 1])))
+            behind = behind._replace(is_static=False,
+                                     dest_cell=data.draw(st.integers(0, cell)),
+                                     max_vel=data.draw(st.sampled_from([3, 2, 1])))
         obstacles = list(scenario.obstacles)
         obstacles.insert(data.draw(st.integers(0, len(obstacles))), behind)
-        variants.append(dataclasses.replace(scenario, obstacles=tuple(obstacles)))
+        variants.append(scenario._replace(obstacles=tuple(obstacles)))
         reference, _, _ = reference_check(variants[-1], None, 10**6)
         assert reference.outcome is base.outcome
         assert _cex_length(reference) == _cex_length(base)
@@ -460,7 +458,7 @@ def interchangeable_scenarios(draw):
     ]
     if others and draw(st.booleans()):
         # A decoy: a mover like the twins but for one of lane, dest or maxVel.
-        decoy = dataclasses.replace(twins[0], id=others[0].id, **draw(st.sampled_from([
+        decoy = twins[0]._replace(id=others[0].id, **draw(st.sampled_from([
             {"lane": (lane + 1) % scenario.lane_count},
             {"dest_cell": dest + 1},
             {"max_vel": max_vel % 3 + 1},
@@ -469,7 +467,7 @@ def interchangeable_scenarios(draw):
             others[0] = decoy
     # Mixed in with the rest, so group members need not sit side by side.
     obstacles = draw(st.permutations(others + statics + twins))
-    return dataclasses.replace(scenario, obstacles=tuple(obstacles))
+    return scenario._replace(obstacles=tuple(obstacles))
 
 
 @settings(max_examples=100, deadline=None)
@@ -501,8 +499,8 @@ def _two_movers(**unlike) -> GridScenario:
     first; ``unlike`` sets the second mover's fields apart."""
     scenario = head_on_scenario(obstacle_start=20)
     second = ObstacleSpec(id=7, start_cell=23, lane=1, is_static=False, dest_cell=0, max_vel=3)
-    second = dataclasses.replace(second, **unlike)
-    return dataclasses.replace(scenario, obstacles=scenario.obstacles + (second,))
+    second = second._replace(**unlike)
+    return scenario._replace(obstacles=scenario.obstacles + (second,))
 
 
 @pytest.mark.parametrize("scenario", [
@@ -530,8 +528,7 @@ def test_holds_survives_a_larger_assumed_bound_or_buffer(scenario):
         return
     for change in ({"assumed_obstacle_max_vel": assumptions.assumed_obstacle_max_vel + 1},
                    {"buffer": assumptions.buffer + 1}):
-        variant = dataclasses.replace(
-            scenario, assumptions=dataclasses.replace(assumptions, **change))
+        variant = scenario._replace(assumptions=assumptions._replace(**change))
         assert check_safety(variant).outcome is Outcome.HOLDS, change
 
 
@@ -558,7 +555,7 @@ def test_robot_at_speed_moves_onto_a_static_obstacle_unflagged():
         assert is_passive_safe(world)
     assert (world.robot.x, world.robot.v, world.obstacles[0].x) == (17, 2, 17)
     assert check_safety(TUNNEL).outcome is Outcome.HOLDS
-    seeing = dataclasses.replace(TUNNEL, assumptions=Assumptions(1, 2, 1))
+    seeing = TUNNEL._replace(assumptions=Assumptions(1, 2, 1))
     assert check_safety(seeing).outcome is Outcome.VIOLATED
 
 
@@ -571,9 +568,9 @@ def test_holds_survives_a_larger_visual_radius(scenario, wider):
     """Metamorphic: a Holds verdict stays Holds when the visual radius rises."""
     if check_safety(scenario).outcome is not Outcome.HOLDS:
         return
-    assumptions = dataclasses.replace(
-        scenario.assumptions, visual_radius=scenario.assumptions.visual_radius + wider)
-    assert check_safety(dataclasses.replace(scenario, assumptions=assumptions)).outcome \
+    assumptions = scenario.assumptions._replace(
+        visual_radius=scenario.assumptions.visual_radius + wider)
+    assert check_safety(scenario._replace(assumptions=assumptions)).outcome \
         is Outcome.HOLDS
 
 
@@ -585,13 +582,13 @@ def test_verdict_ignores_lane_mirroring_and_obstacle_ids(scenario, data):
     the outcome nor the counterexample length."""
     base = check_safety(scenario)
     top = scenario.lane_count - 1
-    mirrored = dataclasses.replace(
-        scenario, robot_start_lane=top - scenario.robot_start_lane,
-        obstacles=tuple(dataclasses.replace(o, lane=top - o.lane) for o in scenario.obstacles))
+    mirrored = scenario._replace(
+        robot_start_lane=top - scenario.robot_start_lane,
+        obstacles=tuple(o._replace(lane=top - o.lane) for o in scenario.obstacles))
     ids = data.draw(st.lists(st.integers(0, 99), min_size=len(scenario.obstacles),
                              max_size=len(scenario.obstacles), unique=True))
-    relabelled = dataclasses.replace(scenario, obstacles=tuple(
-        dataclasses.replace(o, id=i) for o, i in zip(scenario.obstacles, ids, strict=True)))
+    relabelled = scenario._replace(obstacles=tuple(
+        o._replace(id=i) for o, i in zip(scenario.obstacles, ids, strict=True)))
     for variant in (mirrored, relabelled):
         verdict = check_safety(variant)
         assert verdict.outcome is base.outcome

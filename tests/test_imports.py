@@ -7,23 +7,39 @@ this test process has imported everything already.
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import passivesafe
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 
 def _loaded_after(statement: str, names: list[str]) -> list[str]:
+    """The modules of ``names`` loaded once ``statement`` has run; what
+    the statement prints comes before the last line and is ignored."""
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys; {statement}; print(*[m for m in {names!r} if m in sys.modules])"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_cli_loads_no_runtime_half_and_no_hashlib():
     names = ["passivesafe.sim", "passivesafe.monitor", "passivesafe.sweep", "hashlib"]
     assert _loaded_after("import passivesafe.cli", names) == []
+
+
+def test_check_and_replay_load_no_dataclasses(tmp_path):
+    """The grid half's records are named tuples: a `check` that writes a
+    counterexample and its `replay` import neither ``dataclasses`` nor
+    the ``inspect`` it pulls in."""
+    scenario, trace = str(CONFIGS / "head_on_under_assumption.json"), str(tmp_path / "cex.jsonl")
+    statement = (f"from passivesafe import cli; "
+                 f"assert cli.main(['check', {scenario!r}, '--trace', {trace!r}]) == 2; "
+                 f"assert cli.main(['replay', {scenario!r}, {trace!r}]) == 0")
+    assert _loaded_after(statement, ["dataclasses", "inspect"]) == []
 
 
 def test_sweep_loads_no_checker():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from passivesafe import (
     Assumptions,
+    ExplorationStats,
     GridScenario,
     ObstacleSpec,
     ScenarioError,
@@ -154,16 +155,16 @@ def test_non_finite_numbers_rejected_in_python_built_scenarios(value):
         check_safety(head_on_scenario(buffer=value))
     scenario = head_on_scenario()
     with pytest.raises(ScenarioError, match="assumptions.visualRadius must be a finite"):
-        replace(scenario, assumptions=replace(scenario.assumptions, visual_radius=value,
-                                              reaction_radius=1)).validate()
+        scenario._replace(assumptions=scenario.assumptions._replace(visual_radius=value,
+                                                                   reaction_radius=1)).validate()
     with pytest.raises(ScenarioError, match="trackLengthCells must be an integer"):
-        replace(scenario, track_length_cells=value).validate()
+        scenario._replace(track_length_cells=value).validate()
 
 
 def test_non_bool_is_static_rejected():
     scenario = head_on_scenario()
-    mover = replace(scenario.obstacles[0], is_static="false")
-    scenario = replace(scenario, obstacles=(mover,) + scenario.obstacles[1:])
+    mover = scenario.obstacles[0]._replace(is_static="false")
+    scenario = scenario._replace(obstacles=(mover,) + scenario.obstacles[1:])
     with pytest.raises(ScenarioError, match=r"obstacles\[0\]\.isStatic must be a boolean"):
         check_safety(scenario)
     # A falsy isStatic does not make a mover that lacks destCell and maxVel.
@@ -177,7 +178,7 @@ def test_non_bool_is_static_rejected():
     ("buffer", "buffer"), ("reaction_radius", "reactionRadius"),
 ])
 def test_assumptions_must_be_positive(field, key):
-    assumptions = replace(head_on_scenario().assumptions, **{field: 0})
+    assumptions = head_on_scenario().assumptions._replace(**{field: 0})
     with pytest.raises(ScenarioError, match=f"assumptions.{key} must be > 0"):
         assumptions.validate()
 
@@ -194,10 +195,62 @@ def test_key_table_maps_onto_exactly_the_record_fields(record, keys):
     under the field's name in camelCase.  The nested fields (obstacles,
     assumptions, base) hold records with tables of their own, checked by
     the round trips."""
-    assert list(keys.values()) == [field.name for field in dataclasses.fields(record)]
+    if hasattr(record, "_fields"):      # a grid record: a named tuple
+        names = list(record._fields)
+    else:                               # a runtime record: a dataclass
+        names = [field.name for field in dataclasses.fields(record)]
+    assert list(keys.values()) == names
     for key, field in keys.items():
         first, *rest = field.split("_")
         assert key == first + "".join(word.capitalize() for word in rest)
+
+
+def test_required_keys_are_the_fields_without_a_default():
+    """``_record`` requires a grid record's fields outside
+    ``_field_defaults``; the runtime records default every field."""
+    assert Assumptions._field_defaults == {"reaction_radius": None}
+    assert ObstacleSpec._field_defaults == {"dest_cell": None, "max_vel": None}
+    assert list(GridScenario._field_defaults) == ["obstacles", "assumptions"]
+    with pytest.raises(ScenarioError, match="^missing required field assumptions.buffer$"):
+        load_scenario(MINIMAL.replace(', "buffer": 1', ""))
+    for record in (SimConfig, SweepSpec):
+        assert all(field.default is not dataclasses.MISSING
+                   for field in dataclasses.fields(record)), record
+    assert sim.sim_config_from_dict({}) == SimConfig()
+    assert model._record(SweepSpec, {}, sweep._SPEC_KEYS, "sweep spec") == SweepSpec()
+
+
+def test_python_built_records_keep_their_contracts():
+    assert Assumptions(1, 10, 1).reaction_radius == 10
+    assert Assumptions(1, 10, 1, 4).reaction_radius == 4
+    static = ObstacleSpec(id=3, start_cell=7, lane=0, is_static=True)
+    assert (static.dest_cell, static.max_vel) == (7, 1)
+    document = json.loads(MINIMAL)
+    for missing in ("destCell", "maxVel"):
+        mover = {"id": 0, "startCell": 5, "lane": 0, "isStatic": False,
+                 "destCell": 0, "maxVel": 2}
+        del mover[missing]
+        with pytest.raises(ScenarioError) as loaded:
+            load_scenario(json.dumps({**document, "obstacles": [mover]}))
+        with pytest.raises(ScenarioError) as built:
+            ObstacleSpec(**{model._OBSTACLE_KEYS[key]: v for key, v in mover.items()})
+        assert str(built.value) == str(loaded.value) == \
+            f"obstacle 0: {missing} is required for moving obstacles"
+    for record, field in ((static, "dest_cell"), (Assumptions(1, 10, 1), "buffer"),
+                          (head_on_scenario(), "obstacles")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
+def test_exploration_stats_equality_ignores_wall_time():
+    stats = ExplorationStats(10, 20, 3, 4, 0.5)
+    same = ExplorationStats(10, 20, 3, 4, 9.0)
+    assert stats == same and not stats != same
+    assert hash(stats) == hash(same)
+    assert len({stats, same}) == 1
+    for counts in ((11, 20, 3, 4), (10, 21, 3, 4), (10, 20, 4, 4), (10, 20, 3, 5)):
+        other = ExplorationStats(*counts, 0.5)
+        assert stats != other and not stats == other, counts
 
 
 def test_json_null_is_no_absent_field():

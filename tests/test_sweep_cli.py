@@ -11,7 +11,8 @@ import pytest
 from passivesafe import SimConfig, SweepSpec, cli, load_sweep_spec, run_sweep, sweep_result_to_csv
 from passivesafe import sweep as sweep_module
 from passivesafe.cli import EX_DATAERR, EX_NOINPUT, EX_USAGE, main
-from passivesafe.model import ScenarioError, _to_dict
+from passivesafe.checker import read_trace_jsonl
+from passivesafe.model import ScenarioError, TraceError, _to_dict
 from passivesafe.sim import sim_config_to_dict
 from passivesafe.sweep import _SPEC_KEYS
 
@@ -580,6 +581,33 @@ def test_malformed_trace_line_exits_dataerr(tmp_path, capsys, damage, message):
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["replay", scenario, str(trace_path)]) == EX_DATAERR
     assert f"trace line 2: {message}" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "sweep", "replay"])
+def test_input_that_is_not_utf8_exits_dataerr(tmp_path, capsys, command):
+    """JSON is UTF-8 (RFC 8259): a file with one stray byte fails with one
+    line that names the file and the byte's offset."""
+    scenario = str(CONFIGS / "head_on_under_assumption.json")
+    source = {"check": CONFIGS / "head_on.json", "simulate": CONFIGS / "runtime.json",
+              "sweep": CONFIGS / "sweep.json", "replay": tmp_path / "cex.jsonl"}[command]
+    if command == "replay":
+        assert main(["check", scenario, "--trace", str(source)]) == 2
+        capsys.readouterr()
+    data = source.read_bytes()
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data[:5] + b"\xff" + data[5:])
+    out = tmp_path / "out.csv"
+    argv = {"check": ["check", str(bad)], "simulate": ["simulate", str(bad)],
+            "sweep": ["sweep", str(bad), "--out", str(out)],
+            "replay": ["replay", scenario, str(bad)]}[command]
+    assert main(argv) == EX_DATAERR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad} is not UTF-8: invalid start byte at byte 5\n"
+    assert captured.out == ""
+    assert not out.exists()
+    if command == "replay":
+        with pytest.raises(TraceError, match=r"is not UTF-8: invalid start byte at byte 5$"):
+            read_trace_jsonl(bad)
 
 
 def test_console_script_entry_point():
