@@ -24,8 +24,7 @@ _EXPORTS = {
     "model": ("Assumptions GridScenario InvariantViolation ObstacleSnapshot ObstacleSpec "
               "RobotMode RobotSnapshot ScenarioError TraceError WorldState initial_world_state "
               "load_scenario serialize_scenario validate_world"),
-    "monitor": ("Feedback MonitorState Observation ObservationOrderError "
-                "estimate_obstacle_velocity new_monitor observe observe_at"),
+    "monitor": "Feedback MonitorState Observation ObservationOrderError new_monitor observe observe_at",
     "sim": "CollisionEvent SimConfig SimOutcome SimState SimTrace load_sim_config simulate",
     "sweep": "SweepResult SweepSpec load_sweep_spec run_sweep sweep_result_to_csv",
 }

@@ -27,6 +27,7 @@ from .automata import (
     ChoiceError,
     ObstacleChoice,
     TransitionLabel,
+    enumerate_obstacle_choices,
     robot_step,
     world_step,
 )
@@ -138,30 +139,6 @@ def state_digest(world: WorldState) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _rebuild_trace(
-    scenario: GridScenario,
-    pick_path: list[tuple[int, ...]],
-) -> Trace:
-    """Re-execute a path of velocity picks from the initial state,
-    naming each pick's mover and filling labels."""
-    world = initial_world_state(scenario)
-    initial = world
-    steps = []
-    for picks in pick_path:
-        movers = [obs for obs in world.obstacles if not obs.is_static]
-        choices = tuple(ObstacleChoice(obs.id, v) for obs, v in zip(movers, picks, strict=True))
-        before = world.robot.mode
-        world = world_step(world, choices, scenario)
-        steps.append(TransitionLabel(
-            tick=world.tick,
-            mode_before=before,
-            mode_after=world.robot.mode,
-            choices=choices,
-            state_hash=state_digest(world),
-        ))
-    return Trace(initial=initial, steps=tuple(steps))
-
-
 def _mover_groups(scenario: GridScenario, movers: list[ObstacleSnapshot]) -> list[tuple[int, ...]]:
     """Per mover, the indices of the movers interchangeable with it
     (same lane, destination and maxVel), itself included, ascending."""
@@ -238,6 +215,14 @@ def check_safety(
     a violation or the budget adds nothing, and the last one of a level
     counts the whole next level, so a level at the depth bound needs no
     count of its own.
+
+    A counterexample is rebuilt with the object-level step.  Walking
+    ``parents`` back from the violating key, each step takes the first
+    vector of ``enumerate_obstacle_choices`` whose ``world_step``
+    successor has the next key on the path; ``key_of`` encodes a state
+    as ``init_key`` is encoded.  So the choices are legal for the real
+    movers, whose order and dead cells the keys forget, and every state
+    of the trace is a state of the reference model.
     """
     started = time.perf_counter()
     scenario.validate()
@@ -289,31 +274,36 @@ def check_safety(
             row = rows[xs] = tuple(cells)
         return row
 
-    def pick_path(key: tuple) -> list[tuple[int, ...]]:
-        """The velocity picks that lead from the initial state to ``key``:
-        at each step, the first pick vector the search would try whose
-        successor has the next key on the path.  Following the real
-        movers, whose order the keys forget, keeps every pick legal."""
-        chain = []
-        while key is not None:
-            chain.append(key)
-            key = parents[key]
-        xs = xs0
-        path = []
-        for key in reversed(chain[:-1]):
-            for choice in product(*[enumerate(steps[x], 1) for steps, x in zip(advance, xs)]):
-                new_xs = tuple(x for _, x in choice)
-                if tail(new_xs, xs, key[0]) == key[4:]:
-                    break
-            path.append(tuple(v for (v, _), x, d in zip(choice, xs, dests) if x != d))
-            xs = new_xs
-        return path
-
     def world_at(key: tuple, tick: int) -> WorldState:
         robot = RobotSnapshot(key[0], key[1], key[2], _MODES[key[3]])
         return WorldState(tick, robot, obstacles_at(key[4:4 + n]), obstacles_at(key[4 + n:]))
 
-    init_key = _robot_key(init.robot) + tail(xs0, xs0, init.robot.x)
+    def key_of(world: WorldState) -> tuple:
+        """The search key of an object-level state."""
+        return _robot_key(world.robot) + tail(tuple(world.obstacles[i].x for i, _ in movers),
+                                              tuple(world.prev_obstacles[i].x for i, _ in movers),
+                                              world.robot.x)
+
+    def trace_to(key: tuple) -> Trace:
+        """The counterexample that ends in ``key``, rebuilt with the
+        object-level step as described above."""
+        path = []
+        while key is not None:
+            path.append(key)
+            key = parents[key]
+        world, steps = init, []
+        for key in reversed(path[:-1]):
+            before = world.robot.mode
+            for choices in enumerate_obstacle_choices(world, scenario):
+                successor = world_step(world, choices, scenario)
+                if key_of(successor) == key:
+                    break
+            world = successor
+            steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices,
+                                         state_digest(world)))
+        return Trace(init, tuple(steps))
+
+    init_key = key_of(init)
     parents: dict = {init_key: None}     # doubles as the visited set
     moved_robot: dict = {}      # key[:4] + prev xs -> (robot key after robot_step, expanded[it])
     safe: dict = {}             # key[:4] + xs -> is_passive_safe
@@ -383,7 +373,7 @@ def check_safety(
                 if ok is None:
                     ok = safe[now] = is_passive_safe(world_at(succ_key, depth))
                 if not ok:
-                    return verdict(Outcome.VIOLATED, _rebuild_trace(scenario, pick_path(succ_key)))
+                    return verdict(Outcome.VIOLATED, trace_to(succ_key))
                 if len(parents) > state_budget:
                     return verdict(Outcome.INCONCLUSIVE)
                 next_level.append(succ_key)

@@ -67,20 +67,6 @@ def new_monitor(assumptions: Assumptions, tolerance: float | None = None) -> Mon
     return MonitorState(assumptions=assumptions, tolerance=tolerance)
 
 
-def estimate_obstacle_velocity(prev: Observation, cur: Observation) -> float:
-    """Approach speed of the obstacle between two observations.
-
-    Positive while the obstacle's coordinate decreases (it approaches the
-    robot head-on); negative means it is receding and can never trip the
-    monitor.  ``observe_at`` makes the same estimate from the scalars it
-    keeps.
-    """
-    dt = cur.t - prev.t
-    if dt <= 0:
-        raise ObservationOrderError(f"non-increasing timestamps: {prev.t} -> {cur.t}")
-    return (prev.obstacle_x - cur.obstacle_x) / dt
-
-
 def observe_at(
     monitor: MonitorState, t: float, robot_x: float, obstacle_x: float
 ) -> Feedback | None:
@@ -88,11 +74,13 @@ def observe_at(
     and returns the feedback, if this very observation exposes a violated
     assumption.  This is the monitor's one trip rule.
 
-    Feedback fires only when the speed estimate exceeds the assumed bound
-    plus tolerance *and* the obstacle is ahead within the reaction
-    radius.  A fast obstacle outside the reaction area is noted only once
-    the gap has closed to the radius.  The first observation of a stream
-    never fires (no estimate yet).  Timestamps must increase strictly.
+    The estimate is the approach speed since the last observation, so a
+    stationary or receding obstacle never fires.  Feedback fires only
+    when the estimate exceeds the assumed bound plus tolerance *and* the
+    obstacle is ahead within the reaction radius.  A fast obstacle
+    outside the reaction area is noted only once the gap has closed to
+    the radius.  The first observation of a stream never fires (no
+    estimate yet).  Timestamps must increase strictly.
 
     So an observation whose gap ``obstacle_x - robot_x`` lies outside
     ``[0, reaction_radius]`` never fires and leaves the latch as it was;

@@ -19,7 +19,8 @@ lane.  Every tick:
 An episode runs in two phases.  Before the first tick whose observed
 gap is at most the reaction radius, the monitor cannot fire and there is
 no danger, so the robot's calm motion depends on the config alone: it is
-computed once per config, and those ticks only draw, move the obstacle
+computed once per episode, or once per sweep cell for all of its seeds,
+and those ticks only draw, move the obstacle
 and test for entry, contact, the goal and the tick budget.  That phase
 leaves out only what cannot happen there, so the split is exact.
 
@@ -34,7 +35,6 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from operator import is_
 
 from .kinematics import collision_distance_meters
 from .model import (
@@ -170,7 +170,8 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     bulk runs that only need events and the outcome.
     """
     config.validate()
-    states, events, outcome, ticks = _episode(config, config.seed, collect_states)
+    states, events, outcome, ticks = _episode(
+        config, config.seed, collect_states=collect_states, approach=_approach(config))
     return SimTrace(
         config=config,
         states=tuple(states),
@@ -180,51 +181,41 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     )
 
 
-# The fields ``_approach`` last read, and what it computed from them.
-_last_approach: tuple = ((None,) * 8, None)
-
-
 def _approach(config: SimConfig) -> tuple[list, list, list]:
     """The robot's motion before the reaction area, on calm far actions
-    (all accelerate or hold): ``(x, v, mode)`` after ticks 0..L, each
-    tick's ``(tick, x before, x after)`` and ``(tick, ModeChangeEvent)``
+    (all accelerate or hold): each tick's ``(tick, x before, x after)``,
+    ``(x, v, mode)`` after ticks 0..L and ``(tick, ModeChangeEvent)``
     pairs, up to the goal, the tick budget or the obstacle's start in
-    reach.  Reused while the fields read are the same objects (a sweep
-    cell's are), which keeps 1 and 1.0 or 0.0 and -0.0 apart."""
-    global _last_approach
-    fields = (config.dt, config.robot_max_vel, config.robot_accel, config.robot_start,
-              config.robot_dest, config.obstacle_start, config.reaction_radius,
-              config.max_ticks)
-    last_fields, approach = _last_approach
-    if not all(map(is_, fields, last_fields)):
-        dt, max_vel, accel, x, dest, obstacle_start, reaction, max_ticks = fields
-        v, mode, accel_dv = 0.0, RobotMode.IDLE, accel * dt
-        robot = [(x, v, mode)]
-        while len(robot) <= max_ticks and x < dest and obstacle_start - x > reaction:
-            if _FAR_ACTIONS[mode][0] is not VelocityAction.HOLD:
-                v = min(v + accel_dv, max_vel)
-                mode = RobotMode.DRIVE if v == max_vel else RobotMode.ACCELERATE
-            x += v * dt
-            robot.append((x, v, mode))
-        steps = [(n, robot[n - 1][0], robot[n][0]) for n in range(1, len(robot))]
-        mode_changes = [(n, ModeChangeEvent(n * dt, robot[n - 1][2], robot[n][2]))
-                        for n in range(1, len(robot)) if robot[n][2] is not robot[n - 1][2]]
-        approach = steps, robot, mode_changes
-        _last_approach = fields, approach
-    return approach
+    reach."""
+    x, dest, max_vel, dt = config.robot_start, config.robot_dest, config.robot_max_vel, config.dt
+    v, mode, accel_dv = 0.0, RobotMode.IDLE, config.robot_accel * dt
+    robot = [(x, v, mode)]
+    while (len(robot) <= config.max_ticks and x < dest
+           and config.obstacle_start - x > config.reaction_radius):
+        if _FAR_ACTIONS[mode][0] is not VelocityAction.HOLD:
+            v = min(v + accel_dv, max_vel)
+            mode = RobotMode.DRIVE if v == max_vel else RobotMode.ACCELERATE
+        x += v * dt
+        robot.append((x, v, mode))
+    steps = [(n, robot[n - 1][0], robot[n][0]) for n in range(1, len(robot))]
+    mode_changes = [(n, ModeChangeEvent(n * dt, robot[n - 1][2], robot[n][2]))
+                    for n in range(1, len(robot)) if robot[n][2] is not robot[n - 1][2]]
+    return steps, robot, mode_changes
 
 
 def _episode(
-    config: SimConfig, seed: int, collect_states: bool
+    config: SimConfig, seed: int, *, collect_states: bool, approach: tuple[list, list, list]
 ) -> tuple[list[SimState], list[SimEvent], SimOutcome, int]:
     """The episode of ``simulate`` on a config that has passed
-    ``validate()``, drawn from ``seed`` instead of ``config.seed``, so a
-    sweep cell validates its config once and runs it for each of its
-    seeds.  Returns the states, events, outcome and tick count.
+    ``validate()``, drawn from ``seed`` instead of ``config.seed``, with
+    ``approach`` as ``_approach(config)`` returned it, so a sweep cell
+    validates its config and computes its approach once and runs it for
+    each of its seeds.  Returns the states, events, outcome and tick
+    count.
 
     Phase 1 runs the ticks before the first one whose observed gap is at
     most the reaction radius: without monitor calls or danger there, the
-    robot moves as ``_approach`` computed it for the config, whose end
+    robot moves as ``approach`` says, whose end
     bounds the phase at the goal and the tick budget, and the loop only
     draws, moves the obstacle and tests for entry and contact.  Phase 2,
     the full tick, runs from then on.  Phase 1 leaves out only what
@@ -245,7 +236,7 @@ def _episode(
     true_max = config.obstacle_true_max_vel
     reaction = config.reaction_radius
     threshold = config.collision_threshold
-    steps, robot, mode_changes = _approach(config)
+    steps, robot, mode_changes = approach
     obstacle_x = prev_obstacle_x = config.obstacle_start   # tick-0 convention
     obstacle_v = 0.0
     states: list[SimState] = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import NoReturn
 
 from .model import ScenarioError, _as_int, _as_number, _record, parse_json
-from .sim import SimConfig, SimOutcome, _episode, sim_config_from_dict
+from .sim import SimConfig, SimOutcome, _approach, _episode, sim_config_from_dict
 
 CSV_HEADER = "obstacle_vel_mps,reaction_radius_m,runs,active_collisions,reached_goal,stopped_safe"
 
@@ -84,8 +84,9 @@ class SweepResult:
 def _run_cell(job: tuple[SimConfig, int, int]) -> CellResult:
     config, first_seed, runs = job
     counts = {outcome: 0 for outcome in SimOutcome}
+    approach = _approach(config)
     for seed in range(first_seed, first_seed + runs):
-        _, _, outcome, _ = _episode(config, seed, collect_states=False)
+        _, _, outcome, _ = _episode(config, seed, collect_states=False, approach=approach)
         counts[outcome] += 1
     return CellResult(
         obstacle_vel=config.obstacle_true_max_vel,

@@ -1,4 +1,6 @@
 """Reachability checking: verdicts, counterexamples, replay, statistics."""
+import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from passivesafe.checker import (
     trace_to_jsonl,
     write_trace_jsonl,
 )
+from passivesafe.cli import main
 from passivesafe.scenarios import empty_scenario, head_on_scenario, single_lane_duel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -321,6 +324,25 @@ def test_trace_jsonl_rejects_garbage():
         trace_from_jsonl("not json\n")
     with pytest.raises(TraceError, match="initial"):
         trace_from_jsonl("")
+
+
+@pytest.mark.parametrize("config, states, sha256", [
+    ("head_on_under_assumption.json", 220,
+     "570e34b494b7dac745fa64737fa64208f80f66d408220b48e8b283c649a5b41f"),
+    ("head_on_two_movers_under_assumption.json", 5_138,
+     "0d361bec2f8a644cf3aaa92cc723b4603dc025ed6504416ca0c4a0ff95027906"),
+])
+def test_counterexample_matches_pinned_digest(tmp_path, capsys, config, states, sha256):
+    """The bytes of ``check --trace``, which replay accepts.  The second
+    config's two movers are interchangeable, so its keys forget which
+    mover is which and the rebuild has to find out."""
+    path = tmp_path / "cex.jsonl"
+    assert main(["check", str(CONFIGS / config), "--trace", str(path)]) == 2
+    verdict = json.loads(capsys.readouterr().out)
+    assert (verdict["statesExplored"], verdict["counterexampleLength"]) == (states, 8)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    assert main(["replay", str(CONFIGS / config), str(path)]) == 0
+    capsys.readouterr()
 
 
 def _assert_fixpoint(config: str, stats: tuple[int, int, int, int]) -> None:

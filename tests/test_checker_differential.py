@@ -52,11 +52,10 @@ from passivesafe import (
     serialize_scenario,
     world_step,
 )
-from passivesafe.automata import TransitionLabel, robot_step
+from passivesafe.automata import ObstacleChoice, TransitionLabel, robot_step
 from passivesafe.checker import (
     _MODES,
     _mover_groups,
-    _rebuild_trace,
     _robot_key,
     state_digest,
     state_key,
@@ -125,6 +124,30 @@ def reference_check(scenario, depth_bound, state_budget, key_of=lambda key: key)
                 return verdict(Outcome.INCONCLUSIVE)
             queue.append(successor)
     return verdict(Outcome.HOLDS)
+
+
+def _rebuild_trace(
+    scenario: GridScenario,
+    pick_path: list[tuple[int, ...]],
+) -> Trace:
+    """Re-execute a path of velocity picks from the initial state,
+    naming each pick's mover and filling labels."""
+    world = initial_world_state(scenario)
+    initial = world
+    steps = []
+    for picks in pick_path:
+        movers = [obs for obs in world.obstacles if not obs.is_static]
+        choices = tuple(ObstacleChoice(obs.id, v) for obs, v in zip(movers, picks, strict=True))
+        before = world.robot.mode
+        world = world_step(world, choices, scenario)
+        steps.append(TransitionLabel(
+            tick=world.tick,
+            mode_before=before,
+            mode_after=world.robot.mode,
+            choices=choices,
+            state_hash=state_digest(world),
+        ))
+    return Trace(initial=initial, steps=tuple(steps))
 
 
 def reference_check_safety(scenario, depth_bound=None, state_budget=DEFAULT_STATE_BUDGET):

@@ -9,7 +9,6 @@ from passivesafe import (
     Assumptions,
     Observation,
     ObservationOrderError,
-    estimate_obstacle_velocity,
     new_monitor,
     observe,
     observe_at,
@@ -20,21 +19,26 @@ def obs(t, obstacle_x, robot_x=0.0, robot_v=0.0):
     return Observation(t=t, robot_x=robot_x, robot_v=robot_v, obstacle_x=obstacle_x)
 
 
-def test_stationary_obstacle_estimates_zero():
-    assert estimate_obstacle_velocity(obs(0.0, 5.0), obs(0.1, 5.0)) == 0.0
+def test_stationary_obstacle_never_fires():
+    """Even with a trip speed of 0 m/s, which any approach exceeds."""
+    monitor = new_monitor(Assumptions(0.2, 2.0, 0.1, 1.5), tolerance=-0.2)
+    assert observe_at(monitor, 0.0, 0.0, 1.0) is None
+    assert observe_at(monitor, 0.1, 0.0, 1.0) is None
+    assert observe_at(monitor, 0.2, 0.0, 0.999) is not None
+
+
+def test_receding_obstacle_never_fires():
+    monitor = new_monitor(Assumptions(0.2, 2.0, 0.1, 1.5), tolerance=-0.2)
+    assert observe_at(monitor, 0.0, 0.0, 1.0) is None
+    assert observe_at(monitor, 0.1, 0.0, 1.02) is None
+    assert not monitor.violation_latched
 
 
 def test_approach_estimate_arithmetic():
-    assert estimate_obstacle_velocity(obs(0.0, 5.0), obs(0.1, 4.97)) == pytest.approx(0.3)
-
-
-def test_receding_obstacle_estimates_negative():
-    assert estimate_obstacle_velocity(obs(0.0, 5.0), obs(0.1, 5.02)) == pytest.approx(-0.2)
-
-
-def test_zero_time_delta_rejected():
-    with pytest.raises(ObservationOrderError):
-        estimate_obstacle_velocity(obs(0.5, 5.0), obs(0.5, 4.9))
+    monitor = new_monitor(Assumptions(0.2, 2.0, 0.1, 1.5))
+    observe_at(monitor, 0.0, 4.0, 5.0)
+    feedback = observe_at(monitor, 0.1, 4.0, 4.97)
+    assert feedback.estimated_obstacle_vel == pytest.approx(0.3)
 
 
 def test_out_of_order_observation_rejected():
