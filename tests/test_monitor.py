@@ -41,6 +41,13 @@ def test_approach_estimate_arithmetic():
     assert feedback.estimated_obstacle_vel == pytest.approx(0.3)
 
 
+def test_zero_time_delta_rejected():
+    monitor = new_monitor(Assumptions(0.2, 2.0, 0.1, 1.5))
+    monitor, _ = observe(monitor, obs(0.5, 5.0))
+    with pytest.raises(ObservationOrderError):
+        observe(monitor, obs(0.5, 4.9))
+
+
 def test_out_of_order_observation_rejected():
     monitor = new_monitor(Assumptions(0.2, 2.0, 0.1, 1.5))
     monitor, _ = observe(monitor, obs(0.2, 5.0))
