@@ -15,12 +15,14 @@ reference semantics that rebuilds, replays and tests compare against.
 """
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from enum import Enum
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from pathlib import Path
 
 from .automata import (
@@ -164,9 +166,9 @@ def check_safety(
     statistics of the search that reached it.
 
     States are keyed by the int tuple ``(robot x, lane, v, mode index,
-    mover xs..., mover prev xs...)``, which is ``state_key`` without the
-    obstacles that are static from tick 0 (they live in the scenario) and
-    with a mover's ``is_static`` read as ``x == dest``.
+    x, prev x, x, prev x, ...)`` with one pair per mover: ``state_key``
+    without the obstacles that are static from tick 0 (they live in the
+    scenario) and with a mover's ``is_static`` read as ``x == dest``.
 
     Every guard and predicate reads only obstacles at or ahead of the
     robot (``collision_danger``, ``lane_change_possible``,
@@ -177,93 +179,90 @@ def check_safety(
     Bozga, Fernandez & Ghirvu, SAS 1999).  Movers with the same lane,
     destination and maxVel are interchangeable: no guard or predicate
     reads an obstacle's id, so swapping two of them maps reachable
-    states onto states with the same future.  After parking, the key
-    sorts each such group's (x, prev x) pairs, and the search counts
-    states up to both reductions (Ip & Dill, "Better verification
-    through symmetry", FMSD 1996).  Within the budget, both keep the
-    outcome and the counterexample length of the object-level BFS over
-    ``world_step``; ``max_depth`` can be smaller, since the reduced
-    search reaches its fixpoint sooner.
+    states onto states with the same future.  So the key lists the pairs
+    group by group, each group's sorted: one ``sorted`` over a (group
+    tag, x, prev x) triple per mover, a group's tag being its first
+    mover, flattened without the tags (Ip & Dill, "Better verification
+    through symmetry", FMSD 1996).  Within the budget, both reductions
+    keep the outcome and the counterexample length of the object-level
+    BFS over ``world_step``; ``max_depth`` can be smaller, since the
+    reduced search reaches its fixpoint sooner.
 
     ``robot_step`` reads the robot and the delayed view only, so it is
-    memoised on ``key[:4] + prev xs``; ``is_passive_safe`` reads the
+    memoised on ``key[:4] + key[5::2]``; ``is_passive_safe`` reads the
     robot and the current obstacles, so it is memoised on ``key[:4] +
-    xs``.  The picks only move mover xs, in the order
-    ``enumerate_obstacle_choices`` gives them; the successor tails
-    (mover xs and prev xs) are memoised on the current xs, next to the
-    lowest x of a mover not yet parked.  A successor's prev xs are the
-    current xs, so a mover dies on a step exactly when that x is behind
-    the moved robot: one int compare per state.  Only then are the
-    tails parked, memoised on the xs and the robot's new x.  A
-    ``WorldState`` is built only on a memo miss.
+    key[4::2]``.  Each mover's options, (new x, x) for picks 1..maxVel in
+    pick order, are built once per cell; a row of mover xs canonicalises
+    each vector of their product over the movers in scenario order, the
+    order of ``enumerate_obstacle_choices``.  These successor tails are
+    memoised on the xs, next to the lowest x of a mover not yet parked.
+    A mover dies on a step exactly when its x is behind the moved robot;
+    only then is the row rebuilt with each dying mover's options all
+    (dest, dest), one per pick, memoised on the xs and the robot's x.
 
     So a state's successor keys are ``head + tail`` for each of its
-    successor tails, where ``head`` is the robot after ``robot_step``:
-    the successor set is a function of ``head`` and the mover xs alone.
-    Most expansions repeat an earlier pair (86% on two movers, 95% on
-    three), so each pair is recorded when its state is first expanded,
-    and a repeat only counts its transitions: every tail, less those
-    that lead back to the state itself.  This is exact.  The search
-    returns at the first violation or budget overrun, so an expansion
-    that finished left all of its successors in ``parents``; a state at
-    the depth bound is never expanded, so it is never recorded.
+    successor tails, where ``head`` is the robot after ``robot_step``.
+    Most expansions repeat an earlier (head, xs) pair (86% on two
+    movers, 95% on three), so a repeat only counts its transitions:
+    every tail, less those that lead back to the state itself.  This is
+    exact: the search returns at the first violation or budget overrun,
+    so a finished expansion left all of its successors in ``parents``.
 
     The search runs one level at a time, so a level's depth is its
     tick.  ``peak_frontier`` is the most states a FIFO queue would hold
     as the next one is taken: after each finished expansion, the rest
-    of the level plus the next level so far.  An expansion cut short by
-    a violation or the budget adds nothing, and the last one of a level
-    counts the whole next level, so a level at the depth bound needs no
-    count of its own.
+    of the level plus the next level so far; the last expansion of a
+    level counts the whole next level, and a cut one adds nothing.
 
-    A counterexample is rebuilt with the object-level step.  Walking
+    A counterexample is rebuilt with the object-level step: walking
     ``parents`` back from the violating key, each step takes the first
     vector of ``enumerate_obstacle_choices`` whose ``world_step``
-    successor has the next key on the path; ``key_of`` encodes a state
-    as ``init_key`` is encoded.  So the choices are legal for the real
-    movers, whose order and dead cells the keys forget, and every state
-    of the trace is a state of the reference model.
+    successor has the next key on the path, so its choices are legal
+    for the real movers.  The search makes no reference cycles, so the
+    cycle collector is paused while it runs, as ``timeit`` does.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(scenario, depth_bound, state_budget)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) -> SafetyVerdict:
     started = time.perf_counter()
     scenario.validate()
     init = initial_world_state(scenario)
     movers = [(i, obs) for i, obs in enumerate(init.obstacles) if not obs.is_static]
-    n = len(movers)
-    dests = tuple(obs.dest_cell for _, obs in movers)
-    xs0 = tuple(obs.x for _, obs in movers)
     group_of = _mover_groups(scenario, [obs for _, obs in movers])
-    groups = [g for g in dict.fromkeys(group_of) if len(g) > 1]
-    # Per mover and cell: the cells its picks 1..maxVel lead to, in pick
-    # order.  After a swap a mover may stand on any cell of its group.
-    advance = []
-    for j, (_, obs) in enumerate(movers):
-        max_vel = scenario.obstacle_by_id(obs.id).max_vel
-        d = obs.dest_cell
-        advance.append({
-            x: tuple(max(x - v, d) for v in range(1, max_vel + 1)) if x != d else (x,)
-            for x in range(d, max(xs0[k] for k in group_of[j]) + 1)
-        })
+    at = sorted(range(len(movers)), key=group_of.__getitem__)    # key position -> mover
+    untag = itemgetter(*[i for i in range(3 * len(at)) if i % 3]) if at else tuple  # no movers: ()
 
-    def tail(new_xs: tuple[int, ...], xs: tuple[int, ...], robot_x: int) -> tuple[int, ...]:
-        """A key's mover part: each mover whose prev x (its larger x) is
-        behind ``robot_x`` parked at (dest, dest), then each group's
-        (x, prev x) pairs sorted."""
-        if xs and min(xs) < robot_x:
-            new_xs = tuple(d if x < robot_x else v for v, x, d in zip(new_xs, xs, dests))
-            xs = tuple(d if x < robot_x else x for x, d in zip(xs, dests))
-        if not groups:
-            return new_xs + xs
-        new_xs, xs = list(new_xs), list(xs)
-        for group in groups:
-            for j, pair in zip(group, sorted([(new_xs[j], xs[j]) for j in group])):
-                new_xs[j], xs[j] = pair
-        return tuple(new_xs) + tuple(xs)
+    def canonical(vectors):
+        """The key tail of each vector of (group tag, x, prev x) triples."""
+        return map(untag, map(tuple, map(chain.from_iterable, map(sorted, vectors))))
+
+    # Per mover: its key position, obstacle index, parked (tag, dest,
+    # dest) and, per cell, its (tag, new x, x) for picks 1..maxVel in pick
+    # order.  After a swap a mover may stand on any cell of its group.
+    pickers = []
+    for j, (i, obs) in enumerate(movers):
+        max_vel = scenario.obstacle_by_id(obs.id).max_vel
+        tag, d = group_of[j][0], obs.dest_cell
+        pickers.append((at.index(j), i, (tag, d, d), {
+            x: tuple((tag, max(x - v, d), x) for v in range(1, max_vel + 1)) if x != d
+            else ((tag, d, d),) for x in range(d, max(movers[k][1].x for k in group_of[j]) + 1)
+        }))
+    movers = [movers[j] for j in at]
+    dests = tuple(obs.dest_cell for _, obs in movers)
 
     def successor_tails(xs: tuple[int, ...], robot_x: int = -1) -> tuple[tuple[int, ...], ...]:
-        return tuple(tail(new_xs, xs, robot_x)
-                     for new_xs in product(*[steps[x] for steps, x in zip(advance, xs)]))
+        return tuple(canonical(product(*[
+            (dead,) * len(options[xs[k]]) if xs[k] < robot_x else options[xs[k]]
+            for k, _, dead, options in pickers])))
 
-    rows = {xs0: init.obstacles}     # mover xs -> shared obstacle tuple
+    rows = {}     # mover xs -> shared obstacle tuple
 
     def obstacles_at(xs: tuple[int, ...]) -> tuple[ObstacleSnapshot, ...]:
         row = rows.get(xs)
@@ -276,13 +275,14 @@ def check_safety(
 
     def world_at(key: tuple, tick: int) -> WorldState:
         robot = RobotSnapshot(key[0], key[1], key[2], _MODES[key[3]])
-        return WorldState(tick, robot, obstacles_at(key[4:4 + n]), obstacles_at(key[4 + n:]))
+        return WorldState(tick, robot, obstacles_at(key[4::2]), obstacles_at(key[5::2]))
 
     def key_of(world: WorldState) -> tuple:
         """The search key of an object-level state."""
-        return _robot_key(world.robot) + tail(tuple(world.obstacles[i].x for i, _ in movers),
-                                              tuple(world.prev_obstacles[i].x for i, _ in movers),
-                                              world.robot.x)
+        robot_x, now, prev = world.robot.x, world.obstacles, world.prev_obstacles
+        return _robot_key(world.robot) + next(canonical([[
+            dead if prev[i].x < robot_x else (dead[0], now[i].x, prev[i].x)
+            for _, i, dead, _ in pickers]]))
 
     def trace_to(key: tuple) -> Trace:
         """The counterexample that ends in ``key``, rebuilt with the
@@ -305,11 +305,10 @@ def check_safety(
 
     init_key = key_of(init)
     parents: dict = {init_key: None}     # doubles as the visited set
-    moved_robot: dict = {}      # key[:4] + prev xs -> (robot key after robot_step, expanded[it])
-    safe: dict = {}             # key[:4] + xs -> is_passive_safe
+    moved_robot: dict = {}      # key[:4] + prev xs -> (head, *expanded[head], head == key[:4])
     tails: dict = {}            # xs -> (successor tails in pick order, lowest unparked x)
     parked: dict = {}           # xs + (robot x,) -> successor tails with dead movers parked
-    expanded: dict = {}         # robot key after robot_step -> {xs: successor tails}
+    expanded = defaultdict(lambda: ({}, {}))   # head -> ({xs: successor tails}, {xs: safe})
     no_mover = scenario.track_length_cells      # above every robot x
     transitions = 0
     peak_frontier = 1
@@ -335,18 +334,19 @@ def check_safety(
         rest = len(level)
         for key in level:
             rest -= 1
-            seen = key[:4] + key[4 + n:]
+            seen = key[:4] + key[5::2]
             moved = moved_robot.get(seen)
             if moved is None:
                 world = world_at(key, depth - 1)
                 head = _robot_key(robot_step(world.robot, world, scenario))
-                moved = moved_robot[seen] = head, expanded.setdefault(head, {})
-            head, known = moved
-            xs = key[4:4 + n]
+                known, safe = expanded[head]
+                moved = moved_robot[seen] = head, known, safe, head == seen[:4]
+            head, known, safe, stays = moved
+            xs = key[4::2]
             succ_tails = known.get(xs)
             if succ_tails is not None:      # every successor is in parents already
                 transitions += len(succ_tails)
-                if head == key[:4]:
+                if stays:
                     transitions -= succ_tails.count(key[4:])
                 continue
             entry = tails.get(xs)
@@ -368,7 +368,7 @@ def check_safety(
                     continue
                 parents[succ_key] = key
                 max_depth = depth
-                now = succ_key[:4 + n]
+                now = succ_tail[::2]
                 ok = safe.get(now)
                 if ok is None:
                     ok = safe[now] = is_passive_safe(world_at(succ_key, depth))

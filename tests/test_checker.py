@@ -8,6 +8,7 @@ import pytest
 
 from passivesafe import (
     ObstacleChoice,
+    ObstacleSpec,
     Outcome,
     RobotMode,
     Trace,
@@ -360,6 +361,21 @@ def test_two_interchangeable_movers_reach_fixpoint():
 
 @pytest.mark.slow
 def test_three_interchangeable_movers_reach_fixpoint():
-    """About 2 s and 100 MB under pytest: deselected by default, run
+    """About 1-2 s and 100 MB under pytest: deselected by default, run
     with ``pytest -m slow``."""
     _assert_fixpoint("head_on_three_movers.json", (240_388, 6_388_591, 70_221, 30))
+
+
+@pytest.mark.slow
+def test_four_interchangeable_movers_run_out_of_budget():
+    """The three-mover config plus a like mover at cell 49, cut mid-level
+    by a budget of 1,000,000 states: the counts pin the search order on
+    a four-mover group.  About 3-5 s and 300 MB under pytest."""
+    scenario = load_scenario((CONFIGS / "head_on_three_movers.json").read_text())
+    fourth = ObstacleSpec(id=3, start_cell=49, lane=1, is_static=False, dest_cell=0, max_vel=3)
+    scenario = scenario._replace(obstacles=scenario.obstacles + (fourth,))
+    verdict = check_safety(scenario, state_budget=1_000_000)
+    assert verdict.outcome is Outcome.INCONCLUSIVE
+    s = verdict.stats
+    assert (s.states, s.transitions, s.peak_frontier, s.max_depth) == \
+        (1_000_001, 34_664_455, 572_085, 7)

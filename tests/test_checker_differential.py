@@ -540,6 +540,47 @@ def test_checker_matches_object_level_bfs_on_head_on_scenarios(scenario):
     assert_matches_walked_search(scenario)
 
 
+def _interleaved(movers, base=None) -> GridScenario:
+    """``base`` (by default a 16-cell, two-lane track) with movers given in
+    scenario order as (start, lane, maxVel), all bound for cell 0."""
+    base = base or GridScenario(
+        track_length_cells=16, lane_count=2, robot_start_cell=0, robot_start_lane=0,
+        robot_max_vel=2, robot_dest_cell=15, obstacles=(),
+        assumptions=Assumptions(assumed_obstacle_max_vel=2, visual_radius=8, buffer=2,
+                                reaction_radius=8),
+    )
+    return base._replace(obstacles=tuple(
+        ObstacleSpec(id=10 + k, start_cell=start, lane=lane, is_static=False, dest_cell=0,
+                     max_vel=max_vel)
+        for k, (start, lane, max_vel) in enumerate(movers)
+    ) + tuple(o for o in base.obstacles if o.is_static))
+
+
+@pytest.mark.parametrize("scenario, outcome", [
+    (_interleaved([(9, 0, 2), (11, 0, 1), (12, 0, 2)]), Outcome.HOLDS),
+    (_interleaved([(6, 0, 2), (7, 1, 2), (8, 0, 2), (9, 1, 2)]), Outcome.HOLDS),
+    (_interleaved([(24, 1, 3), (25, 1, 2), (26, 1, 3)], head_on_scenario(assumed_obstacle_max_vel=2)),
+     Outcome.VIOLATED),
+], ids=["kinds-A-B-A", "kinds-A-B-A-B-in-two-lanes", "kinds-A-B-A-violated"])
+def test_interleaved_groups_match_walked_search(scenario, outcome):
+    """Movers of one kind alternate with another kind in scenario order,
+    so the checker's key lists them in another order than its picks:
+    a wrong permutation back to pick order changes the search order.
+    Equal in full at the end of the search, at every depth bound up to
+    it and at state budgets that cut across its widest level."""
+    full = check_safety(scenario)
+    assert full.outcome is outcome
+    assert full == reference_check_safety(scenario)
+    bounded = [check_safety(scenario, d) for d in range(full.max_depth + 1)]
+    for d, verdict in enumerate(bounded):
+        assert verdict == reference_check_safety(scenario, d), d
+    sizes = [v.states_explored for v in bounded] + [full.states_explored]
+    low, high = max(zip(sizes, sizes[1:]), key=lambda level: level[1] - level[0])
+    for budget in range(low, high, max(1, (high - low) // 8)):
+        verdict = check_safety(scenario, state_budget=budget)
+        assert verdict == reference_check_safety(scenario, state_budget=budget), budget
+
+
 
 @settings(max_examples=100, deadline=None)
 @given(scenario=scenarios())
