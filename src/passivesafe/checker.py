@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import gc
 import json
-import random
+import os
 import time
 from collections import defaultdict, namedtuple
 from enum import Enum
 from itertools import chain, product
 from operator import itemgetter
-from pathlib import Path
 
 from .automata import (
     ChoiceError,
@@ -436,6 +435,7 @@ def random_rollout(
     Stops early once the world is quiescent (robot idle at destination,
     nothing left moving).
     """
+    import random   # here, so that `check` does not pay for it
     rng = random.Random(seed)
     world = initial_world_state(scenario)
     for _ in range(max_ticks):
@@ -497,8 +497,9 @@ def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace_jsonl(trace: Trace, scenario: GridScenario, path: str | Path) -> None:
-    Path(path).write_text(trace_to_jsonl(trace, scenario), encoding="utf-8")
+def write_trace_jsonl(trace: Trace, scenario: GridScenario, path: str | os.PathLike) -> None:
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(trace_to_jsonl(trace, scenario))
 
 
 def _label_from_dict(record: dict) -> TransitionLabel:
@@ -545,5 +546,5 @@ def trace_from_jsonl(text: str) -> Trace:
     return Trace(initial=initial, steps=tuple(steps))
 
 
-def read_trace_jsonl(path: str | Path) -> Trace:
+def read_trace_jsonl(path: str | os.PathLike) -> Trace:
     return trace_from_jsonl(read_utf8(path, TraceError))

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .model import DEFAULT_STATE_BUDGET, ScenarioError, TraceError, load_scenario, read_utf8
 
@@ -57,6 +56,18 @@ def _read(path: str) -> str:
         raise _FileError(f"cannot read {path}: {e.strerror}")
 
 
+def _stem(path: str) -> str:
+    """``pathlib.PurePath(path).stem`` (through Python 3.13) without loading
+    ``pathlib``: the last component that is not empty or ``.``, less its
+    last suffix, where a dot that leads or ends the name starts none."""
+    tail = os.path.splitdrive(path)[1]
+    if os.path.altsep:
+        tail = tail.replace(os.path.altsep, os.path.sep)
+    name = next((part for part in reversed(tail.split(os.path.sep)) if part not in ("", ".")), "")
+    i = name.rfind(".")
+    return name[:i] if 0 < i < len(name) - 1 else name
+
+
 def _write(path: str, text: str, mode: str = "w") -> None:
     try:
         with open(path, mode, encoding="utf-8") as out:
@@ -73,7 +84,7 @@ def _cmd_check(args) -> int:
     )
     trace_path = None
     if verdict.counterexample is not None:
-        trace_path = args.trace or (Path(args.scenario).stem + ".counterexample.jsonl")
+        trace_path = args.trace or (_stem(args.scenario) + ".counterexample.jsonl")
         _write(trace_path, checker.trace_to_jsonl(verdict.counterexample, scenario))
     print(json.dumps(checker.verdict_to_dict(verdict, trace_path)))
     if verdict.outcome is checker.Outcome.INCONCLUSIVE:

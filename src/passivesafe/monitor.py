@@ -10,7 +10,7 @@ brake to a standstill and end the run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .model import Assumptions
 
@@ -19,27 +19,19 @@ class ObservationOrderError(ValueError):
     """Observations must arrive with strictly increasing timestamps."""
 
 
-@dataclass(frozen=True, slots=True)
-class Observation:
+class Observation(namedtuple("Observation", "t robot_x robot_v obstacle_x")):
     """One sample of robot and (one-tick-delayed) obstacle state."""
 
-    t: float
-    robot_x: float
-    robot_v: float
-    obstacle_x: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Feedback:
+class Feedback(namedtuple("Feedback", "t estimated_obstacle_vel assumed_max kind",
+                          defaults=("assumption_violated",))):
     """Emitted when a design-time assumption is observed to be wrong."""
 
-    t: float
-    estimated_obstacle_vel: float
-    assumed_max: float
-    kind: str = "assumption_violated"
+    __slots__ = ()
 
 
-@dataclass(slots=True)
 class MonitorState:
     """Mutable monitor record; ``observe_at`` updates it in place.
 
@@ -48,15 +40,17 @@ class MonitorState:
     exceed to trip, ``assumed_obstacle_max_vel + tolerance``.
     """
 
-    assumptions: Assumptions
-    tolerance: float
-    last_t: float | None = None
-    last_obstacle_x: float = 0.0
-    violation_latched: bool = False
-    trip_speed: float = field(init=False)
+    __slots__ = ("assumptions", "tolerance", "last_t", "last_obstacle_x", "violation_latched",
+                 "trip_speed")
 
-    def __post_init__(self) -> None:
-        self.trip_speed = self.assumptions.assumed_obstacle_max_vel + self.tolerance
+    def __init__(self, assumptions: Assumptions, tolerance: float, last_t: float | None = None,
+                 last_obstacle_x: float = 0.0, violation_latched: bool = False) -> None:
+        self.assumptions = assumptions
+        self.tolerance = tolerance
+        self.last_t = last_t
+        self.last_obstacle_x = last_obstacle_x
+        self.violation_latched = violation_latched
+        self.trip_speed = assumptions.assumed_obstacle_max_vel + tolerance
 
 
 def new_monitor(assumptions: Assumptions, tolerance: float | None = None) -> MonitorState:

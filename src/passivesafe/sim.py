@@ -24,6 +24,15 @@ and those ticks only draw, move the obstacle
 and test for entry, contact, the goal and the tick budget.  That phase
 leaves out only what cannot happen there, so the split is exact.
 
+Most of that phase is a prefix, also fixed by the config, on which even
+the entry and contact tests cannot pass, so those ticks only draw and
+move the obstacle.  A draw moves the obstacle by
+``(true_max * (1.0 - draw)) * dt``, never more than ``true_max * dt``
+since draws are >= 0, and rounding to nearest is monotone: the obstacle
+never stands below the positions reached by stepping ``true_max * dt``
+every tick with the same float operations.  A tick whose tests fail on
+those positions fails them for every draw.
+
 The robot only ever reacts inside its reaction area, which may be
 smaller than its sensing range: a deliberately small reaction area makes
 the robot brake too late even against obstacles that honor the assumed
@@ -33,6 +42,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,6 +71,9 @@ class SimOutcome(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
+    """One episode's track, robot, obstacle and monitor parameters; a
+    sweep varies it with ``dataclasses.replace``."""
+
     dt: float = 0.1                       # s
     track_length: float = 12.0            # m
     robot_start: float = 0.0              # m
@@ -122,44 +135,29 @@ _FAR_ACTIONS = {mode: tuple(VelocityAction.BRAKE if a is VelocityAction.DODGE el
                             for a in row[0::2]) for mode, row in MODE_TABLE.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class SimState:
-    t: float
-    robot_x: float
-    robot_v: float
-    robot_mode: RobotMode
-    obstacle_x: float
-    obstacle_v: float        # current sample; 0.0 before the first draw
-    monitor_tripped: bool
+class SimState(namedtuple("SimState", "t robot_x robot_v robot_mode obstacle_x obstacle_v "
+                           "monitor_tripped")):
+    """The world after one tick; ``obstacle_v`` is the tick's sample, 0.0
+    before the first draw."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CollisionEvent:
-    t: float
-    robot_v: float
-    gap: float
-    active: bool
-    kind: str = "collision"
+class CollisionEvent(namedtuple("CollisionEvent", "t robot_v gap active kind",
+                                defaults=("collision",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class ModeChangeEvent:
-    t: float
-    mode_before: RobotMode
-    mode_after: RobotMode
-    kind: str = "mode_change"
+class ModeChangeEvent(namedtuple("ModeChangeEvent", "t mode_before mode_after kind",
+                                 defaults=("mode_change",))):
+    __slots__ = ()
 
 
 SimEvent = CollisionEvent | ModeChangeEvent | Feedback
 
 
-@dataclass(frozen=True, slots=True)
-class SimTrace:
-    config: SimConfig
-    states: tuple[SimState, ...]
-    events: tuple[SimEvent, ...]
-    outcome: SimOutcome
-    ticks: int
+class SimTrace(namedtuple("SimTrace", "config states events outcome ticks")):
+    __slots__ = ()
 
 
 def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
@@ -181,12 +179,18 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     )
 
 
-def _approach(config: SimConfig) -> tuple[list, list, list]:
+def _approach(config: SimConfig) -> tuple[int, list, list, list]:
     """The robot's motion before the reaction area, on calm far actions
-    (all accelerate or hold): each tick's ``(tick, x before, x after)``,
-    ``(x, v, mode)`` after ticks 0..L and ``(tick, ModeChangeEvent)``
-    pairs, up to the goal, the tick budget or the obstacle's start in
-    reach."""
+    (all accelerate or hold), up to the goal, the tick budget or the
+    obstacle's start in reach: the prefix, each later tick's ``(tick,
+    x before, x after)``, ``(x, v, mode)`` after ticks 0..L and
+    ``(tick, ModeChangeEvent)`` pairs.
+
+    The prefix is the number of leading ticks whose entry and contact
+    tests fail on ``low``, the obstacle's lowest positions (see the module
+    docstring), and so fail for any draws.  Tick n's entry test reads the
+    obstacle after tick n - 2 (the start for n <= 2) and the robot before
+    tick n; its contact test reads both after tick n."""
     x, dest, max_vel, dt = config.robot_start, config.robot_dest, config.robot_max_vel, config.dt
     v, mode, accel_dv = 0.0, RobotMode.IDLE, config.robot_accel * dt
     robot = [(x, v, mode)]
@@ -197,14 +201,22 @@ def _approach(config: SimConfig) -> tuple[list, list, list]:
             mode = RobotMode.DRIVE if v == max_vel else RobotMode.ACCELERATE
         x += v * dt
         robot.append((x, v, mode))
-    steps = [(n, robot[n - 1][0], robot[n][0]) for n in range(1, len(robot))]
+    last = len(robot) - 1
+    step, low = config.obstacle_true_max_vel * dt, [config.obstacle_start]
+    for _ in range(last):
+        low.append(low[-1] - step)
+    prefix = next((n - 1 for n in range(1, last + 1)
+                   if low[max(n - 2, 0)] - robot[n - 1][0] <= config.reaction_radius
+                   or low[n] - robot[n][0] <= config.collision_threshold), last)
+    steps = [(n, robot[n - 1][0], robot[n][0]) for n in range(prefix + 1, last + 1)]
     mode_changes = [(n, ModeChangeEvent(n * dt, robot[n - 1][2], robot[n][2]))
-                    for n in range(1, len(robot)) if robot[n][2] is not robot[n - 1][2]]
-    return steps, robot, mode_changes
+                    for n in range(1, last + 1) if robot[n][2] is not robot[n - 1][2]]
+    return prefix, steps, robot, mode_changes
 
 
 def _episode(
-    config: SimConfig, seed: int, *, collect_states: bool, approach: tuple[list, list, list]
+    config: SimConfig, seed: int, *, collect_states: bool,
+    approach: tuple[int, list, list, list]
 ) -> tuple[list[SimState], list[SimEvent], SimOutcome, int]:
     """The episode of ``simulate`` on a config that has passed
     ``validate()``, drawn from ``seed`` instead of ``config.seed``, with
@@ -221,6 +233,13 @@ def _episode(
     the full tick, runs from then on.  Phase 1 leaves out only what
     cannot happen before that tick, so the split is exact for any draws.
 
+    Phase 1 starts with the approach's prefix, whose ticks only draw,
+    move the obstacle and keep its last position: even an obstacle that
+    moves its true maximum every tick, which with monotone rounding
+    bounds every draw's position from below, passes neither test there
+    (see ``_approach``).  After it the loop holds what the tested loop
+    would hold, so the tested loop takes over at the next tick.
+
     Phase 2 reads only locals and allocates no object on a tick without
     an event.  ``observe_at`` alone decides when the assumption is
     violated, and it cannot fire while the observed gap lies outside
@@ -236,7 +255,7 @@ def _episode(
     true_max = config.obstacle_true_max_vel
     reaction = config.reaction_radius
     threshold = config.collision_threshold
-    steps, robot, mode_changes = approach
+    prefix, steps, robot, mode_changes = approach
     obstacle_x = prev_obstacle_x = config.obstacle_start   # tick-0 convention
     obstacle_v = 0.0
     states: list[SimState] = []
@@ -247,9 +266,19 @@ def _episode(
     if collect_states:
         states.append(SimState(0.0, *robot[0], obstacle_x, obstacle_v, False))
 
-    # Phase 1, ticks 1..done.  The entry test reads nothing the draw sets,
-    # so it comes first; a contact ends the phase with its tick.
-    done = len(steps)
+    # Phase 1, ticks 1..done: first the prefix, where no test can pass ...
+    for tick in range(1, prefix + 1):
+        obstacle_v = true_max * (1.0 - draw())
+        seen, prev_obstacle_x = prev_obstacle_x, obstacle_x
+        obstacle_x -= obstacle_v * dt
+        if collect_states:
+            states.append(SimState(tick * dt, *robot[tick], obstacle_x, obstacle_v, False))
+    if prefix:
+        skipped_robot_x, skipped_seen = robot[prefix - 1][0], seen
+
+    # ... then the tested ticks.  The entry test reads nothing the draw
+    # sets, so it comes first; a contact ends the phase with its tick.
+    done = len(robot) - 1
     for tick, robot_x, robot_x_after in steps:
         if prev_obstacle_x - robot_x <= reaction:
             done = tick - 1

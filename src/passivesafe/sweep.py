@@ -9,8 +9,8 @@ byte of the output.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass, replace
-from typing import NoReturn
 
 from .model import ScenarioError, _as_int, _as_number, _record, parse_json
 from .sim import SimConfig, SimOutcome, _approach, _episode, sim_config_from_dict
@@ -20,6 +20,9 @@ CSV_HEADER = "obstacle_vel_mps,reaction_radius_m,runs,active_collisions,reached_
 
 @dataclass(frozen=True, slots=True)
 class SweepSpec:
+    """A grid of obstacle speeds by reaction radii over a base config,
+    with the number of seeded runs per cell and the first seed."""
+
     base: SimConfig = SimConfig()
     obstacle_vel_grid: tuple[float, ...] = ()
     reaction_radius_grid: tuple[float, ...] = ()
@@ -64,21 +67,13 @@ class SweepSpec:
         ]
 
 
-@dataclass(frozen=True, slots=True)
-class CellResult:
-    obstacle_vel: float
-    reaction_radius: float
-    runs: int
-    active_collisions: int
-    reached_goal: int
-    stopped_safe: int
-    tick_budget_exhausted: int
+class CellResult(namedtuple("CellResult", "obstacle_vel reaction_radius runs active_collisions "
+                               "reached_goal stopped_safe tick_budget_exhausted")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SweepResult:
-    spec: SweepSpec
-    cells: tuple[CellResult, ...]
+class SweepResult(namedtuple("SweepResult", "spec cells")):
+    __slots__ = ()
 
 
 def _run_cell(job: tuple[SimConfig, int, int]) -> CellResult:
@@ -144,10 +139,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     return SweepResult(spec=spec, cells=tuple(cells))
 
 
-def _child(jobs: list[tuple[SimConfig, int, int]], reply) -> NoReturn:
+def _child(jobs: list[tuple[SimConfig, int, int]], reply):
     """A forked worker's whole life: one ``a,b,c,d`` line of outcome
     counts per job, in CellResult's field order, and exit 0; or, if a job
-    raises, only its exception's text (``ValueError: boom``) and exit 1."""
+    raises, only its exception's text (``ValueError: boom``) and exit 1.
+    It never returns: every path ends in ``os._exit``."""
     code = 1
     try:
         try:

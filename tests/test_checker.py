@@ -307,10 +307,11 @@ def test_trace_jsonl_round_trip(tmp_path):
     scenario = head_on_scenario(assumed_obstacle_max_vel=2)
     trace = check_safety(scenario).counterexample
     path = tmp_path / "counterexample.jsonl"
-    write_trace_jsonl(trace, scenario, path)
-    loaded = read_trace_jsonl(path)
-    assert loaded == trace
-    assert not is_passive_safe(replay_trace(scenario, loaded))
+    for write_to, read_from in ((path, str(path)), (str(path), path)):  # str and path-like
+        write_trace_jsonl(trace, scenario, write_to)
+        loaded = read_trace_jsonl(read_from)
+        assert loaded == trace
+        assert not is_passive_safe(replay_trace(scenario, loaded))
 
 
 def test_trace_jsonl_has_one_step_line_per_transition():

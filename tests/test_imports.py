@@ -12,18 +12,24 @@ from pathlib import Path
 import passivesafe
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = str(Path(passivesafe.__file__).resolve().parent.parent)
 
 
-def _loaded_after(statement: str, names: list[str]) -> list[str]:
-    """The modules of ``names`` loaded once ``statement`` has run; what
-    the statement prints comes before the last line and is ignored."""
+def _last_line(statement: str, flags: tuple[str, ...] = ()) -> list[str]:
+    """The words of the last line ``statement`` prints, run in a fresh
+    interpreter started with ``flags`` that imports this package."""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys; {statement}; print(*[m for m in {names!r} if m in sys.modules])"],
+        [sys.executable, *flags, "-c", f"import sys; sys.path.insert(0, {SRC!r}); {statement}"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
+
+
+def _loaded_after(statement: str, names: list[str], flags: tuple[str, ...] = ()) -> list[str]:
+    """The modules of ``names`` loaded once ``statement`` has run; what
+    the statement prints comes before the last line and is ignored."""
+    return _last_line(f"{statement}; print(*[m for m in {names!r} if m in sys.modules])", flags)
 
 
 def test_cli_loads_no_runtime_half_and_no_hashlib():
@@ -40,6 +46,31 @@ def test_check_and_replay_load_no_dataclasses(tmp_path):
                  f"assert cli.main(['check', {scenario!r}, '--trace', {trace!r}]) == 2; "
                  f"assert cli.main(['replay', {scenario!r}, {trace!r}]) == 0")
     assert _loaded_after(statement, ["dataclasses", "inspect"]) == []
+
+
+def test_check_and_replay_load_no_pathlib_or_random(tmp_path):
+    """Under ``-S``, as a site ``.pth`` file may load both beforehand."""
+    scenario, trace = str(CONFIGS / "head_on_under_assumption.json"), str(tmp_path / "cex.jsonl")
+    statement = (f"from passivesafe import cli; "
+                 f"assert cli.main(['check', {scenario!r}, '--trace', {trace!r}]) == 2; "
+                 f"assert cli.main(['replay', {scenario!r}, {trace!r}]) == 0")
+    assert _loaded_after(statement, ["pathlib", "random"], flags=("-S",)) == []
+
+
+def test_sweep_loads_no_typing():
+    """Under ``-S``, as a site ``.pth`` file may load it beforehand."""
+    assert _loaded_after("import passivesafe.sweep", ["typing"], flags=("-S",)) == []
+
+
+def test_runtime_records_are_named_tuples_except_the_configs():
+    """Only the two configs that callers edit with ``dataclasses.replace``
+    are dataclasses; ``MonitorState`` is a plain class."""
+    statement = ("import dataclasses, passivesafe.sweep; "
+                 "print(*[name for module in ('sim', 'monitor', 'sweep') "
+                 "for name, value in vars(sys.modules['passivesafe.' + module]).items() "
+                 "if dataclasses.is_dataclass(value) "
+                 "and value.__module__ == 'passivesafe.' + module])")
+    assert _last_line(statement) == ["SimConfig", "SweepSpec"]
 
 
 def test_sweep_loads_no_checker():

@@ -6,6 +6,9 @@ config through ``_accelerated`` / ``_braked``.  ``simulate`` runs the same
 arithmetic on hoisted locals and calls ``monitor.observe_at`` only inside
 the reaction area, so on every valid config the two must return equal
 traces, states and events included, and write the same trace JSONL bytes.
+They must also agree when every draw is the smallest or the largest
+there is: a draw of 0.0 moves the obstacle its full true maximum, the
+worst case that the approach's untested prefix is proved against.
 
 The digests pin the command-line outputs to the bytes the plain loop
 wrote: the sweep CSV of ``configs/sweep.json`` at one and two workers,
@@ -14,6 +17,8 @@ and the ``simulate --trace`` JSONL of ``configs/runtime.json`` for seeds
 """
 import hashlib
 import random
+import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from passivesafe import sim
 from passivesafe.cli import main
 from passivesafe.model import Assumptions, RobotMode, ScenarioError
 from passivesafe.monitor import Observation, new_monitor, observe
@@ -32,6 +38,7 @@ from passivesafe.sim import (
     SimOutcome,
     SimState,
     SimTrace,
+    load_sim_config,
     simulate,
     trace_to_jsonl,
 )
@@ -200,37 +207,99 @@ def sim_configs(draw):
     )
 
 
+# Configs every differential test runs, besides hypothesis's own draws.
+EXAMPLE_CONFIGS = [
+    # in reach from tick 1: no skipped tick to feed
+    replace(SimConfig(), obstacle_start=0.9, obstacle_true_max_vel=0.3, seed=3),
+    # first in reach at tick 2: the skipped tick fed is the stream's first
+    replace(SimConfig(), robot_accel=5.0, obstacle_start=1.04, seed=3),
+    # the gap jumps from beyond the radius to below 0 in one tick: no call at all
+    replace(SimConfig(), dt=0.5, robot_accel=6.0, robot_max_vel=2.0,
+            reaction_radius=0.1, obstacle_start=1.0, seed=3),
+    # feedback on the first tick in reach (tick 58), estimated against the
+    # skipped tick 57
+    replace(SimConfig(), obstacle_true_max_vel=3.0, seed=1),
+    # The approach (phase 1) ends before the first tick in reach: an active
+    # contact at tick 200, the threshold being above the reaction radius ...
+    replace(SimConfig(), reaction_radius=0.05, collision_threshold=0.3, seed=3),
+    # ... the goal at tick 105 ...
+    replace(SimConfig(), robot_dest=5.0, seed=3),
+    # ... and the tick budget at tick 50
+    replace(SimConfig(), max_ticks=50, seed=3),
+    # first in reach at tick 7, with the robot still accelerating
+    replace(SimConfig(), obstacle_start=1.15, seed=3),
+    # in reach from tick 1, the gap exactly the reaction radius: no approach
+    replace(SimConfig(), obstacle_start=1.0, seed=3),
+]
+
+
+def _examples(configs):
+    """``@example`` for each of ``configs``."""
+    def decorate(test):
+        for config in configs:
+            test = example(config)(test)
+        return test
+    return decorate
+
+
 # ``simulate`` calls the monitor only inside the reaction area, after
 # feeding it a skipped previous tick; the reference calls it every tick.
 @settings(max_examples=300, deadline=None)
 @given(sim_configs())
-# in reach from tick 1: no skipped tick to feed
-@example(replace(SimConfig(), obstacle_start=0.9, obstacle_true_max_vel=0.3, seed=3))
-# first in reach at tick 2: the skipped tick fed is the stream's first
-@example(replace(SimConfig(), robot_accel=5.0, obstacle_start=1.04, seed=3))
-# the gap jumps from beyond the radius to below 0 in one tick: no call at all
-@example(replace(SimConfig(), dt=0.5, robot_accel=6.0, robot_max_vel=2.0,
-                 reaction_radius=0.1, obstacle_start=1.0, seed=3))
-# feedback on the first tick in reach (tick 58), estimated against the
-# skipped tick 57
-@example(replace(SimConfig(), obstacle_true_max_vel=3.0, seed=1))
-# The approach (phase 1) ends before the first tick in reach: an active
-# contact at tick 200, the threshold being above the reaction radius ...
-@example(replace(SimConfig(), reaction_radius=0.05, collision_threshold=0.3, seed=3))
-# ... the goal at tick 105 ...
-@example(replace(SimConfig(), robot_dest=5.0, seed=3))
-# ... and the tick budget at tick 50
-@example(replace(SimConfig(), max_ticks=50, seed=3))
-# first in reach at tick 7, with the robot still accelerating
-@example(replace(SimConfig(), obstacle_start=1.15, seed=3))
-# in reach from tick 1, the gap exactly the reaction radius: no approach
-@example(replace(SimConfig(), obstacle_start=1.0, seed=3))
+@_examples(EXAMPLE_CONFIGS)
 def test_simulate_matches_reference(config):
     for collect_states in (True, False):
         fast = simulate(config, collect_states)
         slow = reference_simulate(config, collect_states)
         assert fast == slow
         assert trace_to_jsonl(fast) == trace_to_jsonl(slow)
+
+
+def _draw_always(monkeypatch, value):
+    """Make every draw of ``simulate`` and ``reference_simulate`` return
+    ``value``."""
+    class Fixed:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return value
+
+    fake = types.SimpleNamespace(Random=Fixed)
+    monkeypatch.setattr(sim, "random", fake)
+    monkeypatch.setattr(sys.modules[__name__], "random", fake)
+
+
+def _runtime_config() -> SimConfig:
+    return load_sim_config((CONFIGS / "runtime.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("draw", [0.0, 1 - 2**-53], ids=["fastest", "slowest"])
+def test_simulate_matches_reference_at_extreme_draws(monkeypatch, draw):
+    """A draw of 0.0 moves the obstacle its full true maximum every tick,
+    the worst case the approach's prefix is proved against; the largest
+    draw moves it least."""
+    _draw_always(monkeypatch, draw)
+    for config in [SimConfig(), _runtime_config(), *EXAMPLE_CONFIGS]:
+        for collect_states in (True, False):
+            fast = simulate(config, collect_states)
+            slow = reference_simulate(config, collect_states)
+            assert fast == slow
+            assert trace_to_jsonl(fast) == trace_to_jsonl(slow)
+
+
+@pytest.mark.parametrize("config", [SimConfig(), _runtime_config()], ids=["default", "runtime"])
+def test_prefix_bound_is_tight(monkeypatch, config):
+    """With the obstacle at its true maximum every tick, the first tick
+    whose observed gap is inside the reaction radius is the one right
+    after the prefix: the prefix skips no tick it could have skipped."""
+    _draw_always(monkeypatch, 0.0)
+    prefix = sim._approach(config)[0]
+    states = simulate(config).states
+    first_in_reach = next(
+        n for n in range(1, len(states))
+        if states[max(n - 2, 0)].obstacle_x - states[n - 1].robot_x <= config.reaction_radius)
+    assert (prefix, first_in_reach) == (161, 162)
 
 
 def test_acceleration_step_rounding_to_zero_is_rejected():

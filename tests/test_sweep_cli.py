@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 
@@ -433,6 +433,18 @@ def test_check_options_do_not_leak_into_the_next_call(tmp_path, monkeypatch, cap
     assert plain["depthBound"] is None
     assert plain["counterexamplePath"] == "head_on_under_assumption.counterexample.jsonl"
     assert parser_builds == [1]
+
+
+@pytest.mark.parametrize("name", ["a.b.json", ".hidden", "foo.", os.path.join("sub", "dir", "x.json")])
+def test_default_counterexample_name_is_the_pathlib_stem(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    scenario = tmp_path / name
+    scenario.parent.mkdir(parents=True, exist_ok=True)
+    scenario.write_bytes((CONFIGS / "head_on_under_assumption.json").read_bytes())
+    assert main(["check", name]) == 2
+    expected = PurePath(name).stem + ".counterexample.jsonl"
+    assert json.loads(capsys.readouterr().out)["counterexamplePath"] == expected
+    assert (tmp_path / expected).is_file()
 
 
 def test_usage_error_leaves_the_parser_usable(capsys, parser_builds):
