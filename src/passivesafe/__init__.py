@@ -14,13 +14,14 @@ package, or one half of it, loads only the submodules that half needs.
 from importlib import import_module
 
 _EXPORTS = {
-    "automata": ("ChoiceError ObstacleChoice TransitionLabel enumerate_obstacle_choices "
-                 "lane_change_possible robot_step world_step"),
+    "automata": ("ChoiceError ObstacleChoice TransitionLabel apply_action "
+                 "enumerate_obstacle_choices lane_change_possible lane_change_possible_at "
+                 "robot_step robot_step_at world_step"),
     "checker": ("ExplorationStats Outcome SafetyVerdict Trace check_safety random_rollout "
                 "replay_trace state_space_stats"),
     "kinematics": ("CollisionDistance braking_distance_cells collision_danger "
-                   "collision_distance_meters is_passive_safe obstacle_driving_distance_cells "
-                   "ticks_to_stop"),
+                   "collision_danger_at collision_distance_meters is_passive_safe "
+                   "is_passive_safe_at obstacle_driving_distance_cells ticks_to_stop"),
     "model": ("Assumptions GridScenario InvariantViolation ObstacleSnapshot ObstacleSpec "
               "RobotMode RobotSnapshot ScenarioError TraceError WorldState initial_world_state "
               "load_scenario serialize_scenario validate_world"),

@@ -7,14 +7,15 @@ velocity from [1, max_vel] every tick; the set of those picks is the
 only nondeterminism in a world step.  Robot and obstacles advance in
 lockstep, and the robot decides on the one-tick-delayed obstacle view,
 so a step reads ``world.prev_obstacles`` and writes the current
-``world.obstacles`` into the successor's ``prev_obstacles``.
+``world.obstacles`` into the successor's ``prev_obstacles``.  The robot
+logic is the plain-value ``robot_step_at``; ``robot_step`` wraps it.
 """
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
 
-from .kinematics import braking_distance_cells, collision_danger
+from .kinematics import braking_distance_cells, collision_danger_at
 from .model import (
     MODE_TABLE,
     GridScenario,
@@ -52,39 +53,52 @@ class TransitionLabel(namedtuple("TransitionLabel", "tick mode_before mode_after
 def lane_change_possible(
     robot: RobotSnapshot, world: WorldState, scenario: GridScenario
 ) -> int | None:
-    """Adjacent lane with no observed obstacle ahead within visual range.
+    """Free side lane on the delayed view; see ``lane_change_possible_at``."""
+    return lane_change_possible_at(robot.x, robot.lane, world.prev_obstacles, scenario)
 
-    Checked on the delayed view, lower lane index wins ties, None when
-    neither neighbor qualifies.
-    """
+
+def lane_change_possible_at(x: int, lane: int, seen: tuple, scenario: GridScenario) -> int | None:
+    """Adjacent lane with no obstacle of ``seen`` ahead of cell ``x``
+    within visual range; lower lane index wins ties, None when neither
+    neighbor qualifies."""
     visual = scenario.assumptions.visual_radius
-    for lane in (robot.lane - 1, robot.lane + 1):
-        if not 0 <= lane < scenario.lane_count:
-            continue
-        blocked = any(
-            obs.lane == lane and robot.x <= obs.x <= robot.x + visual
-            for obs in world.prev_obstacles
-        )
-        if not blocked:
-            return lane
+    for side in (lane - 1, lane + 1):
+        if 0 <= side < scenario.lane_count and not any(
+                obs.lane == side and x <= obs.x <= x + visual for obs in seen):
+            return side
     return None
 
 
 def robot_step(
     robot: RobotSnapshot, world: WorldState, scenario: GridScenario
 ) -> RobotSnapshot:
-    """Advance the robot one tick against the (old) world it observes:
-    its mode's ``MODE_TABLE`` cell for (danger, near destination) picks
-    a unit velocity update."""
-    near_dest = scenario.robot_dest_cell - robot.x <= braking_distance_cells(robot.v)
-    action = MODE_TABLE[robot.mode][2 * collision_danger(world, scenario) + near_dest]
-    mode, v, lane = robot.mode, robot.v, robot.lane
+    """Advance the robot one tick against the (old) world it observes;
+    see ``robot_step_at``."""
+    return RobotSnapshot(*robot_step_at(*robot, world.prev_obstacles, scenario))
+
+
+def robot_step_at(x: int, lane: int, v: int, mode: RobotMode, seen: tuple,
+                  scenario: GridScenario) -> tuple[int, int, int, RobotMode]:
+    """The robot's (x, lane, v, mode) after one tick, deciding on the
+    obstacles ``seen``: its mode's ``MODE_TABLE`` cell for (danger, near
+    destination) picks the action, and dodge takes the free side lane
+    with an acceleration, else brakes."""
+    near_dest = scenario.robot_dest_cell - x <= braking_distance_cells(v)
+    action = MODE_TABLE[mode][2 * collision_danger_at(x, lane, seen, scenario) + near_dest]
     if action is VelocityAction.DODGE:
-        free_lane = lane_change_possible(robot, world, scenario)
+        free_lane = lane_change_possible_at(x, lane, seen, scenario)
         if free_lane is None:
             action = VelocityAction.BRAKE
         else:
             lane, action = free_lane, VelocityAction.ACCELERATE
+    return apply_action(x, lane, v, mode, action, scenario)
+
+
+def apply_action(x: int, lane: int, v: int, mode: RobotMode, action: VelocityAction,
+                 scenario: GridScenario) -> tuple[int, int, int, RobotMode]:
+    """The robot's (x, lane, v, mode) after one tick of a velocity action
+    other than dodge, driven on ``lane``: the action's update of v and
+    mode, then the move at the new v, capped at the destination."""
     if action is VelocityAction.ACCELERATE:
         v = min(v + 1, scenario.robot_max_vel)
         mode = RobotMode.DRIVE if v == scenario.robot_max_vel else RobotMode.ACCELERATE
@@ -93,9 +107,7 @@ def robot_step(
         mode = RobotMode.STOP if v == 0 else RobotMode.BRAKE
     elif action is VelocityAction.PARK:
         mode = RobotMode.IDLE
-
-    x = min(robot.x + v, scenario.robot_dest_cell)
-    return RobotSnapshot(x=x, lane=lane, v=v, mode=mode)
+    return min(x + v, scenario.robot_dest_cell), lane, v, mode
 
 
 def enumerate_obstacle_choices(

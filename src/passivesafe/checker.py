@@ -29,10 +29,10 @@ from .automata import (
     ObstacleChoice,
     TransitionLabel,
     enumerate_obstacle_choices,
-    robot_step,
+    robot_step_at,
     world_step,
 )
-from .kinematics import is_passive_safe
+from .kinematics import is_passive_safe, is_passive_safe_at
 from .model import (
     DEFAULT_STATE_BUDGET,
     GridScenario,
@@ -187,9 +187,11 @@ def check_safety(
     BFS over ``world_step``; ``max_depth`` can be smaller, since the
     reduced search reaches its fixpoint sooner.
 
-    ``robot_step`` reads the robot and the delayed view only, so it is
-    memoised on ``key[:4] + key[5::2]``; ``is_passive_safe`` reads the
-    robot and the current obstacles, so it is memoised on ``key[:4] +
+    A memo miss calls the robot controller and the safety predicate on
+    key fields, with no ``WorldState`` built: ``robot_step_at`` reads
+    the robot and the delayed view only, so it is memoised on ``key[:4]
+    + key[5::2]``; ``is_passive_safe_at`` reads the robot's x, lane and
+    v and the current obstacles, so it is memoised on ``key[:4] +
     key[4::2]``.  Each mover's options, (new x, x) for picks 1..maxVel in
     pick order, are built once per cell; a row of mover xs canonicalises
     each vector of their product over the movers in scenario order, the
@@ -200,7 +202,7 @@ def check_safety(
     (dest, dest), one per pick, memoised on the xs and the robot's x.
 
     So a state's successor keys are ``head + tail`` for each of its
-    successor tails, where ``head`` is the robot after ``robot_step``.
+    successor tails, where ``head`` is the robot after ``robot_step_at``.
     Most expansions repeat an earlier (head, xs) pair (86% on two
     movers, 95% on three), so a repeat only counts its transitions:
     every tail, less those that lead back to the state itself.  This is
@@ -272,10 +274,6 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
             row = rows[xs] = tuple(cells)
         return row
 
-    def world_at(key: tuple, tick: int) -> WorldState:
-        robot = RobotSnapshot(key[0], key[1], key[2], _MODES[key[3]])
-        return WorldState(tick, robot, obstacles_at(key[4::2]), obstacles_at(key[5::2]))
-
     def key_of(world: WorldState) -> tuple:
         """The search key of an object-level state."""
         robot_x, now, prev = world.robot.x, world.obstacles, world.prev_obstacles
@@ -336,8 +334,9 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
             seen = key[:4] + key[5::2]
             moved = moved_robot.get(seen)
             if moved is None:
-                world = world_at(key, depth - 1)
-                head = _robot_key(robot_step(world.robot, world, scenario))
+                *head, mode = robot_step_at(*key[:3], _MODES[key[3]], obstacles_at(key[5::2]),
+                                            scenario)
+                head = (*head, _MODE_CODE[mode])
                 known, safe = expanded[head]
                 moved = moved_robot[seen] = head, known, safe, head == seen[:4]
             head, known, safe, stays = moved
@@ -370,7 +369,7 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
                 now = succ_tail[::2]
                 ok = safe.get(now)
                 if ok is None:
-                    ok = safe[now] = is_passive_safe(world_at(succ_key, depth))
+                    ok = safe[now] = is_passive_safe_at(*head[:3], obstacles_at(now))
                 if not ok:
                     return verdict(Outcome.VIOLATED, trace_to(succ_key))
                 if len(parents) > state_budget:

@@ -44,11 +44,18 @@ def collision_distance_meters(
 
 
 def collision_danger(world: WorldState, scenario: GridScenario) -> bool:
-    """Look-ahead guard: is braking warranted for any observed obstacle?
+    """Look-ahead guard on the one-tick-delayed obstacle view
+    (``prev_obstacles``); see ``collision_danger_at``."""
+    robot = world.robot
+    return collision_danger_at(robot.x, robot.lane, world.prev_obstacles, scenario)
 
-    Reads the one-tick-delayed obstacle view (``prev_obstacles``).  Only
-    obstacles ahead of the robot on its own lane and inside the visual
-    radius count.  Moving obstacles are checked against the full
+
+def collision_danger_at(x: int, lane: int, seen: tuple, scenario: GridScenario) -> bool:
+    """Is braking warranted for any obstacle of ``seen`` (the robot's
+    view), for a robot on cell ``x`` of ``lane``?
+
+    Only obstacles ahead of the robot on its own lane and inside the
+    visual radius count.  Moving obstacles are checked against the full
     look-ahead distance at the robot's *maximum* velocity plus the
     buffer; static obstacles against the braking distance computed one
     velocity step above maximum, which builds in the margin without a
@@ -56,19 +63,14 @@ def collision_danger(world: WorldState, scenario: GridScenario) -> bool:
     """
     a = scenario.assumptions
     vmax = scenario.robot_max_vel
-    robot = world.robot
-    for obs in world.prev_obstacles:
-        if obs.lane != robot.lane:
-            continue
-        if not robot.x <= obs.x:
-            continue
-        if obs.x - robot.x > a.visual_radius:
+    for obs in seen:
+        if obs.lane != lane or not 0 <= obs.x - x <= a.visual_radius:
             continue
         if obs.is_static:
-            if robot.x + braking_distance_cells(vmax + 1) >= obs.x:
+            if x + braking_distance_cells(vmax + 1) >= obs.x:
                 return True
         else:
-            reach = (robot.x
+            reach = (x
                      + braking_distance_cells(vmax)
                      + obstacle_driving_distance_cells(vmax, a.assumed_obstacle_max_vel))
             if reach >= obs.x - a.buffer:
@@ -77,16 +79,20 @@ def collision_danger(world: WorldState, scenario: GridScenario) -> bool:
 
 
 def is_passive_safe(world: WorldState) -> bool:
-    """Passive-safety predicate on the *true* world state.
-
-    A state is unsafe exactly when some obstacle sits on the robot's lane
-    in the cell directly ahead while the robot still has speed.  Contact
-    at zero velocity is admissible: the robot did not cause it.
-    """
+    """Passive-safety predicate on the *true* world state; see
+    ``is_passive_safe_at``."""
     robot = world.robot
-    if robot.v == 0:
+    return is_passive_safe_at(robot.x, robot.lane, robot.v, world.obstacles)
+
+
+def is_passive_safe_at(x: int, lane: int, v: int, obstacles: tuple) -> bool:
+    """A state is unsafe exactly when some obstacle sits on the robot's
+    lane in the cell directly ahead while the robot still has speed.
+    Contact at zero velocity is admissible: the robot did not cause it.
+    """
+    if v == 0:
         return True
-    for obs in world.obstacles:
-        if obs.lane == robot.lane and robot.x < obs.x <= robot.x + 1:
+    for obs in obstacles:
+        if obs.lane == lane and x < obs.x <= x + 1:
             return False
     return True

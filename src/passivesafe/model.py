@@ -73,10 +73,10 @@ class VelocityAction(str, Enum):
     DODGE = "dodge"            # move to a free side lane and accelerate, else brake
 
 
-# The robot controller of both halves: ``automata.robot_step`` on the grid
+# The robot controller of both halves: ``automata.robot_step_at`` on the grid
 # (steps of one cell per tick) and the sim's episode (steps of acceleration
 # or deceleration times dt).  A mode's row is read at column
-# ``2 * danger + near``.  Danger is ``kinematics.collision_danger`` on the
+# ``2 * danger + near``.  Danger is ``kinematics.collision_danger_at`` on the
 # grid; in the sim, a latched monitor or an observed gap inside the reaction
 # area and below the look-ahead distance.  Near: the destination lies within
 # braking distance of the current velocity (at v = 0, "at the destination").

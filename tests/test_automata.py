@@ -20,6 +20,7 @@ from passivesafe import (
     initial_world_state,
     lane_change_possible,
     robot_step,
+    robot_step_at,
     validate_world,
     world_step,
 )
@@ -130,8 +131,9 @@ def reference_robot_step(
 ) -> RobotSnapshot:
     """The grid robot as a branch per mode, before ``MODE_TABLE``.
 
-    The checker differential test runs the same ``robot_step`` on both of
-    its sides, so only this copy can catch a wrong table cell."""
+    The checker differential test runs the same controller on both of its
+    sides (``robot_step_at``, which ``robot_step`` wraps), so only this
+    copy can catch a wrong table cell."""
     danger = collision_danger(world, scenario)
     at_dest = robot.x == scenario.robot_dest_cell
     near_dest = scenario.robot_dest_cell - robot.x <= braking_distance_cells(robot.v)
@@ -178,7 +180,9 @@ def test_robot_step_matches_reference(danger, sides_blocked):
     Danger is a parked obstacle in the next cell of the robot's lane; a
     blocked side is one in the next cell of that lane.  States that
     ``validate_world`` rejects (Idle or Stop with speed, Drive below top
-    speed) are skipped: no step reaches them."""
+    speed) are skipped: no step reaches them.  ``robot_step`` and the
+    plain-value ``robot_step_at`` it wraps must both give the reference's
+    robot."""
     dest, vmax = 20, 3
     checked = 0
     for x in range(dest - 7, dest + 1):
@@ -198,8 +202,10 @@ def test_robot_step_matches_reference(danger, sides_blocked):
                     continue
                 assert collision_danger(world, scenario) is danger
                 assert (lane_change_possible(world.robot, world, scenario) is None) is sides_blocked
-                assert robot_step(world.robot, world, scenario) == \
-                    reference_robot_step(world.robot, world, scenario), (mode, v, x)
+                expected = reference_robot_step(world.robot, world, scenario)
+                assert robot_step(world.robot, world, scenario) == expected, (mode, v, x)
+                assert robot_step_at(x, 1, v, mode, world.prev_obstacles, scenario) == \
+                    expected, (mode, v, x)
                 checked += 1
     assert checked == 8 * (1 + 4 + 1 + 4 + 1)   # cells × admitted v of Idle .. Stop
 

@@ -52,6 +52,7 @@ from passivesafe import (
     serialize_scenario,
     world_step,
 )
+from passivesafe import automata
 from passivesafe.automata import ObstacleChoice, TransitionLabel, robot_step
 from passivesafe.checker import (
     _MODES,
@@ -536,6 +537,54 @@ def _two_movers(**unlike) -> GridScenario:
 ], ids=["head-on", "under-assumption", "two-movers", "two-movers-unlike-maxvel",
         "two-movers-unlike-dest", "two-movers-unlike-lane"])
 def test_checker_matches_object_level_bfs_on_head_on_scenarios(scenario):
+    assert_matches_reference(scenario, None, 10**6)
+    assert_matches_walked_search(scenario)
+
+
+def _dodge(side=None) -> GridScenario:
+    """A 30-cell, two-lane track: the robot starts in lane 1 and meets a
+    head-on mover there, brakes, and on the next tick in danger dodges to
+    lane 0 if its delayed view shows no obstacle there from its cell up
+    to the visual radius (12 cells) ahead.  ``side`` is the (start,
+    maxVel) of a mover in lane 0, also bound for cell 0."""
+    movers = [(24, 1, 2)] + ([(side[0], 0, side[1])] if side else [])
+    return GridScenario(
+        track_length_cells=30, lane_count=2, robot_start_cell=0, robot_start_lane=1,
+        robot_max_vel=2, robot_dest_cell=29,
+        obstacles=tuple(ObstacleSpec(id=k, start_cell=start, lane=lane, is_static=False,
+                                     dest_cell=0, max_vel=max_vel)
+                        for k, (start, lane, max_vel) in enumerate(movers)),
+        assumptions=Assumptions(assumed_obstacle_max_vel=2, visual_radius=12, buffer=4),
+    )
+
+
+@pytest.mark.parametrize("side, dodge", [
+    (None, (0, ())),
+    ((20, 1), (None, (5,))),
+    ((24, 1), (None, (12,))),
+    ((25, 1), (0, (13,))),
+], ids=["free-side-lane", "mover-inside-radius", "mover-at-radius-edge",
+        "mover-past-radius-edge"])
+def test_checker_matches_walked_search_on_dodges(side, dodge, monkeypatch):
+    """The search reaches the named dodge, recorded as the side lane the
+    robot takes (None: it brakes) and the distances ahead of the robot of
+    the obstacles on other lanes it sees.  A mover at exactly the visual
+    radius blocks the lane; one cell further on it does not.  The
+    verdict is then equal in full to both references'."""
+    scenario = _dodge(side)
+    dodges = set()
+    plain = automata.lane_change_possible_at
+
+    def spy(x, lane, seen, scenario):
+        free_lane = plain(x, lane, seen, scenario)
+        dodges.add((free_lane,
+                    tuple(sorted(o.x - x for o in seen if o.lane != lane and o.x >= x))))
+        return free_lane
+
+    monkeypatch.setattr(automata, "lane_change_possible_at", spy)
+    assert check_safety(scenario).outcome is Outcome.HOLDS
+    assert dodge in dodges
+    monkeypatch.undo()
     assert_matches_reference(scenario, None, 10**6)
     assert_matches_walked_search(scenario)
 
