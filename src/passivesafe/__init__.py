@@ -15,13 +15,12 @@ from importlib import import_module
 
 _EXPORTS = {
     "automata": ("ChoiceError ObstacleChoice TransitionLabel apply_action "
-                 "enumerate_obstacle_choices lane_change_possible lane_change_possible_at "
+                 "enumerate_obstacle_choices lane_change_possible_at "
                  "robot_step robot_step_at world_step"),
     "checker": ("ExplorationStats Outcome SafetyVerdict Trace check_safety random_rollout "
                 "replay_trace state_space_stats"),
-    "kinematics": ("CollisionDistance braking_distance_cells collision_danger "
-                   "collision_danger_at collision_distance_meters is_passive_safe "
-                   "is_passive_safe_at obstacle_driving_distance_cells ticks_to_stop"),
+    "kinematics": ("braking_distance_cells collision_danger collision_danger_at "
+                   "is_passive_safe is_passive_safe_at"),
     "model": ("Assumptions GridScenario InvariantViolation ObstacleSnapshot ObstacleSpec "
               "RobotMode RobotSnapshot ScenarioError TraceError WorldState initial_world_state "
               "load_scenario serialize_scenario validate_world"),

@@ -50,13 +50,6 @@ class TransitionLabel(namedtuple("TransitionLabel", "tick mode_before mode_after
     __slots__ = ()
 
 
-def lane_change_possible(
-    robot: RobotSnapshot, world: WorldState, scenario: GridScenario
-) -> int | None:
-    """Free side lane on the delayed view; see ``lane_change_possible_at``."""
-    return lane_change_possible_at(robot.x, robot.lane, world.prev_obstacles, scenario)
-
-
 def lane_change_possible_at(x: int, lane: int, seen: tuple, scenario: GridScenario) -> int | None:
     """Adjacent lane with no obstacle of ``seen`` ahead of cell ``x``
     within visual range; lower lane index wins ties, None when neither

@@ -170,7 +170,7 @@ def check_safety(
     scenario) and with a mover's ``is_static`` read as ``x == dest``.
 
     Every guard and predicate reads only obstacles at or ahead of the
-    robot (``collision_danger``, ``lane_change_possible``,
+    robot (``collision_danger``, ``lane_change_possible_at``,
     ``is_passive_safe``), the robot's x never decreases and a mover's x
     never increases.  So a mover whose x and prev x are both behind the
     robot is dead: nothing reads it again.  The key parks it at (dest,

@@ -3,44 +3,17 @@
 On the grid the robot brakes with unit deceleration: each tick it moves
 at its current velocity, then sheds one cell/tick.  A robot at velocity v
 therefore needs v ticks and v + (v-1) + ... + 1 = v(v+1)/2 cells to stop.
-The runtime analogue works in meters with a configurable deceleration.
+The runtime analogue, ``sim.SimConfig.derived_collision_distance``, works
+in meters with a configurable deceleration.
 """
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .model import GridScenario, WorldState
-
-
-class CollisionDistance(namedtuple("CollisionDistance", "d_brake d_obstacle buffer total")):
-    """The three terms of the look-ahead distance and their exact sum."""
-
-    __slots__ = ()
 
 
 def braking_distance_cells(v: int) -> int:
     """Cells covered by a robot braking from velocity v: v(v+1)/2."""
     return v * (v + 1) // 2
-
-
-def ticks_to_stop(v: int) -> int:
-    """Ticks a robot at velocity v needs to reach v = 0 (unit deceleration)."""
-    return v
-
-
-def obstacle_driving_distance_cells(v_robot: int, assumed_obs_max_vel: int) -> int:
-    """Cells an obstacle at the assumed bound covers while the robot brakes."""
-    return assumed_obs_max_vel * ticks_to_stop(v_robot)
-
-
-def collision_distance_meters(
-    v_robot: float, t_brake: float, v_obs_max: float, buffer: float
-) -> CollisionDistance:
-    """Runtime look-ahead distance: robot braking travel plus obstacle
-    travel during the braking time plus the safety buffer."""
-    d_brake = v_robot * t_brake
-    d_obstacle = v_obs_max * t_brake
-    return CollisionDistance(d_brake, d_obstacle, buffer, d_brake + d_obstacle + buffer)
 
 
 def collision_danger(world: WorldState, scenario: GridScenario) -> bool:
@@ -70,9 +43,8 @@ def collision_danger_at(x: int, lane: int, seen: tuple, scenario: GridScenario) 
             if x + braking_distance_cells(vmax + 1) >= obs.x:
                 return True
         else:
-            reach = (x
-                     + braking_distance_cells(vmax)
-                     + obstacle_driving_distance_cells(vmax, a.assumed_obstacle_max_vel))
+            # braking travel plus the assumed obstacle's travel in the vmax ticks of braking
+            reach = x + braking_distance_cells(vmax) + a.assumed_obstacle_max_vel * vmax
             if reach >= obs.x - a.buffer:
                 return True
     return False

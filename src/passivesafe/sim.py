@@ -16,22 +16,22 @@ lane.  Every tick:
   5. contact is checked against the collision threshold; contact while
      the robot still moves is an active collision and ends the run.
 
-An episode runs in two phases.  Before the first tick whose observed
-gap is at most the reaction radius, the monitor cannot fire and there is
-no danger, so the robot's calm motion depends on the config alone: it is
-computed once per episode, or once per sweep cell for all of its seeds,
-and those ticks only draw, move the obstacle
-and test for entry, contact, the goal and the tick budget.  That phase
-leaves out only what cannot happen there, so the split is exact.
+An episode runs in two loops.  Before the first tick whose observed gap
+is at most the reaction radius, the monitor cannot fire and there is no
+danger, so the robot's calm motion depends on the config alone.  A
+prefix of those ticks, also fixed by the config, is one on which even
+the entry and contact tests cannot pass, so its ticks only draw and move
+the obstacle; the robot's motion there, its mode changes, the look-ahead
+distance and the monitor's assumptions are computed once per config
+(once per sweep cell for all of its seeds).  The full tick runs every
+later tick and alone decides each outcome.
 
-Most of that phase is a prefix, also fixed by the config, on which even
-the entry and contact tests cannot pass, so those ticks only draw and
-move the obstacle.  A draw moves the obstacle by
-``(true_max * (1.0 - draw)) * dt``, never more than ``true_max * dt``
-since draws are >= 0, and rounding to nearest is monotone: the obstacle
-never stands below the positions reached by stepping ``true_max * dt``
-every tick with the same float operations.  A tick whose tests fail on
-those positions fails them for every draw.
+A draw moves the obstacle by ``(true_max * (1.0 - draw)) * dt``, never
+more than ``true_max * dt`` since draws are >= 0, and rounding to
+nearest is monotone: the obstacle never stands below the positions
+reached by stepping ``true_max * dt`` every tick with the same float
+operations.  A tick whose tests fail on those positions fails them for
+every draw.
 
 The robot only ever reacts inside its reaction area, which may be
 smaller than its sensing range: a deliberately small reaction area makes
@@ -46,7 +46,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
-from .kinematics import collision_distance_meters
 from .model import (
     MODE_TABLE,
     Assumptions,
@@ -122,12 +121,13 @@ class SimConfig:
             raise ScenarioError("seed must be >= 0")
 
     def derived_collision_distance(self) -> float:
-        """Look-ahead distance at top speed under the assumed bound; also
-        the reaction radius above which braking distance is guaranteed."""
-        t_brake = self.robot_max_vel / self.robot_decel
-        return collision_distance_meters(
-            self.robot_max_vel, t_brake, self.assumed_obstacle_max_vel, self.buffer
-        ).total
+        """Look-ahead distance at top speed under the assumed bound: the
+        robot's and the obstacle's travel over the braking time plus the
+        buffer.  Also the reaction radius above which braking distance is
+        guaranteed."""
+        v = self.robot_max_vel
+        t_brake = v / self.robot_decel
+        return v * t_brake + self.assumed_obstacle_max_vel * t_brake + self.buffer
 
 
 # Per mode, ``MODE_TABLE``'s far columns (calm, danger), dodge read as brake.
@@ -179,18 +179,21 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     )
 
 
-def _approach(config: SimConfig) -> tuple[int, list, list, list]:
-    """The robot's motion before the reaction area, on calm far actions
-    (all accelerate or hold), up to the goal, the tick budget or the
-    obstacle's start in reach: the prefix, each later tick's ``(tick,
-    x before, x after)``, ``(x, v, mode)`` after ticks 0..L and
-    ``(tick, ModeChangeEvent)`` pairs.
+def _approach(config: SimConfig) -> tuple[int, list, list, float, Assumptions]:
+    """The part of an episode that depends on the config alone: the
+    prefix, the robot's ``(x, v, mode)`` after ticks 0..prefix, the
+    ``ModeChangeEvent``s of those ticks, ``derived_collision_distance()``
+    and the monitor's ``Assumptions``.
 
-    The prefix is the number of leading ticks whose entry and contact
-    tests fail on ``low``, the obstacle's lowest positions (see the module
-    docstring), and so fail for any draws.  Tick n's entry test reads the
-    obstacle after tick n - 2 (the start for n <= 2) and the robot before
-    tick n; its contact test reads both after tick n."""
+    Before the reaction area the robot takes calm far actions (all
+    accelerate or hold), so its motion is fixed up to the goal, the tick
+    budget or the obstacle's start in reach.  The prefix is the number
+    of leading ticks whose entry and contact tests fail on ``low``, the
+    obstacle's lowest positions (see the module docstring), and so fail
+    for any draws; it stops at least one tick before that motion ends,
+    so the full tick decides every outcome.  Tick n's entry test reads
+    the obstacle after tick n - 2 (the start for n <= 2) and the robot
+    before tick n; its contact test reads both after tick n."""
     x, dest, max_vel, dt = config.robot_start, config.robot_dest, config.robot_max_vel, config.dt
     v, mode, accel_dv = 0.0, RobotMode.IDLE, config.robot_accel * dt
     robot = [(x, v, mode)]
@@ -205,18 +208,23 @@ def _approach(config: SimConfig) -> tuple[int, list, list, list]:
     step, low = config.obstacle_true_max_vel * dt, [config.obstacle_start]
     for _ in range(last):
         low.append(low[-1] - step)
-    prefix = next((n - 1 for n in range(1, last + 1)
+    prefix = next((n - 1 for n in range(1, last)
                    if low[max(n - 2, 0)] - robot[n - 1][0] <= config.reaction_radius
-                   or low[n] - robot[n][0] <= config.collision_threshold), last)
-    steps = [(n, robot[n - 1][0], robot[n][0]) for n in range(prefix + 1, last + 1)]
-    mode_changes = [(n, ModeChangeEvent(n * dt, robot[n - 1][2], robot[n][2]))
-                    for n in range(1, last + 1) if robot[n][2] is not robot[n - 1][2]]
-    return prefix, steps, robot, mode_changes
+                   or low[n] - robot[n][0] <= config.collision_threshold), max(last - 1, 0))
+    mode_changes = [ModeChangeEvent(n * dt, robot[n - 1][2], robot[n][2])
+                    for n in range(1, prefix + 1) if robot[n][2] is not robot[n - 1][2]]
+    assumptions = Assumptions(
+        assumed_obstacle_max_vel=config.assumed_obstacle_max_vel,
+        visual_radius=config.visual_range,
+        buffer=config.buffer,
+        reaction_radius=config.reaction_radius,
+    )
+    return prefix, robot[:prefix + 1], mode_changes, config.derived_collision_distance(), assumptions
 
 
 def _episode(
     config: SimConfig, seed: int, *, collect_states: bool,
-    approach: tuple[int, list, list, list]
+    approach: tuple[int, list, list, float, Assumptions]
 ) -> tuple[list[SimState], list[SimEvent], SimOutcome, int]:
     """The episode of ``simulate`` on a config that has passed
     ``validate()``, drawn from ``seed`` instead of ``config.seed``, with
@@ -225,24 +233,18 @@ def _episode(
     each of its seeds.  Returns the states, events, outcome and tick
     count.
 
-    Phase 1 runs the ticks before the first one whose observed gap is at
-    most the reaction radius: without monitor calls or danger there, the
-    robot moves as ``approach`` says, whose end
-    bounds the phase at the goal and the tick budget, and the loop only
-    draws, moves the obstacle and tests for entry and contact.  Phase 2,
-    the full tick, runs from then on.  Phase 1 leaves out only what
-    cannot happen before that tick, so the split is exact for any draws.
+    The episode is two loops.  The prefix loop runs the approach's
+    prefix, whose ticks only draw, move the obstacle and keep its last
+    position: even an obstacle that moves its true maximum every tick,
+    which with monotone rounding bounds every draw's position from
+    below, passes neither the entry nor the contact test there (see
+    ``_approach``), and the robot moves as the approach says.  The full
+    tick runs every later tick; it alone decides contact, the goal,
+    a safe stop and the tick budget.
 
-    Phase 1 starts with the approach's prefix, whose ticks only draw,
-    move the obstacle and keep its last position: even an obstacle that
-    moves its true maximum every tick, which with monotone rounding
-    bounds every draw's position from below, passes neither test there
-    (see ``_approach``).  After it the loop holds what the tested loop
-    would hold, so the tested loop takes over at the next tick.
-
-    Phase 2 reads only locals and allocates no object on a tick without
-    an event.  ``observe_at`` alone decides when the assumption is
-    violated, and it cannot fire while the observed gap lies outside
+    The full tick reads only locals and allocates no object on a tick
+    without an event.  ``observe_at`` alone decides when the assumption
+    is violated, and it cannot fire while the observed gap lies outside
     ``[0, reaction radius]``; so the loop calls it only on ticks inside
     the reaction area (about a tenth of the ticks of the benchmark's
     sweep).  On the first such tick after a skipped one it first feeds
@@ -255,75 +257,42 @@ def _episode(
     true_max = config.obstacle_true_max_vel
     reaction = config.reaction_radius
     threshold = config.collision_threshold
-    prefix, steps, robot, mode_changes = approach
+    prefix, robot, mode_changes, d_collision, assumptions = approach
     obstacle_x = prev_obstacle_x = config.obstacle_start   # tick-0 convention
     obstacle_v = 0.0
     states: list[SimState] = []
-    events: list[SimEvent] = []
-    in_contact = False
+    events: list[SimEvent] = list(mode_changes)
     skipped_robot_x = skipped_seen = None   # the last tick's sample, if skipped
 
     if collect_states:
         states.append(SimState(0.0, *robot[0], obstacle_x, obstacle_v, False))
 
-    # Phase 1, ticks 1..done: first the prefix, where no test can pass ...
+    # The prefix, ticks 1..prefix, where no test can pass.
     for tick in range(1, prefix + 1):
         obstacle_v = true_max * (1.0 - draw())
-        seen, prev_obstacle_x = prev_obstacle_x, obstacle_x
+        skipped_seen, prev_obstacle_x = prev_obstacle_x, obstacle_x
         obstacle_x -= obstacle_v * dt
         if collect_states:
             states.append(SimState(tick * dt, *robot[tick], obstacle_x, obstacle_v, False))
     if prefix:
-        skipped_robot_x, skipped_seen = robot[prefix - 1][0], seen
+        skipped_robot_x = robot[prefix - 1][0]
 
-    # ... then the tested ticks.  The entry test reads nothing the draw
-    # sets, so it comes first; a contact ends the phase with its tick.
-    done = len(robot) - 1
-    for tick, robot_x, robot_x_after in steps:
-        if prev_obstacle_x - robot_x <= reaction:
-            done = tick - 1
-            break
-        obstacle_v = true_max * (1.0 - draw())
-        skipped_robot_x, skipped_seen, prev_obstacle_x = robot_x, prev_obstacle_x, obstacle_x
-        obstacle_x -= obstacle_v * dt
-        if collect_states:
-            states.append(SimState(tick * dt, *robot[tick], obstacle_x, obstacle_v, False))
-        gap_after = obstacle_x - robot_x_after
-        if gap_after <= threshold and (gap_after >= 0 or prev_obstacle_x - robot_x >= 0):
-            done, in_contact = tick, True
-            break
-    robot_x, robot_v, mode = robot[done]
-    events.extend(event for n, event in mode_changes if n <= done)
-    if in_contact:
-        events.append(CollisionEvent(done * dt, robot_v, gap_after, active=robot_v > 0))
-        if robot_v > 0:
-            return states, events, SimOutcome.ACTIVE_COLLISION, done
-    if robot_x >= config.robot_dest:
-        return states, events, SimOutcome.REACHED_GOAL, done
-    if done == config.max_ticks:
-        return states, events, SimOutcome.TICK_BUDGET_EXHAUSTED, done
-
-    # Phase 2: the full tick, from the first tick in reach on.
+    # The full tick, from the first tick after the prefix on.
+    robot_x, robot_v, mode = robot[prefix]
     max_vel = config.robot_max_vel
     accel_dv = config.robot_accel * dt
     decel_dv = config.robot_decel * dt
-    d_collision = config.derived_collision_distance()
     dest = config.robot_dest
-    monitor = new_monitor(Assumptions(
-        assumed_obstacle_max_vel=config.assumed_obstacle_max_vel,
-        visual_radius=config.visual_range,
-        buffer=config.buffer,
-        reaction_radius=config.reaction_radius,
-    ))
+    monitor = new_monitor(assumptions)
     observe = observe_at
     HOLD, BRAKING = VelocityAction.HOLD, VelocityAction.BRAKE
     ACCELERATE, DRIVE, BRAKE, STOP = (
         RobotMode.ACCELERATE, RobotMode.DRIVE, RobotMode.BRAKE, RobotMode.STOP)
     calm, alarmed = _FAR_ACTIONS[mode]
-    latched = False
+    latched = in_contact = False
     outcome = SimOutcome.TICK_BUDGET_EXHAUSTED
 
-    for tick in range(done + 1, config.max_ticks + 1):
+    for tick in range(prefix + 1, config.max_ticks + 1):
         # (1) obstacle speed for this tick
         obstacle_v = true_max * (1.0 - draw())
 

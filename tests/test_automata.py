@@ -18,7 +18,7 @@ from passivesafe import (
     collision_danger,
     enumerate_obstacle_choices,
     initial_world_state,
-    lane_change_possible,
+    lane_change_possible_at,
     robot_step,
     robot_step_at,
     validate_world,
@@ -156,7 +156,8 @@ def reference_robot_step(
             # The braking trigger has cleared: drive on at reduced speed.
             mode, v = _accelerated(v, vmax)
         else:
-            free_lane = lane_change_possible(robot, world, scenario) if danger else None
+            free_lane = (lane_change_possible_at(robot.x, lane, world.prev_obstacles, scenario)
+                         if danger else None)
             if free_lane is not None:
                 lane = free_lane
                 mode, v = _accelerated(v, vmax)
@@ -201,7 +202,8 @@ def test_robot_step_matches_reference(danger, sides_blocked):
                 except InvariantViolation:
                     continue
                 assert collision_danger(world, scenario) is danger
-                assert (lane_change_possible(world.robot, world, scenario) is None) is sides_blocked
+                free_lane = lane_change_possible_at(x, 1, world.prev_obstacles, scenario)
+                assert (free_lane is None) is sides_blocked
                 expected = reference_robot_step(world.robot, world, scenario)
                 assert robot_step(world.robot, world, scenario) == expected, (mode, v, x)
                 assert robot_step_at(x, 1, v, mode, world.prev_obstacles, scenario) == \
@@ -217,14 +219,15 @@ def test_robot_step_matches_reference(danger, sides_blocked):
 def test_single_lane_has_no_change():
     scenario = single_lane_duel()
     world = initial_world_state(scenario)
-    assert lane_change_possible(world.robot, world, scenario) is None
+    robot = world.robot
+    assert lane_change_possible_at(robot.x, robot.lane, world.prev_obstacles, scenario) is None
 
 
 def test_both_side_lanes_blocked():
     scenario = head_on_scenario()
     world = initial_world_state(scenario)
     robot = RobotSnapshot(x=10, lane=1, v=3, mode=RobotMode.DRIVE)
-    assert lane_change_possible(robot, world, scenario) is None
+    assert lane_change_possible_at(robot.x, robot.lane, world.prev_obstacles, scenario) is None
 
 
 def test_free_left_lane_preferred():
@@ -234,7 +237,8 @@ def test_free_left_lane_preferred():
         obstacles=(), assumptions=Assumptions(2, 10, 1),
     )
     world = initial_world_state(scenario)
-    assert lane_change_possible(world.robot, world, scenario) == 0
+    robot = world.robot
+    assert lane_change_possible_at(robot.x, robot.lane, world.prev_obstacles, scenario) == 0
 
 
 def test_blocked_left_falls_back_to_right():
@@ -245,7 +249,8 @@ def test_blocked_left_falls_back_to_right():
         assumptions=Assumptions(2, 10, 1),
     )
     world = initial_world_state(scenario)
-    assert lane_change_possible(world.robot, world, scenario) == 2
+    robot = world.robot
+    assert lane_change_possible_at(robot.x, robot.lane, world.prev_obstacles, scenario) == 2
 
 
 def test_obstacle_beyond_visual_radius_does_not_block():
@@ -256,7 +261,8 @@ def test_obstacle_beyond_visual_radius_does_not_block():
         assumptions=Assumptions(2, 10, 1),
     )
     world = initial_world_state(scenario)
-    assert lane_change_possible(world.robot, world, scenario) == 0
+    robot = world.robot
+    assert lane_change_possible_at(robot.x, robot.lane, world.prev_obstacles, scenario) == 0
 
 
 def test_braking_robot_takes_free_lane():

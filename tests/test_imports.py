@@ -74,8 +74,8 @@ def test_runtime_records_are_named_tuples_except_the_configs():
 
 
 def test_sweep_loads_no_checker():
-    assert _loaded_after("import passivesafe.sweep",
-                         ["passivesafe.checker", "passivesafe.automata"]) == []
+    assert _loaded_after("import passivesafe.sweep", [
+        "passivesafe.checker", "passivesafe.automata", "passivesafe.kinematics"]) == []
 
 
 def test_parallel_sweep_loads_no_process_pool():

@@ -247,6 +247,18 @@ def test_derived_collision_distance_composition():
     assert config.derived_collision_distance() == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("v,decel,vo,b,total", [
+    (0.0, 1.0, 0.2, 0.1, 0.1),
+    (0.5, 0.5, 0.2, 0.1, 0.8),
+    (0.4, 0.2, 0.2, 0.0, 1.2),
+])
+def test_derived_collision_distance_known_values(v, decel, vo, b, total):
+    config = cfg(robot_max_vel=v, robot_decel=decel, assumed_obstacle_max_vel=vo, buffer=b)
+    t_brake = v / decel
+    assert config.derived_collision_distance() == pytest.approx(total)
+    assert config.derived_collision_distance() == v * t_brake + vo * t_brake + b
+
+
 class _MaxSpeedRng:
     """Stand-in generator whose draws always yield the speed bound."""
 
@@ -365,9 +377,9 @@ def test_calm_far_actions_only_accelerate_or_hold():
     ("robot_max_vel", 1.0, 1, '"robotV": 1,'),
 ])
 def test_next_config_with_equal_values_gets_its_own_approach(field, before, value, text):
-    """The sim reuses its precomputed approach only while the fields it
-    reads are the same objects: a value equal to the last config's, but
-    of another sign or type, still shows in the trace."""
+    """Each ``simulate`` call computes its own approach: a value equal to
+    the last config's, but of another sign or type, still shows in the
+    trace."""
     assert text not in trace_to_jsonl(simulate(cfg(**{field: before})))
     assert text in trace_to_jsonl(simulate(cfg(**{field: value})))
 

@@ -219,8 +219,8 @@ EXAMPLE_CONFIGS = [
     # feedback on the first tick in reach (tick 58), estimated against the
     # skipped tick 57
     replace(SimConfig(), obstacle_true_max_vel=3.0, seed=1),
-    # The approach (phase 1) ends before the first tick in reach: an active
-    # contact at tick 200, the threshold being above the reaction radius ...
+    # The episode ends before the first tick in reach: an active contact at
+    # tick 200, the threshold being above the reaction radius ...
     replace(SimConfig(), reaction_radius=0.05, collision_threshold=0.3, seed=3),
     # ... the goal at tick 105 ...
     replace(SimConfig(), robot_dest=5.0, seed=3),
@@ -230,6 +230,8 @@ EXAMPLE_CONFIGS = [
     replace(SimConfig(), obstacle_start=1.15, seed=3),
     # in reach from tick 1, the gap exactly the reaction radius: no approach
     replace(SimConfig(), obstacle_start=1.0, seed=3),
+    # a one-tick approach: prefix 0, the budget spent by the only full tick
+    replace(SimConfig(), max_ticks=1, seed=3),
 ]
 
 
@@ -270,8 +272,8 @@ def _draw_always(monkeypatch, value):
     monkeypatch.setattr(sys.modules[__name__], "random", fake)
 
 
-def _runtime_config() -> SimConfig:
-    return load_sim_config((CONFIGS / "runtime.json").read_text(encoding="utf-8"))
+def _runtime_config(name: str = "runtime.json") -> SimConfig:
+    return load_sim_config((CONFIGS / name).read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("draw", [0.0, 1 - 2**-53], ids=["fastest", "slowest"])
@@ -302,11 +304,20 @@ def test_prefix_bound_is_tight(monkeypatch, config):
     assert (prefix, first_in_reach) == (161, 162)
 
 
+@pytest.mark.parametrize("config", [
+    *EXAMPLE_CONFIGS, _runtime_config(), _runtime_config("runtime_precondition_gap.json")])
+def test_full_tick_decides_the_outcome(config):
+    """The prefix stops before the episode's last tick, so the full
+    tick decides every outcome, the goal and the tick budget included."""
+    assert sim._approach(config)[0] < simulate(config).ticks
+
+
 def test_acceleration_step_rounding_to_zero_is_rejected():
-    """Once the phase-1 example of a passive contact (tick 175): with
-    ``robotAccel * dt`` rounding to 0 the robot never left v = 0.  Both
-    loops now reject the config, so a valid one cannot stand still
-    before the reaction area."""
+    """Once an example of a passive contact before the reaction area
+    (tick 175): with ``robotAccel * dt`` rounding to 0 the robot never
+    left v = 0.  Both ``simulate`` and the reference now reject the
+    config, so a valid one cannot stand still before the reaction
+    area."""
     config = replace(SimConfig(), robot_accel=5e-324, reaction_radius=0.05,
                      collision_threshold=0.3, obstacle_start=2.0, max_ticks=400, seed=3)
     for run in (simulate, reference_simulate):
