@@ -38,7 +38,7 @@ class ObstacleChoice(namedtuple("ObstacleChoice", "obstacle_id velocity")):
 
 
 class TransitionLabel(namedtuple("TransitionLabel", "tick mode_before mode_after choices "
-                                 "state_hash", defaults=("",))):
+                                 "state_hash")):
     """Record of one world step, enough to replay and explain it: the
     tick, the robot's modes before and after, and the choices (a tuple of
     ``ObstacleChoice``).

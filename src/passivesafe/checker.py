@@ -103,8 +103,7 @@ class ExplorationStats(namedtuple("ExplorationStats",
         return hash(self[:4])
 
 
-class SafetyVerdict(namedtuple("SafetyVerdict", "outcome stats counterexample depth_bound",
-                               defaults=(None, None))):
+class SafetyVerdict(namedtuple("SafetyVerdict", "outcome stats counterexample depth_bound")):
     """An ``Outcome``, the ``ExplorationStats`` behind it, the ``Trace`` of
     a violation and the depth bound the search ran under."""
 
@@ -406,7 +405,7 @@ def replay_trace(scenario: GridScenario, trace: Trace) -> WorldState:
     state.
     """
     world = initial_world_state(scenario)
-    if state_key(world) != state_key(trace.initial) or trace.initial.tick != 0:
+    if world != trace.initial:
         raise TraceError("trace initial state does not match the scenario")
     for k, label in enumerate(trace.steps):
         before = world.robot.mode

@@ -18,17 +18,13 @@ a file and an object built in Python fail with the same message.
 Every record is a ``collections.namedtuple`` subclass with
 ``__slots__ = ()``, except the two configs that callers edit with
 ``dataclasses.replace`` (``sim.SimConfig``, ``sweep.SweepSpec``) and the
-mutable ``monitor.MonitorState``.  A named tuple builds faster than a
-frozen dataclass and reads a field more slowly; what decides is
-start-up: ``dataclasses`` and its class decorators took about 20 ms of
-each ``check`` process, which now imports no ``dataclasses``, and one
-slotted dataclass takes about ten times as long to define as a named
-tuple (1.4-1.7 against 0.12-0.13 ms on CPython 3.11).  Edit such a
-record with ``_replace``, which skips the record's ``__new__`` and so its
-defaulting.  Like any tuple, it equals a tuple with the same items and
-iterates over its fields, so records of different kinds are never
-compared or mixed in one set, unless a ``kind`` field tells them apart,
-as it does the sim's events.
+mutable ``monitor.MonitorState``.  The reason is start-up: importing
+``dataclasses`` and running its class decorators took about 20 ms of each
+``check`` process.  Edit such a record with ``_replace``, which skips the
+record's ``__new__`` and so its defaulting.  Like any tuple, it equals a
+tuple with the same items and iterates over its fields, so records of
+different kinds are never compared or mixed in one set, unless a ``kind``
+field tells them apart, as it does the sim's events.
 """
 from __future__ import annotations
 
@@ -151,7 +147,7 @@ class ObstacleSpec(namedtuple("ObstacleSpec", "id start_cell lane is_static dest
 
 class GridScenario(namedtuple("GridScenario", "track_length_cells lane_count robot_start_cell "
                               "robot_start_lane robot_max_vel robot_dest_cell obstacles "
-                              "assumptions", defaults=((), Assumptions(1, 10, 1)))):
+                              "assumptions")):
     """A grid track, the robot's start and destination, the obstacles
     (a tuple of ``ObstacleSpec``) and the robot's ``Assumptions``."""
 
@@ -320,9 +316,10 @@ def _record(cls, data, keys: dict[str, str], where: str, **nested):
     """Build ``cls`` from the JSON object ``data``, which must hold every
     field without a default and no key outside ``keys``.  A field named in
     ``nested`` goes through its loader first.  A grid record lists its
-    defaults in ``_field_defaults``; the runtime records (``SimConfig``,
-    ``SweepSpec``) are dataclasses with a default on every field, so none
-    of their keys is required."""
+    defaults in ``_field_defaults``: only ``ObstacleSpec`` and
+    ``Assumptions`` have any, so every scenario key is required.  The
+    runtime records (``SimConfig``, ``SweepSpec``) are dataclasses with a
+    default on every field, so none of their keys is required."""
     _as_object(data, where)
     unknown = sorted(data.keys() - keys.keys())
     if unknown:
@@ -502,16 +499,12 @@ def world_to_dict(world: WorldState) -> dict:
 
 
 def world_from_dict(data: dict) -> WorldState:
-    """Inverse of world_to_dict; a malformed record raises TraceError."""
-    try:
-        _as_object(data, "state")
-        return WorldState(
-            tick=_want_int(data, "tick", "state"),
-            robot=robot_from_dict(_field(data, "robot", "state")),
-            obstacles=tuple(map(obstacle_from_dict, _want_list(data, "obstacles", "state"))),
-            prev_obstacles=tuple(
-                map(obstacle_from_dict, _want_list(data, "prevObstacles", "state"))
-            ),
-        )
-    except ScenarioError as e:
-        raise TraceError(str(e)) from e
+    """Inverse of world_to_dict; a malformed record raises ScenarioError,
+    which ``checker.trace_from_jsonl`` reports with its line number."""
+    _as_object(data, "state")
+    return WorldState(
+        tick=_want_int(data, "tick", "state"),
+        robot=robot_from_dict(_field(data, "robot", "state")),
+        obstacles=tuple(map(obstacle_from_dict, _want_list(data, "obstacles", "state"))),
+        prev_obstacles=tuple(map(obstacle_from_dict, _want_list(data, "prevObstacles", "state"))),
+    )

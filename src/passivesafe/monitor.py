@@ -43,13 +43,12 @@ class MonitorState:
     __slots__ = ("assumptions", "tolerance", "last_t", "last_obstacle_x", "violation_latched",
                  "trip_speed")
 
-    def __init__(self, assumptions: Assumptions, tolerance: float, last_t: float | None = None,
-                 last_obstacle_x: float = 0.0, violation_latched: bool = False) -> None:
+    def __init__(self, assumptions: Assumptions, tolerance: float) -> None:
         self.assumptions = assumptions
         self.tolerance = tolerance
-        self.last_t = last_t
-        self.last_obstacle_x = last_obstacle_x
-        self.violation_latched = violation_latched
+        self.last_t = None
+        self.last_obstacle_x = 0.0
+        self.violation_latched = False
         self.trip_speed = assumptions.assumed_obstacle_max_vel + tolerance
 
 

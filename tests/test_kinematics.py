@@ -15,6 +15,7 @@ from passivesafe import (
     collision_danger,
     is_passive_safe,
 )
+from passivesafe.kinematics import is_passive_safe_at
 
 
 def brake_oracle(v: int) -> int:
@@ -187,6 +188,20 @@ def test_passive_safe_checks_current_not_delayed_positions():
     far = (ObstacleSnapshot(0, 40, 0, False, 0),)
     assert is_passive_safe(WorldState(0, robot, world.obstacles, far)) is False
     assert is_passive_safe(WorldState(0, robot, far, world.obstacles)) is True
+
+
+def test_one_tick_head_on_swap_is_unflagged_on_the_grid():
+    """Finding, pinned.  The grid predicate reads one state, so a robot
+    and a head-on mover that pass each other within one tick are never
+    in contact: the robot goes from cell 10 to 12 at v = 2 while the
+    mover goes from 13 to 10, and neither state is unsafe.  The sim's
+    contact test counts such a crossing
+    (``test_sim.py::test_obstacle_jumping_past_moving_robot_is_active_collision``).
+    ROADMAP item 1, the swept predicate, flags this tick and flips the test."""
+    before = (ObstacleSnapshot(0, 13, 0, False, 0),)
+    after = (ObstacleSnapshot(0, 10, 0, False, 0),)
+    assert is_passive_safe_at(10, 0, 2, before) is True
+    assert is_passive_safe_at(12, 0, 2, after) is True
 
 
 def test_passive_safe_invariant_under_obstacle_permutation():

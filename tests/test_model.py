@@ -210,7 +210,7 @@ def test_required_keys_are_the_fields_without_a_default():
     ``_field_defaults``; the runtime records default every field."""
     assert Assumptions._field_defaults == {"reaction_radius": None}
     assert ObstacleSpec._field_defaults == {"dest_cell": None, "max_vel": None}
-    assert list(GridScenario._field_defaults) == ["obstacles", "assumptions"]
+    assert list(GridScenario._field_defaults) == []
     with pytest.raises(ScenarioError, match="^missing required field assumptions.buffer$"):
         load_scenario(MINIMAL.replace(', "buffer": 1', ""))
     for record in (SimConfig, SweepSpec):
@@ -218,6 +218,16 @@ def test_required_keys_are_the_fields_without_a_default():
                    for field in dataclasses.fields(record)), record
     assert sim.sim_config_from_dict({}) == SimConfig()
     assert model._record(SweepSpec, {}, sweep._SPEC_KEYS, "sweep spec") == SweepSpec()
+
+
+@pytest.mark.parametrize("key", list(model._SCENARIO_KEYS))
+def test_every_scenario_key_is_required(key):
+    """No scenario field has a default, so a file is never checked against
+    obstacles or assumptions its designer did not state."""
+    data = json.loads(MINIMAL)
+    del data[key]
+    with pytest.raises(ScenarioError, match=rf"^missing required field scenario\.{key}$"):
+        model.scenario_from_dict(data)
 
 
 def test_python_built_records_keep_their_contracts():

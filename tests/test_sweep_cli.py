@@ -226,6 +226,20 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_scenario_without_assumptions_exits_dataerr(tmp_path, monkeypatch, capsys):
+    """A scenario is checked only against assumptions it states: with none,
+    `check` gives no verdict and writes no counterexample."""
+    data = json.loads((CONFIGS / "head_on.json").read_text())
+    del data["assumptions"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "head_on.json").write_text(json.dumps(data))
+    assert main(["check", "head_on.json"]) == EX_DATAERR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: missing required field scenario.assumptions\n"
+    assert list(tmp_path.glob("*.counterexample.jsonl")) == []
+
+
 def test_negative_depth_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", str(CONFIGS / "head_on_under_assumption.json"), "--depth", "-1"])
@@ -578,21 +592,29 @@ def test_sweep_spec_field_types_exit_dataerr(tmp_path, capsys, key, value, messa
 
 
 @pytest.mark.parametrize("damage, message", [
-    (lambda step: {k: v for k, v in step.items() if k != "tick"},
+    (lambda initial, step: (initial, {k: v for k, v in step.items() if k != "tick"}),
      "missing required field step.tick"),
-    (lambda step: {**step, "modeBefore": "Flying"}, "step.modeBefore: unknown robot mode 'Flying'"),
-    (lambda step: [step], "record must be a JSON object"),
+    (lambda initial, step: (initial, {**step, "modeBefore": "Flying"}),
+     "step.modeBefore: unknown robot mode 'Flying'"),
+    (lambda initial, step: (initial, [step]), "record must be a JSON object"),
+    (lambda initial, step: ({**initial, "robot": {**initial["robot"], "x": "0"}}, step),
+     "robot.x must be an integer"),
 ])
 def test_malformed_trace_line_exits_dataerr(tmp_path, capsys, damage, message):
+    """``damage`` rewrites the initial line and the first step line; the
+    error names the line it changed."""
     scenario = str(CONFIGS / "head_on_under_assumption.json")
     trace_path = tmp_path / "ce.jsonl"
     assert main(["check", scenario, "--trace", str(trace_path)]) == 2
     capsys.readouterr()
     lines = trace_path.read_text().splitlines()
-    lines[1] = json.dumps(damage(json.loads(lines[1])))
+    records = [json.loads(line) for line in lines[:2]]
+    damaged = damage(*records)
+    (changed,) = [n for n in range(2) if damaged[n] != records[n]]
+    lines[:2] = map(json.dumps, damaged)
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["replay", scenario, str(trace_path)]) == EX_DATAERR
-    assert f"trace line 2: {message}" in _one_line_error(capsys)
+    assert f"trace line {changed + 1}: {message}" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("command", ["check", "simulate", "sweep", "replay"])
