@@ -17,13 +17,12 @@ _EXPORTS = {
     "automata": ("ChoiceError ObstacleChoice TransitionLabel apply_action "
                  "enumerate_obstacle_choices lane_change_possible_at "
                  "robot_step robot_step_at world_step"),
-    "checker": ("ExplorationStats Outcome SafetyVerdict Trace check_safety random_rollout "
-                "replay_trace state_space_stats"),
+    "checker": ("ExplorationStats Outcome SafetyVerdict Trace check_safety replay_trace "
+                "state_space_stats"),
     "kinematics": ("braking_distance_cells collision_danger collision_danger_at "
                    "is_passive_safe is_passive_safe_at"),
-    "model": ("Assumptions GridScenario InvariantViolation ObstacleSnapshot ObstacleSpec "
-              "RobotMode RobotSnapshot ScenarioError TraceError WorldState initial_world_state "
-              "load_scenario serialize_scenario validate_world"),
+    "model": ("Assumptions GridScenario ObstacleSnapshot ObstacleSpec RobotMode RobotSnapshot "
+              "ScenarioError TraceError WorldState initial_world_state load_scenario"),
     "monitor": "Feedback MonitorState Observation ObservationOrderError new_monitor observe observe_at",
     "sim": "CollisionEvent SimConfig SimOutcome SimState SimTrace load_sim_config simulate",
     "sweep": "SweepResult SweepSpec load_sweep_spec run_sweep sweep_result_to_csv",

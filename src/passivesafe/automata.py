@@ -163,7 +163,7 @@ def world_step(
             id=obs.id, x=x, lane=obs.lane,
             is_static=x == obs.dest_cell, dest_cell=obs.dest_cell,
         ))
-    robot = robot_step(world.robot, world, scenario)
+    robot = RobotSnapshot(*robot_step_at(*world.robot, world.prev_obstacles, scenario))
     return WorldState(
         tick=world.tick + 1,
         robot=robot,

@@ -48,7 +48,6 @@ from .model import (
     _want_mode,
     initial_world_state,
     obstacle_to_dict,
-    read_utf8,
     robot_to_dict,
     world_from_dict,
     world_to_dict,
@@ -423,33 +422,6 @@ def replay_trace(scenario: GridScenario, trace: Trace) -> WorldState:
     return world
 
 
-def random_rollout(
-    scenario: GridScenario, seed: int, max_ticks: int = 200
-) -> int | None:
-    """One seeded random obstacle policy through the world step.
-
-    Every tick each moving obstacle draws uniformly from [1, max_vel].
-    Returns the tick of the first passive-safety violation, or None.
-    Stops early once the world is quiescent (robot idle at destination,
-    nothing left moving).
-    """
-    import random   # here, so that `check` does not pay for it
-    rng = random.Random(seed)
-    world = initial_world_state(scenario)
-    for _ in range(max_ticks):
-        choices = tuple(
-            ObstacleChoice(obs.id, rng.randint(1, scenario.obstacle_by_id(obs.id).max_vel))
-            for obs in world.obstacles
-            if not obs.is_static
-        )
-        world = world_step(world, choices, scenario)
-        if not is_passive_safe(world):
-            return world.tick
-        if not choices and world.robot.v == 0 and world.robot.x == scenario.robot_dest_cell:
-            return None
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Serialization: verdict summary JSON and counterexample JSONL
 # ---------------------------------------------------------------------------
@@ -542,7 +514,3 @@ def trace_from_jsonl(text: str) -> Trace:
     if initial is None:
         raise TraceError("trace has no initial state line")
     return Trace(initial=initial, steps=tuple(steps))
-
-
-def read_trace_jsonl(path: str | os.PathLike) -> Trace:
-    return trace_from_jsonl(read_utf8(path, TraceError))

@@ -47,10 +47,6 @@ class TraceError(ValueError):
     """A counterexample trace is malformed or failed validation during replay."""
 
 
-class InvariantViolation(AssertionError):
-    """A world state broke a model invariant (see validate_world)."""
-
-
 class RobotMode(str, Enum):
     IDLE = "Idle"
     ACCELERATE = "Accelerate"
@@ -250,40 +246,6 @@ def initial_world_state(scenario: GridScenario) -> WorldState:
     return WorldState(tick=0, robot=robot, obstacles=obstacles, prev_obstacles=obstacles)
 
 
-def validate_world(world: WorldState, scenario: GridScenario) -> None:
-    """Assert every model invariant on a produced state (test hook)."""
-    r = world.robot
-    if world.tick < 0:
-        raise InvariantViolation("negative tick")
-    if not 0 <= r.x <= scenario.track_length_cells - 1:
-        raise InvariantViolation(f"robot x {r.x} off track")
-    if not 0 <= r.lane < scenario.lane_count:
-        raise InvariantViolation(f"robot lane {r.lane} out of range")
-    if not 0 <= r.v <= scenario.robot_max_vel:
-        raise InvariantViolation(f"robot velocity {r.v} out of bounds")
-    if r.mode in (RobotMode.IDLE, RobotMode.STOP) and r.v != 0:
-        raise InvariantViolation(f"mode {r.mode.value} with nonzero velocity")
-    if r.mode is RobotMode.DRIVE and r.v != scenario.robot_max_vel:
-        raise InvariantViolation("Drive mode below max velocity")
-    for label, snapshots in (("obstacles", world.obstacles),
-                             ("prevObstacles", world.prev_obstacles)):
-        for obs in snapshots:
-            spec = scenario.obstacle_by_id(obs.id)
-            if not 0 <= obs.x < scenario.track_length_cells:
-                raise InvariantViolation(f"{label}[{obs.id}] x {obs.x} off track")
-            if not spec.is_static:
-                if not spec.dest_cell <= obs.x <= spec.start_cell:
-                    raise InvariantViolation(
-                        f"{label}[{obs.id}] x {obs.x} outside [dest, start]"
-                    )
-                if obs.x == obs.dest_cell and not obs.is_static:
-                    raise InvariantViolation(
-                        f"{label}[{obs.id}] arrived but not marked static"
-                    )
-    if [o.id for o in world.obstacles] != [o.id for o in world.prev_obstacles]:
-        raise InvariantViolation("obstacles/prevObstacles id mismatch")
-
-
 # ---------------------------------------------------------------------------
 # JSON configuration
 # ---------------------------------------------------------------------------
@@ -445,18 +407,6 @@ def scenario_from_dict(data: dict) -> GridScenario:
 def load_scenario(source: str) -> GridScenario:
     """Parse scenario JSON text, validating structure and invariants."""
     return scenario_from_dict(parse_json(source))
-
-
-def scenario_to_dict(scenario: GridScenario) -> dict:
-    return _to_dict(
-        scenario, _SCENARIO_KEYS,
-        obstacles=lambda obstacles: [_to_dict(obs, _OBSTACLE_KEYS) for obs in obstacles],
-        assumptions=lambda assumptions: _to_dict(assumptions, _ASSUMPTION_KEYS),
-    )
-
-
-def serialize_scenario(scenario: GridScenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2)
 
 
 # Snapshot <-> dict converters shared by trace serialization.

@@ -40,12 +40,10 @@ class MonitorState:
     exceed to trip, ``assumed_obstacle_max_vel + tolerance``.
     """
 
-    __slots__ = ("assumptions", "tolerance", "last_t", "last_obstacle_x", "violation_latched",
-                 "trip_speed")
+    __slots__ = ("assumptions", "last_t", "last_obstacle_x", "violation_latched", "trip_speed")
 
     def __init__(self, assumptions: Assumptions, tolerance: float) -> None:
         self.assumptions = assumptions
-        self.tolerance = tolerance
         self.last_t = None
         self.last_obstacle_x = 0.0
         self.violation_latched = False

@@ -21,14 +21,13 @@ from passivesafe import (
     is_passive_safe,
     new_monitor,
     observe,
-    random_rollout,
     replay_trace,
     run_sweep,
     simulate,
     sweep_result_to_csv,
 )
-from passivesafe.scenarios import head_on_scenario
 from passivesafe.sim import trace_to_jsonl
+from helpers import head_on_scenario, random_rollout
 
 SWEEP_VELS = (0.15, 0.2, 0.25, 0.3)
 SWEEP_RADII = (0.48, 0.55, 0.62, 0.7, 0.8, 1.0)

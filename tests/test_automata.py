@@ -7,7 +7,6 @@ from passivesafe import (
     Assumptions,
     ChoiceError,
     GridScenario,
-    InvariantViolation,
     ObstacleChoice,
     ObstacleSnapshot,
     ObstacleSpec,
@@ -21,10 +20,10 @@ from passivesafe import (
     lane_change_possible_at,
     robot_step,
     robot_step_at,
-    validate_world,
     world_step,
 )
-from passivesafe.scenarios import empty_scenario, head_on_scenario, single_lane_duel
+from helpers import (InvariantViolation, empty_scenario, head_on_scenario, single_lane_duel,
+                     validate_world)
 
 
 def make_world(scenario, robot=None, cells=None):

@@ -17,14 +17,12 @@ from passivesafe import (
     initial_world_state,
     is_passive_safe,
     load_scenario,
-    random_rollout,
     replay_trace,
     state_space_stats,
     world_step,
 )
 from passivesafe.automata import TransitionLabel
 from passivesafe.checker import (
-    read_trace_jsonl,
     state_digest,
     state_key,
     trace_from_jsonl,
@@ -32,7 +30,8 @@ from passivesafe.checker import (
     write_trace_jsonl,
 )
 from passivesafe.cli import main
-from passivesafe.scenarios import empty_scenario, head_on_scenario, single_lane_duel
+from helpers import (empty_scenario, head_on_scenario, random_rollout, read_trace_jsonl,
+                     single_lane_duel)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -75,7 +74,7 @@ def test_under_assumption_violated_and_replayable():
 
 
 def test_every_counterexample_state_respects_model_invariants():
-    from passivesafe import validate_world
+    from helpers import validate_world
 
     scenario = head_on_scenario(assumed_obstacle_max_vel=1)
     trace = check_safety(scenario).counterexample

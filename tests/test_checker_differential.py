@@ -49,7 +49,6 @@ from passivesafe import (
     is_passive_safe,
     load_scenario,
     replay_trace,
-    serialize_scenario,
     world_step,
 )
 from passivesafe import automata
@@ -62,7 +61,7 @@ from passivesafe.checker import (
     state_key,
 )
 from passivesafe.model import DEFAULT_STATE_BUDGET, ObstacleSnapshot, RobotSnapshot, WorldState
-from passivesafe.scenarios import head_on_scenario
+from helpers import head_on_scenario, serialize_scenario
 
 
 def parked_key(key):

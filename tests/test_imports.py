@@ -4,6 +4,7 @@
 not pay for the checker.  Each case runs in a fresh interpreter, since
 this test process has imported everything already.
 """
+import ast
 import importlib
 import subprocess
 import sys
@@ -89,6 +90,32 @@ def test_every_export_is_its_submodules_object():
     for name in passivesafe.__all__:
         value = getattr(passivesafe, name)
         assert getattr(importlib.import_module(value.__module__), name) is value, name
+
+
+def test_every_export_is_named_by_the_package_or_the_benchmark():
+    """Each name in ``__all__`` is named by the CLI, the runtime or the
+    benchmark: by a top-level statement of a submodule or of
+    ``perfbench/``, not counting its own ``def`` or ``class``, nor the
+    body of another export that nothing names.  Code that only tests call
+    lives in ``tests/helpers.py``."""
+    exports = set(passivesafe.__all__)
+    package = Path(passivesafe.__file__).resolve().parent
+    statements = []     # (the name a top-level statement defines, the names it mentions)
+    for path in [*package.glob("*.py"), *(CONFIGS.parent / "perfbench").glob("*.py")]:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            mentioned = {getattr(n, "id", None) or getattr(n, "attr", None)
+                         or getattr(n, "name", None) for n in ast.walk(node)}
+            statements.append((getattr(node, "name", None), mentioned))
+    named, grown = set(), True
+    while grown:
+        before = len(named)
+        for defined, mentioned in statements:
+            if defined not in exports or defined in named:
+                named |= (mentioned & exports) - {defined}
+        grown = len(named) > before
+    assert [name for name in passivesafe.__all__ if name not in named] == []
 
 
 def test_unknown_name_is_an_attribute_error():

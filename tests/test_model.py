@@ -21,12 +21,10 @@ from passivesafe import (
     load_sim_config,
     load_sweep_spec,
     model,
-    serialize_scenario,
     sim,
     sweep,
-    validate_world,
 )
-from passivesafe.scenarios import empty_scenario, head_on_scenario
+from helpers import CONFIGS, empty_scenario, head_on_scenario, serialize_scenario, validate_world
 
 MINIMAL = """
 {
@@ -112,6 +110,13 @@ def test_head_on_scenario_is_valid_and_blocked_sideways():
     assert lanes == {0, 2}
     mover = scenario.obstacle_by_id(0)
     assert not mover.is_static and mover.lane == 1
+
+
+def test_under_assumption_config_is_the_head_on_variant():
+    """The file CI checks for ``Violated`` and the tests' variant of it are
+    one scenario."""
+    text = (CONFIGS / "head_on_under_assumption.json").read_text()
+    assert load_scenario(text) == head_on_scenario(assumed_obstacle_max_vel=2)
 
 
 def test_initial_state_empty_scenario():

@@ -11,10 +11,10 @@ import pytest
 from passivesafe import SimConfig, SweepSpec, cli, load_sweep_spec, run_sweep, sweep_result_to_csv
 from passivesafe import sweep as sweep_module
 from passivesafe.cli import EX_DATAERR, EX_NOINPUT, EX_USAGE, main
-from passivesafe.checker import read_trace_jsonl
 from passivesafe.model import ScenarioError, TraceError, _to_dict
 from passivesafe.sim import sim_config_to_dict
 from passivesafe.sweep import _SPEC_KEYS
+from helpers import read_trace_jsonl
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
