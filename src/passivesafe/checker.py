@@ -132,10 +132,45 @@ def state_key(world: WorldState):
 
 
 def state_digest(world: WorldState) -> str:
-    """Content hash of the full state, stable across runs and processes."""
+    """Content hash of the full state, stable across runs and processes:
+    the SHA-256 of ``world_to_dict(world)`` as compact JSON with sorted
+    keys."""
+    return _digests()(world)
+
+
+class _ObstacleJson(dict):
+    """ObstacleSnapshot -> its JSON object, keys sorted, made on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, o: ObstacleSnapshot) -> str:
+        text = self[o] = '{"destCell":%d,"id":%d,"isStatic":%s,"lane":%d,"x":%d}' % (
+            o.dest_cell, o.id, "true" if o.is_static else "false", o.lane, o.x)
+        return text
+
+
+def _digests():
+    """``state_digest`` for the states of one trace.  The payload is
+    pieced together from the JSON of each obstacle, kept for the next
+    state: the static obstacles recur in every state, and a state's
+    ``obstacles`` are the next one's ``prev_obstacles``.  The bytes are
+    those of ``json.dumps`` for fields of their declared types (ints, a
+    bool and a ``RobotMode``), as ``world_step`` and every loader give
+    them."""
     import hashlib     # loaded only when a trace is digested
-    payload = json.dumps(world_to_dict(world), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    sha256 = hashlib.sha256
+    obstacle = _ObstacleJson().__getitem__
+
+    def digest(world: WorldState) -> str:
+        robot = world.robot
+        payload = ('{"obstacles":[%s],"prevObstacles":[%s],"robot":{"lane":%d,"mode":"%s",'
+                   '"v":%d,"x":%d},"tick":%d}' % (
+                       ",".join(map(obstacle, world.obstacles)),
+                       ",".join(map(obstacle, world.prev_obstacles)),
+                       robot.lane, robot.mode.value, robot.v, robot.x, world.tick))
+        return sha256(payload.encode()).hexdigest()
+
+    return digest
 
 
 def _mover_groups(scenario: GridScenario, movers: list[ObstacleSnapshot]) -> list[tuple[int, ...]]:
@@ -247,12 +282,12 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
     # order.  After a swap a mover may stand on any cell of its group.
     pickers = []
     for j, (i, obs) in enumerate(movers):
-        max_vel = scenario.obstacle_by_id(obs.id).max_vel
+        picks = range(1, scenario.obstacle_by_id(obs.id).max_vel + 1)
         tag, d = group_of[j][0], obs.dest_cell
-        pickers.append((at.index(j), i, (tag, d, d), {
-            x: tuple((tag, max(x - v, d), x) for v in range(1, max_vel + 1)) if x != d
-            else ((tag, d, d),) for x in range(d, max(movers[k][1].x for k in group_of[j]) + 1)
-        }))
+        options = {d: ((tag, d, d),)}
+        for x in range(d + 1, max(movers[k][1].x for k in group_of[j]) + 1):
+            options[x] = tuple([(tag, x - v if x - v > d else d, x) for v in picks])
+        pickers.append((at.index(j), i, (tag, d, d), options))
     movers = [movers[j] for j in at]
     dests = tuple(obs.dest_cell for _, obs in movers)
 
@@ -286,7 +321,7 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
         while key is not None:
             path.append(key)
             key = parents[key]
-        world, steps = init, []
+        world, steps, digest = init, [], _digests()
         for key in reversed(path[:-1]):
             before = world.robot.mode
             for choices in enumerate_obstacle_choices(world, scenario):
@@ -295,7 +330,7 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
                     break
             world = successor
             steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices,
-                                         state_digest(world)))
+                                         digest(world)))
         return Trace(init, tuple(steps))
 
     init_key = key_of(init)
@@ -406,6 +441,7 @@ def replay_trace(scenario: GridScenario, trace: Trace) -> WorldState:
     world = initial_world_state(scenario)
     if world != trace.initial:
         raise TraceError("trace initial state does not match the scenario")
+    digest = _digests()
     for k, label in enumerate(trace.steps):
         before = world.robot.mode
         try:
@@ -417,7 +453,7 @@ def replay_trace(scenario: GridScenario, trace: Trace) -> WorldState:
             raise TraceError(f"invalid label at step {k}: tick {label.tick}, "
                              f"{label.mode_before.value} -> {label.mode_after.value}; replayed "
                              f"tick {world.tick}, {before.value} -> {world.robot.mode.value}")
-        if label.state_hash and state_digest(world) != label.state_hash:
+        if label.state_hash and digest(world) != label.state_hash:
             raise TraceError(f"invalid label at step {k}: state hash mismatch")
     return world
 

@@ -173,8 +173,13 @@ class GridScenario(namedtuple("GridScenario", "track_length_cells lane_count rob
         seen: set[int] = set()
         for i, obs in enumerate(self.obstacles):
             for key, field in _OBSTACLE_KEYS.items():
-                read = _as_bool if field == "is_static" else _as_int
-                read(getattr(obs, field), f"obstacles[{i}].{key}")
+                # The exact type passes at once; only another value builds
+                # its name and goes to the reader, which accepts an int
+                # subclass other than bool and rejects the rest.
+                value = getattr(obs, field)
+                if type(value) is not (bool if field == "is_static" else int):
+                    read = _as_bool if field == "is_static" else _as_int
+                    read(value, f"obstacles[{i}].{key}")
             if obs.id in seen:
                 raise ScenarioError(f"duplicate obstacle id {obs.id}")
             seen.add(obs.id)
@@ -287,9 +292,10 @@ def _record(cls, data, keys: dict[str, str], where: str, **nested):
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     defaults = getattr(cls, "_field_defaults", None)
-    for key, field in keys.items():
-        if defaults is not None and field not in defaults:
-            _field(data, key, where)
+    if defaults is not None and len(data) < len(keys):     # some key is absent
+        for key, field in keys.items():
+            if field not in defaults:
+                _field(data, key, where)
     fields = {keys[key]: _Null() if value is None else value for key, value in data.items()}
     for field, load in nested.items():
         if field in fields:
@@ -392,7 +398,9 @@ def parse_json(source: str):
 
 
 def scenario_from_dict(data: dict) -> GridScenario:
-    scenario = _record(
+    """The scenario record of a JSON object, checked for shape only; its
+    ``validate()`` checks types and values."""
+    return _record(
         GridScenario, data, _SCENARIO_KEYS, "scenario",
         obstacles=lambda raw: tuple(
             _record(ObstacleSpec, obs, _OBSTACLE_KEYS, f"obstacles[{i}]")
@@ -400,13 +408,13 @@ def scenario_from_dict(data: dict) -> GridScenario:
         ),
         assumptions=lambda raw: _record(Assumptions, raw, _ASSUMPTION_KEYS, "assumptions"),
     )
-    scenario.validate()
-    return scenario
 
 
 def load_scenario(source: str) -> GridScenario:
     """Parse scenario JSON text, validating structure and invariants."""
-    return scenario_from_dict(parse_json(source))
+    scenario = scenario_from_dict(parse_json(source))
+    scenario.validate()
+    return scenario
 
 
 # Snapshot <-> dict converters shared by trace serialization.

@@ -3,10 +3,12 @@
 The builders derive from the committed configs, so a test variant and
 the file the CLI checks cannot drift apart.  The oracles are independent
 of the search: a state-invariant check, a seeded random rollout, a trace
-file reader and a scenario serializer for round trips.
+file reader, the state digest as one ``json.dumps`` of the whole state,
+and a scenario serializer for round trips.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -16,7 +18,8 @@ from passivesafe import (Assumptions, GridScenario, ObstacleChoice, ObstacleSpec
                          TraceError, WorldState, initial_world_state, is_passive_safe,
                          load_scenario, world_step)
 from passivesafe.checker import trace_from_jsonl
-from passivesafe.model import _ASSUMPTION_KEYS, _OBSTACLE_KEYS, _SCENARIO_KEYS, _to_dict, read_utf8
+from passivesafe.model import (_ASSUMPTION_KEYS, _OBSTACLE_KEYS, _SCENARIO_KEYS, _to_dict,
+                              read_utf8, world_to_dict)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -138,6 +141,13 @@ def random_rollout(
 
 def read_trace_jsonl(path: str | os.PathLike) -> Trace:
     return trace_from_jsonl(read_utf8(path, TraceError))
+
+
+def reference_state_digest(world: WorldState) -> str:
+    """What ``checker.state_digest`` hashes, in one ``json.dumps``: the
+    whole state as compact JSON with sorted keys."""
+    payload = json.dumps(world_to_dict(world), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def scenario_to_dict(scenario: GridScenario) -> dict:

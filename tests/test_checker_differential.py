@@ -27,6 +27,7 @@ before repeated expansions were counted instead of walked and the
 search ran level by level.  Against it the verdict must be equal in
 full, ``transitions`` and ``peak_frontier`` included.
 """
+import json
 import time
 from collections import deque
 from itertools import product
@@ -59,9 +60,11 @@ from passivesafe.checker import (
     _robot_key,
     state_digest,
     state_key,
+    trace_from_jsonl,
 )
-from passivesafe.model import DEFAULT_STATE_BUDGET, ObstacleSnapshot, RobotSnapshot, WorldState
-from helpers import head_on_scenario, serialize_scenario
+from passivesafe.model import (DEFAULT_STATE_BUDGET, ObstacleSnapshot, RobotSnapshot, WorldState,
+                               world_to_dict)
+from helpers import head_on_scenario, reference_state_digest, serialize_scenario
 
 
 def parked_key(key):
@@ -99,7 +102,7 @@ def reference_check(scenario, depth_bound, state_budget, key_of=lambda key: key)
             before = world.robot.mode
             world = world_step(world, choices, scenario)
             steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices,
-                                         state_digest(world)))
+                                         reference_state_digest(world)))
         return Trace(init, tuple(steps))
 
     while queue:
@@ -145,7 +148,7 @@ def _rebuild_trace(
             mode_before=before,
             mode_after=world.robot.mode,
             choices=choices,
-            state_hash=state_digest(world),
+            state_hash=reference_state_digest(world),
         ))
     return Trace(initial=initial, steps=tuple(steps))
 
@@ -515,6 +518,27 @@ def assert_matches_walked_search(scenario):
 @given(scenario=scenarios() | interchangeable_scenarios())
 def test_checker_matches_walked_search(scenario):
     assert_matches_walked_search(scenario)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios() | interchangeable_scenarios(), data=st.data())
+def test_state_digest_matches_the_reference_json(scenario, data):
+    """``state_digest`` hashes the bytes of one ``json.dumps`` of the
+    state: on every state of a random walk, on the same state read back
+    by ``trace_from_jsonl``, and in ``replay_trace``, whose digests keep
+    their obstacle fragments from one state of the walk to the next."""
+    world = initial_world_state(scenario)
+    steps = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        choices = data.draw(st.sampled_from(enumerate_obstacle_choices(world, scenario)))
+        before = world.robot.mode
+        world = world_step(world, choices, scenario)
+        loaded = trace_from_jsonl(json.dumps({"type": "initial", **world_to_dict(world)})).initial
+        assert loaded == world
+        expected = reference_state_digest(world)
+        assert state_digest(world) == state_digest(loaded) == expected
+        steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices, expected))
+    assert replay_trace(scenario, Trace(initial_world_state(scenario), tuple(steps))) == world
 
 
 def _two_movers(**unlike) -> GridScenario:

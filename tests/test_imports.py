@@ -49,6 +49,14 @@ def test_check_and_replay_load_no_dataclasses(tmp_path):
     assert _loaded_after(statement, ["dataclasses", "inspect"]) == []
 
 
+def test_holds_check_loads_no_hashlib():
+    """Only a counterexample's states are digested.  Under ``-S``, as a
+    site ``.pth`` file may load it beforehand."""
+    scenario = str(CONFIGS / "head_on.json")
+    statement = f"from passivesafe import cli; assert cli.main(['check', {scenario!r}]) == 0"
+    assert _loaded_after(statement, ["hashlib"], flags=("-S",)) == []
+
+
 def test_check_and_replay_load_no_pathlib_or_random(tmp_path):
     """Under ``-S``, as a site ``.pth`` file may load both beforehand."""
     scenario, trace = str(CONFIGS / "head_on_under_assumption.json"), str(tmp_path / "cex.jsonl")

@@ -8,7 +8,8 @@ from pathlib import Path, PurePath
 
 import pytest
 
-from passivesafe import SimConfig, SweepSpec, cli, load_sweep_spec, run_sweep, sweep_result_to_csv
+from passivesafe import (GridScenario, SimConfig, SweepSpec, cli, load_sweep_spec, run_sweep,
+                         sweep_result_to_csv)
 from passivesafe import sweep as sweep_module
 from passivesafe.cli import EX_DATAERR, EX_NOINPUT, EX_USAGE, main
 from passivesafe.model import ScenarioError, TraceError, _to_dict
@@ -224,6 +225,64 @@ def test_malformed_scenario_exit_code(tmp_path, capsys):
     bad.write_text('{"trackLengthCells": 10}')
     assert main(["check", str(bad)]) == EX_DATAERR
     capsys.readouterr()
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Every ``GridScenario.validate`` call, as the scenario it validated."""
+    calls = []
+    plain = GridScenario.validate
+
+    def spy(scenario):
+        calls.append(scenario)
+        plain(scenario)
+
+    monkeypatch.setattr(GridScenario, "validate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("config", ["head_on.json", "head_on_under_assumption.json"])
+def test_check_and_replay_validate_the_scenario_once(tmp_path, capsys, validations, config):
+    """`check` builds the record from the file's shape and leaves the
+    types and values to `check_safety`; `replay` validates as it loads."""
+    trace_path = tmp_path / "ce.jsonl"
+    code = main(["check", str(CONFIGS / config), "--trace", str(trace_path)])
+    assert len(validations) == 1
+    if code == 2:
+        assert main(["replay", str(CONFIGS / config), str(trace_path)]) == 0
+        assert len(validations) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["check", "replay"])
+@pytest.mark.parametrize("change, message", [
+    ({"robotMaxVel": 0}, "robotMaxVel must be >= 1"),
+    ({"laneCount": 1.5}, "laneCount must be an integer"),
+    ({"obstacles": [{"id": 0, "startCell": 40, "lane": 1, "isStatic": "no"}]},
+     "obstacles[0].isStatic must be a boolean"),
+    ({"assumptions": {"assumedObstacleMaxVel": 2, "visualRadius": 30, "buffer": -1}},
+     "assumptions.buffer must be > 0"),
+])
+def test_invalid_scenario_exits_dataerr_with_one_line(tmp_path, monkeypatch, capsys, validations,
+                                                      command, change, message):
+    """A scenario of the right shape that fails ``validate()`` exits 65
+    with one stderr line, validated once, and `check` writes no
+    counterexample."""
+    monkeypatch.chdir(tmp_path)
+    data = {**json.loads((CONFIGS / "head_on_under_assumption.json").read_text()), **change}
+    (tmp_path / "bad.json").write_text(json.dumps(data))
+    argv = [command, "bad.json"]
+    if command == "replay":
+        main(["check", str(CONFIGS / "head_on_under_assumption.json"), "--trace", "ce.jsonl"])
+        capsys.readouterr()
+        validations.clear()
+        argv.append("ce.jsonl")
+    assert main(argv) == EX_DATAERR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert len(validations) == 1
+    assert list(tmp_path.glob("bad.counterexample.jsonl")) == []
 
 
 def test_scenario_without_assumptions_exits_dataerr(tmp_path, monkeypatch, capsys):
