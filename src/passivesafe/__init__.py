@@ -15,12 +15,12 @@ from importlib import import_module
 
 _EXPORTS = {
     "automata": ("ChoiceError ObstacleChoice TransitionLabel apply_action "
-                 "enumerate_obstacle_choices lane_change_possible_at "
-                 "robot_step robot_step_at world_step"),
+                 "enumerate_obstacle_choices free_side_lane lane_change_possible_at "
+                 "robot_decide robot_step robot_step_at world_step"),
     "checker": ("ExplorationStats Outcome SafetyVerdict Trace check_safety replay_trace "
                 "state_space_stats"),
-    "kinematics": ("braking_distance_cells collision_danger collision_danger_at "
-                   "is_passive_safe is_passive_safe_at"),
+    "kinematics": ("blocks_lane braking_distance_cells collision_danger collision_danger_at "
+                   "danger_from is_passive_safe is_passive_safe_at stands_ahead"),
     "model": ("Assumptions GridScenario ObstacleSnapshot ObstacleSpec RobotMode RobotSnapshot "
               "ScenarioError TraceError WorldState initial_world_state load_scenario"),
     "monitor": "Feedback MonitorState Observation ObservationOrderError new_monitor observe observe_at",

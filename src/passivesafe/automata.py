@@ -8,14 +8,16 @@ only nondeterminism in a world step.  Robot and obstacles advance in
 lockstep, and the robot decides on the one-tick-delayed obstacle view,
 so a step reads ``world.prev_obstacles`` and writes the current
 ``world.obstacles`` into the successor's ``prev_obstacles``.  The robot
-logic is the plain-value ``robot_step_at``; ``robot_step`` wraps it.
+logic is the plain-value ``robot_step_at``, which observes the obstacles
+it sees and hands what it observed to ``robot_decide``; ``robot_step``
+wraps it.
 """
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
 
-from .kinematics import braking_distance_cells, collision_danger_at
+from .kinematics import blocks_lane, braking_distance_cells, collision_danger_at
 from .model import (
     MODE_TABLE,
     GridScenario,
@@ -52,12 +54,17 @@ class TransitionLabel(namedtuple("TransitionLabel", "tick mode_before mode_after
 
 def lane_change_possible_at(x: int, lane: int, seen: tuple, scenario: GridScenario) -> int | None:
     """Adjacent lane with no obstacle of ``seen`` ahead of cell ``x``
-    within visual range; lower lane index wins ties, None when neither
-    neighbor qualifies."""
+    within visual range (``blocks_lane``); see ``free_side_lane``."""
     visual = scenario.assumptions.visual_radius
+    return free_side_lane(lane, {obs.lane for obs in seen if blocks_lane(x, obs.x, visual)},
+                          scenario)
+
+
+def free_side_lane(lane: int, blocked, scenario: GridScenario) -> int | None:
+    """The lane next to ``lane`` that is not in ``blocked``; lower lane
+    index wins ties, None when neither neighbor qualifies."""
     for side in (lane - 1, lane + 1):
-        if 0 <= side < scenario.lane_count and not any(
-                obs.lane == side and x <= obs.x <= x + visual for obs in seen):
+        if 0 <= side < scenario.lane_count and side not in blocked:
             return side
     return None
 
@@ -73,17 +80,36 @@ def robot_step(
 def robot_step_at(x: int, lane: int, v: int, mode: RobotMode, seen: tuple,
                   scenario: GridScenario) -> tuple[int, int, int, RobotMode]:
     """The robot's (x, lane, v, mode) after one tick, deciding on the
-    obstacles ``seen``: its mode's ``MODE_TABLE`` cell for (danger, near
-    destination) picks the action, and dodge takes the free side lane
-    with an acceleration, else brakes."""
+    obstacles ``seen``: what it observes there, then ``robot_decide``."""
+    danger = collision_danger_at(x, lane, seen, scenario)
+    return (robot_decide(x, lane, v, mode, danger, _UNLOOKED, scenario)
+            or robot_decide(x, lane, v, mode, danger,
+                            lane_change_possible_at(x, lane, seen, scenario), scenario))
+
+
+_UNLOOKED = object()    # a free lane not looked for yet
+# On CPython 3.11 each read of an enum member as a class attribute costs a
+# descriptor call, about 150 ns; the step reads these from module globals.
+_ACCELERATE, _BRAKE, _PARK, _DODGE = (VelocityAction.ACCELERATE, VelocityAction.BRAKE,
+                                      VelocityAction.PARK, VelocityAction.DODGE)
+
+
+def robot_decide(x: int, lane: int, v: int, mode: RobotMode, danger: bool, free_lane,
+                 scenario: GridScenario) -> tuple[int, int, int, RobotMode] | None:
+    """The robot's (x, lane, v, mode) after one tick, given ``danger`` and
+    ``free_lane``, the free side lane or None: its mode's ``MODE_TABLE``
+    cell for (danger, near destination) picks the action, and dodge takes
+    the free side lane with an acceleration, else brakes.  A dodge with
+    ``_UNLOOKED`` returns None: the caller looks for the lane only then."""
     near_dest = scenario.robot_dest_cell - x <= braking_distance_cells(v)
-    action = MODE_TABLE[mode][2 * collision_danger_at(x, lane, seen, scenario) + near_dest]
-    if action is VelocityAction.DODGE:
-        free_lane = lane_change_possible_at(x, lane, seen, scenario)
+    action = MODE_TABLE[mode][2 * danger + near_dest]
+    if action is _DODGE:
+        if free_lane is _UNLOOKED:
+            return None
         if free_lane is None:
-            action = VelocityAction.BRAKE
+            action = _BRAKE
         else:
-            lane, action = free_lane, VelocityAction.ACCELERATE
+            lane, action = free_lane, _ACCELERATE
     return apply_action(x, lane, v, mode, action, scenario)
 
 
@@ -92,13 +118,13 @@ def apply_action(x: int, lane: int, v: int, mode: RobotMode, action: VelocityAct
     """The robot's (x, lane, v, mode) after one tick of a velocity action
     other than dodge, driven on ``lane``: the action's update of v and
     mode, then the move at the new v, capped at the destination."""
-    if action is VelocityAction.ACCELERATE:
+    if action is _ACCELERATE:
         v = min(v + 1, scenario.robot_max_vel)
         mode = RobotMode.DRIVE if v == scenario.robot_max_vel else RobotMode.ACCELERATE
-    elif action is VelocityAction.BRAKE:
+    elif action is _BRAKE:
         v = max(v - 1, 0)
         mode = RobotMode.STOP if v == 0 else RobotMode.BRAKE
-    elif action is VelocityAction.PARK:
+    elif action is _PARK:
         mode = RobotMode.IDLE
     return min(x + v, scenario.robot_dest_cell), lane, v, mode
 

@@ -21,18 +21,21 @@ import os
 import time
 from collections import defaultdict, namedtuple
 from enum import Enum
-from itertools import chain, product
+from functools import lru_cache
+from itertools import product, repeat
 from operator import itemgetter
 
 from .automata import (
     ChoiceError,
     ObstacleChoice,
     TransitionLabel,
+    _UNLOOKED,
     enumerate_obstacle_choices,
-    robot_step_at,
+    free_side_lane,
+    robot_decide,
     world_step,
 )
-from .kinematics import is_passive_safe, is_passive_safe_at
+from .kinematics import blocks_lane, danger_from, is_passive_safe, stands_ahead
 from .model import (
     DEFAULT_STATE_BUDGET,
     GridScenario,
@@ -47,10 +50,7 @@ from .model import (
     _want_list,
     _want_mode,
     initial_world_state,
-    obstacle_to_dict,
-    robot_to_dict,
     world_from_dict,
-    world_to_dict,
 )
 
 _MODES = tuple(RobotMode)
@@ -133,8 +133,8 @@ def state_key(world: WorldState):
 
 def state_digest(world: WorldState) -> str:
     """Content hash of the full state, stable across runs and processes:
-    the SHA-256 of ``world_to_dict(world)`` as compact JSON with sorted
-    keys."""
+    the SHA-256 of the state's JSON object (as in a trace's initial line,
+    less its type) in compact JSON with sorted keys."""
     return _digests()(world)
 
 
@@ -203,42 +203,45 @@ def check_safety(
     scenario) and with a mover's ``is_static`` read as ``x == dest``.
 
     Every guard and predicate reads only obstacles at or ahead of the
-    robot (``collision_danger``, ``lane_change_possible_at``,
-    ``is_passive_safe``), the robot's x never decreases and a mover's x
-    never increases.  So a mover whose x and prev x are both behind the
-    robot is dead: nothing reads it again.  The key parks it at (dest,
-    dest), where it has no picks left (a live-variable reduction:
-    Bozga, Fernandez & Ghirvu, SAS 1999).  Movers with the same lane,
-    destination and maxVel are interchangeable: no guard or predicate
-    reads an obstacle's id, so swapping two of them maps reachable
-    states onto states with the same future.  So the key lists the pairs
-    group by group, each group's sorted: one ``sorted`` over a (group
-    tag, x, prev x) triple per mover, a group's tag being its first
-    mover, flattened without the tags (Ip & Dill, "Better verification
-    through symmetry", FMSD 1996).  Within the budget, both reductions
-    keep the outcome and the counterexample length of the object-level
-    BFS over ``world_step``; ``max_depth`` can be smaller, since the
-    reduced search reaches its fixpoint sooner.
+    robot (``danger_from``, ``blocks_lane``, ``stands_ahead``), the
+    robot's x never decreases and a mover's x never increases.  So a
+    mover whose x and prev x are both behind the robot is dead: nothing
+    reads it again.  The key parks it at (dest, dest), where it has no
+    picks left (a live-variable reduction: Bozga, Fernandez & Ghirvu,
+    SAS 1999).  Movers with the same lane, destination and maxVel are
+    interchangeable: no guard or predicate reads an obstacle's id, so
+    swapping two of them maps reachable states onto states with the same
+    future.  So the key lists the pairs group by group, each group's
+    sorted: one ``sorted`` over a (group tag, x, prev x) triple per
+    mover, a group's tag being its first mover, flattened without the
+    tags (Ip & Dill, "Better verification through symmetry", FMSD 1996).
+    With no two movers interchangeable, nothing is sorted: a key's tail
+    concatenates the pairs in scenario order.  Within the budget, both
+    reductions keep the outcome and the counterexample length of the
+    object-level BFS over ``world_step``; ``max_depth`` can be smaller,
+    since the reduced search reaches its fixpoint sooner.
 
-    A memo miss calls the robot controller and the safety predicate on
-    key fields, with no ``WorldState`` built: ``robot_step_at`` reads
-    the robot and the delayed view only, so it is memoised on ``key[:4]
-    + key[5::2]``; ``is_passive_safe_at`` reads the robot's x, lane and
-    v and the current obstacles, so it is memoised on ``key[:4] +
-    key[4::2]``.  Each mover's options, (new x, x) for picks 1..maxVel in
-    pick order, are built once per cell; a row of mover xs canonicalises
-    each vector of their product over the movers in scenario order, the
-    order of ``enumerate_obstacle_choices``.  These successor tails are
-    memoised on the xs, next to the lowest x of a mover not yet parked.
-    A mover dies on a step exactly when its x is behind the moved robot;
-    only then is the row rebuilt with each dying mover's options all
-    (dest, dest), one per pick, memoised on the xs and the robot's x.
+    The search builds no obstacle rows and no ``WorldState``: it applies
+    the per-obstacle rules of ``kinematics`` to the ints of the key, the
+    static obstacles' part memoised on the robot's cell and lane.  The
+    robot's step is memoised on what it reads, ``key[:4] + key[5::2]``;
+    on a miss, ``robot_decide`` is memoised on the robot and danger, and
+    for a dodge on the robot and the free side lane, looked for only
+    then.  Safety is memoised on the moved robot and ``key[4::2]``.
+    Each mover's options, (new x, x) for picks 1..maxVel in pick order,
+    are built once per cell; a row of mover xs canonicalises each vector
+    of their product over the movers in scenario order, the order of
+    ``enumerate_obstacle_choices``.  These successor tails are memoised
+    on the xs, next to the lowest x of a mover not yet parked.  A mover
+    dies on a step exactly when its x is behind the moved robot; only
+    then is the row rebuilt with each dying mover's options all (dest,
+    dest), one per pick, memoised on the xs and the robot's x.
 
     So a state's successor keys are ``head + tail`` for each of its
-    successor tails, where ``head`` is the robot after ``robot_step_at``.
-    Most expansions repeat an earlier (head, xs) pair (86% on two
-    movers, 95% on three), so a repeat only counts its transitions:
-    every tail, less those that lead back to the state itself.  This is
+    successor tails, where ``head`` is the moved robot.  Most expansions
+    repeat an earlier (head, xs) pair (86% on two movers, 95% on three),
+    so a repeat only counts its transitions: every tail, less those that
+    lead back to the state itself.  This is
     exact: the search returns at the first violation or budget overrun,
     so a finished expansion left all of its successors in ``parents``.
 
@@ -271,48 +274,52 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
     movers = [(i, obs) for i, obs in enumerate(init.obstacles) if not obs.is_static]
     group_of = _mover_groups(scenario, [obs for _, obs in movers])
     at = sorted(range(len(movers)), key=group_of.__getitem__)    # key position -> mover
-    untag = itemgetter(*[i for i in range(3 * len(at)) if i % 3]) if at else tuple  # no movers: ()
+    tagged = any(len(group) > 1 for group in group_of)
+    if tagged:      # sort each vector's (group tag, x, prev x) triples, then drop the tags
+        untag = itemgetter(*[i for i in range(3 * len(at)) if i % 3])
 
-    def canonical(vectors):
-        """The key tail of each vector of (group tag, x, prev x) triples."""
-        return map(untag, map(tuple, map(chain.from_iterable, map(sorted, vectors))))
+        def canonical(vectors):
+            return map(untag, map(sum, map(sorted, vectors), repeat(())))
+    else:           # concatenate each vector's (x, prev x) pairs
+        def canonical(vectors):
+            return map(sum, vectors, repeat(()))
 
-    # Per mover: its key position, obstacle index, parked (tag, dest,
-    # dest) and, per cell, its (tag, new x, x) for picks 1..maxVel in pick
-    # order.  After a swap a mover may stand on any cell of its group.
+    # Per mover: its key position, obstacle index, tag and, per cell, its
+    # options for picks 1..maxVel in pick order; on its destination, its
+    # one parked option.  An option is (new x, x) after the tag: the
+    # mover's group when some movers are interchangeable, else nothing.
+    # After a swap a mover may stand on any cell of its group.
     pickers = []
     for j, (i, obs) in enumerate(movers):
         picks = range(1, scenario.obstacle_by_id(obs.id).max_vel + 1)
-        tag, d = group_of[j][0], obs.dest_cell
-        options = {d: ((tag, d, d),)}
+        tag, d = (group_of[j][0],) if tagged else (), obs.dest_cell
+        options = {d: (tag + (d, d),)}
         for x in range(d + 1, max(movers[k][1].x for k in group_of[j]) + 1):
-            options[x] = tuple([(tag, x - v if x - v > d else d, x) for v in picks])
-        pickers.append((at.index(j), i, (tag, d, d), options))
+            options[x] = tuple([tag + (x - v if x - v > d else d, x) for v in picks])
+        pickers.append((at.index(j), i, tag, options))
     movers = [movers[j] for j in at]
+    lanes = tuple(obs.lane for _, obs in movers)
     dests = tuple(obs.dest_cell for _, obs in movers)
 
-    def successor_tails(xs: tuple[int, ...], robot_x: int = -1) -> tuple[tuple[int, ...], ...]:
-        return tuple(canonical(product(*[
-            (dead,) * len(options[xs[k]]) if xs[k] < robot_x else options[xs[k]]
-            for k, _, dead, options in pickers])))
+    no_mover = scenario.track_length_cells      # above every robot x
 
-    rows = {}     # mover xs -> shared obstacle tuple
-
-    def obstacles_at(xs: tuple[int, ...]) -> tuple[ObstacleSnapshot, ...]:
-        row = rows.get(xs)
-        if row is None:
-            cells = list(init.obstacles)
-            for (i, obs), x in zip(movers, xs):
-                cells[i] = ObstacleSnapshot(obs.id, x, obs.lane, x == obs.dest_cell, obs.dest_cell)
-            row = rows[xs] = tuple(cells)
-        return row
+    def successor_tails(xs: tuple[int, ...], robot_x: int = -1) -> tuple[tuple, int]:
+        """Successor tails in pick order, the movers behind ``robot_x``
+        parked, and the lowest x of a mover not yet parked."""
+        rows, lowest = [], no_mover
+        for k, _, _, options in pickers:
+            x, d = xs[k], dests[k]
+            rows.append(options[d] * len(options[x]) if x < robot_x else options[x])
+            if d != x < lowest:
+                lowest = x
+        return tuple(canonical(product(*rows))), lowest
 
     def key_of(world: WorldState) -> tuple:
         """The search key of an object-level state."""
         robot_x, now, prev = world.robot.x, world.obstacles, world.prev_obstacles
         return _robot_key(world.robot) + next(canonical([[
-            dead if prev[i].x < robot_x else (dead[0], now[i].x, prev[i].x)
-            for _, i, dead, _ in pickers]]))
+            options[dests[k]][0] if prev[i].x < robot_x else tag + (now[i].x, prev[i].x)
+            for k, i, tag, options in pickers]]))
 
     def trace_to(key: tuple) -> Trace:
         """The counterexample that ends in ``key``, rebuilt with the
@@ -333,13 +340,49 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
                                          digest(world)))
         return Trace(init, tuple(steps))
 
+    # What the robot observes of the static obstacles, memoised on its cell
+    # and lane; of the movers, read off the key.
+    visual = scenario.assumptions.visual_radius
+    statics = [(obs.x, obs.lane) for obs in init.obstacles if obs.is_static]
+    on_lane = {lane: [cell for cell, on in statics if on == lane] for _, lane in statics}
+
+    @lru_cache(maxsize=None)
+    def statics_at(x: int, lane: int) -> tuple[bool, bool, set]:
+        """Danger, an obstacle on the cell ahead, the lanes blocked."""
+        cells = on_lane.get(lane, ())
+        return (any([danger_from(x, lane, cell, lane, True, scenario) for cell in cells]),
+                any([stands_ahead(x, lane, cell, lane) for cell in cells]),
+                {on for cell, on in statics if blocks_lane(x, cell, visual)})
+
+    def passive_safe(head: tuple, now: tuple) -> bool:     # for a head with speed
+        x, lane = head[:2]
+        return not (lane in on_lane and statics_at(x, lane)[1] or any([
+            stands_ahead(x, lane, cell, on) for cell, on in zip(now, lanes)]))
+
+    expanded = defaultdict(lambda: ({}, {}))   # head -> ({xs: successor tails}, {xs: safe})
+
+    @lru_cache(maxsize=None)
+    def decide(x: int, lane: int, v: int, mode: int, danger: bool, free_lane=_UNLOOKED) -> tuple:
+        """(head, *expanded[head] with no safety memo at rest, head ==
+        robot), or () for a dodge without ``free_lane``."""
+        head = robot_decide(x, lane, v, _MODES[mode], danger, free_lane, scenario)
+        if head is None:
+            return ()
+        head = (*head[:3], _MODE_CODE[head[3]])
+        known, safe = expanded[head]
+        return head, known, safe if head[2] else None, head == (x, lane, v, mode)
+
+    def dodge(seen: tuple) -> tuple:
+        """The decision of a robot in danger that looks for a free lane."""
+        x, lane = seen[:2]
+        return decide(*seen[:4], True, free_side_lane(lane, statics_at(x, lane)[2].union([
+            on for cell, on in zip(seen[4:], lanes) if blocks_lane(x, cell, visual)]), scenario))
+
     init_key = key_of(init)
     parents: dict = {init_key: None}     # doubles as the visited set
-    moved_robot: dict = {}      # key[:4] + prev xs -> (head, *expanded[head], head == key[:4])
+    moved_robot: dict = {}      # key[:4] + prev xs -> its decision
     tails: dict = {}            # xs -> (successor tails in pick order, lowest unparked x)
     parked: dict = {}           # xs + (robot x,) -> successor tails with dead movers parked
-    expanded = defaultdict(lambda: ({}, {}))   # head -> ({xs: successor tails}, {xs: safe})
-    no_mover = scenario.track_length_cells      # above every robot x
     transitions = 0
     peak_frontier = 1
     max_depth = 0
@@ -367,11 +410,14 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
             seen = key[:4] + key[5::2]
             moved = moved_robot.get(seen)
             if moved is None:
-                *head, mode = robot_step_at(*key[:3], _MODES[key[3]], obstacles_at(key[5::2]),
-                                            scenario)
-                head = (*head, _MODE_CODE[mode])
-                known, safe = expanded[head]
-                moved = moved_robot[seen] = head, known, safe, head == seen[:4]
+                x, lane = key[0], key[1]
+                danger = lane in on_lane and statics_at(x, lane)[0]
+                if not danger:
+                    for cell, on, d in zip(seen[4:], lanes, dests):
+                        if danger_from(x, lane, cell, on, cell == d, scenario):
+                            danger = True
+                            break
+                moved = moved_robot[seen] = decide(*key[:4], danger) or dodge(seen)
             head, known, safe, stays = moved
             xs = key[4::2]
             succ_tails = known.get(xs)
@@ -382,14 +428,13 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
                 continue
             entry = tails.get(xs)
             if entry is None:
-                lowest = min((x for x, d in zip(xs, dests) if x != d), default=no_mover)
-                entry = tails[xs] = successor_tails(xs), lowest
+                entry = tails[xs] = successor_tails(xs)
             succ_tails, lowest = entry
             if lowest < head[0]:    # a mover dies: its prev x will be behind the robot
                 dead = xs + head[:1]
                 succ_tails = parked.get(dead)
                 if succ_tails is None:
-                    succ_tails = parked[dead] = successor_tails(xs, head[0])
+                    succ_tails = parked[dead] = successor_tails(xs, head[0])[0]
             known[xs] = succ_tails
             for succ_tail in succ_tails:
                 succ_key = head + succ_tail
@@ -399,16 +444,18 @@ def _search(scenario: GridScenario, depth_bound: int | None, state_budget: int) 
                     continue
                 parents[succ_key] = key
                 max_depth = depth
-                now = succ_tail[::2]
-                ok = safe.get(now)
-                if ok is None:
-                    ok = safe[now] = is_passive_safe_at(*head[:3], obstacles_at(now))
-                if not ok:
-                    return verdict(Outcome.VIOLATED, trace_to(succ_key))
+                if safe is not None:
+                    now = succ_tail[::2]
+                    ok = safe.get(now)
+                    if ok is None:
+                        ok = safe[now] = passive_safe(head, now)
+                    if not ok:
+                        return verdict(Outcome.VIOLATED, trace_to(succ_key))
                 if len(parents) > state_budget:
                     return verdict(Outcome.INCONCLUSIVE)
                 next_level.append(succ_key)
-            peak_frontier = max(peak_frontier, rest + len(next_level))
+            if rest + len(next_level) > peak_frontier:
+                peak_frontier = rest + len(next_level)
         level = next_level
 
     return verdict(Outcome.HOLDS)
@@ -482,24 +529,32 @@ def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
     """One JSON line per transition, preceded by the initial state.
 
     Step lines carry the resulting snapshots for human inspection; only
-    the choices and hashes are authoritative for replay.
+    the choices and hashes are authoritative for replay.  The lines are
+    pieced together as ``state_digest``'s payloads are, each obstacle's
+    JSON kept for the trace, in the bytes of one ``json.dumps`` per line
+    for fields of their declared types.
     """
-    lines = [json.dumps({"type": "initial", **world_to_dict(trace.initial)})]
+    @lru_cache(maxsize=None)
+    def obstacle(o: ObstacleSnapshot) -> str:
+        return '{"id": %d, "x": %d, "lane": %d, "isStatic": %s, "destCell": %d}' % (
+            o.id, o.x, o.lane, "true" if o.is_static else "false", o.dest_cell)
+
+    def snapshots(world: WorldState) -> str:
+        robot = world.robot
+        return '"robot": {"x": %d, "lane": %d, "v": %d, "mode": "%s"}, "obstacles": [%s]' % (
+            robot.x, robot.lane, robot.v, robot.mode.value,
+            ", ".join(map(obstacle, world.obstacles)))
+
     world = trace.initial
+    lines = ['{"type": "initial", "tick": %d, %s, "prevObstacles": [%s]}' % (
+        world.tick, snapshots(world), ", ".join(map(obstacle, world.prev_obstacles)))]
     for label in trace.steps:
         world = world_step(world, label.choices, scenario)
-        lines.append(json.dumps({
-            "type": "step",
-            "tick": label.tick,
-            "modeBefore": label.mode_before.value,
-            "modeAfter": label.mode_after.value,
-            "choices": [
-                {"id": c.obstacle_id, "velocity": c.velocity} for c in label.choices
-            ],
-            "robot": robot_to_dict(world.robot),
-            "obstacles": [obstacle_to_dict(o) for o in world.obstacles],
-            "stateHash": label.state_hash,
-        }))
+        lines.append('{"type": "step", "tick": %d, "modeBefore": "%s", "modeAfter": "%s", '
+                     '"choices": [%s], %s, "stateHash": %s}' % (
+                         label.tick, label.mode_before.value, label.mode_after.value,
+                         ", ".join(['{"id": %d, "velocity": %d}' % c for c in label.choices]),
+                         snapshots(world), json.dumps(label.state_hash)))
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,14 @@ def collision_danger(world: WorldState, scenario: GridScenario) -> bool:
 
 def collision_danger_at(x: int, lane: int, seen: tuple, scenario: GridScenario) -> bool:
     """Is braking warranted for any obstacle of ``seen`` (the robot's
-    view), for a robot on cell ``x`` of ``lane``?
+    view), for a robot on cell ``x`` of ``lane``?  See ``danger_from``."""
+    return any(danger_from(x, lane, obs.x, obs.lane, obs.is_static, scenario) for obs in seen)
+
+
+def danger_from(x: int, lane: int, obs_x: int, obs_lane: int, obs_static: bool,
+                scenario: GridScenario) -> bool:
+    """Does one obstacle the robot sees, on cell ``obs_x`` of ``obs_lane``,
+    warrant braking for a robot on cell ``x`` of ``lane``?
 
     Only obstacles ahead of the robot on its own lane and inside the
     visual radius count.  Moving obstacles are checked against the full
@@ -35,19 +42,26 @@ def collision_danger_at(x: int, lane: int, seen: tuple, scenario: GridScenario) 
     separate buffer term.
     """
     a = scenario.assumptions
+    if obs_lane != lane or not 0 <= obs_x - x <= a.visual_radius:
+        return False
     vmax = scenario.robot_max_vel
-    for obs in seen:
-        if obs.lane != lane or not 0 <= obs.x - x <= a.visual_radius:
-            continue
-        if obs.is_static:
-            if x + braking_distance_cells(vmax + 1) >= obs.x:
-                return True
-        else:
-            # braking travel plus the assumed obstacle's travel in the vmax ticks of braking
-            reach = x + braking_distance_cells(vmax) + a.assumed_obstacle_max_vel * vmax
-            if reach >= obs.x - a.buffer:
-                return True
-    return False
+    if obs_static:
+        return x + braking_distance_cells(vmax + 1) >= obs_x
+    # braking travel plus the assumed obstacle's travel in the vmax ticks of
+    # braking, summed in this order: a folded bound rounds other floats differently
+    return x + braking_distance_cells(vmax) + a.assumed_obstacle_max_vel * vmax >= obs_x - a.buffer
+
+
+def blocks_lane(x: int, obs_x: int, visual_radius: float) -> bool:
+    """Does an obstacle on cell ``obs_x`` keep a robot on cell ``x`` off
+    its lane: is it ahead of the robot, within visual range?"""
+    return x <= obs_x <= x + visual_radius
+
+
+def stands_ahead(x: int, lane: int, obs_x: int, obs_lane: int) -> bool:
+    """Does an obstacle on cell ``obs_x`` of ``obs_lane`` stand in the cell
+    directly ahead of a robot on cell ``x`` of ``lane``?"""
+    return obs_lane == lane and x < obs_x <= x + 1
 
 
 def is_passive_safe(world: WorldState) -> bool:
@@ -58,13 +72,8 @@ def is_passive_safe(world: WorldState) -> bool:
 
 
 def is_passive_safe_at(x: int, lane: int, v: int, obstacles: tuple) -> bool:
-    """A state is unsafe exactly when some obstacle sits on the robot's
-    lane in the cell directly ahead while the robot still has speed.
+    """A state is unsafe exactly when some obstacle of ``obstacles``
+    ``stands_ahead`` of the robot while the robot still has speed.
     Contact at zero velocity is admissible: the robot did not cause it.
     """
-    if v == 0:
-        return True
-    for obs in obstacles:
-        if obs.lane == lane and x < obs.x <= x + 1:
-            return False
-    return True
+    return v == 0 or not any(stands_ahead(x, lane, obs.x, obs.lane) for obs in obstacles)

@@ -65,15 +65,15 @@ class VelocityAction(str, Enum):
     DODGE = "dodge"            # move to a free side lane and accelerate, else brake
 
 
-# The robot controller of both halves: ``automata.robot_step_at`` on the grid
+# The robot controller of both halves: ``automata.robot_decide`` on the grid
 # (steps of one cell per tick) and the sim's episode (steps of acceleration
 # or deceleration times dt).  A mode's row is read at column
-# ``2 * danger + near``.  Danger is ``kinematics.collision_danger_at`` on the
-# grid; in the sim, a latched monitor or an observed gap inside the reaction
-# area and below the look-ahead distance.  Near: the destination lies within
-# braking distance of the current velocity (at v = 0, "at the destination").
-# The sim's episode ends at its destination on a one-lane track, so it reads
-# only the far columns, with dodge as brake.
+# ``2 * danger + near``.  Danger is ``kinematics.danger_from`` for some
+# obstacle on the grid; in the sim, a latched monitor or an observed gap
+# inside the reaction area and below the look-ahead distance.  Near: the
+# destination lies within braking distance of the current velocity (at
+# v = 0, "at the destination").  The sim's episode ends at its destination
+# on a one-lane track, so it reads only the far columns, with dodge as brake.
 _A = VelocityAction
 MODE_TABLE: dict[RobotMode, tuple[VelocityAction, ...]] = {
     #                      calm, far      calm, near     danger, far    danger, near
@@ -417,11 +417,7 @@ def load_scenario(source: str) -> GridScenario:
     return scenario
 
 
-# Snapshot <-> dict converters shared by trace serialization.
-
-def robot_to_dict(robot: RobotSnapshot) -> dict:
-    return {"x": robot.x, "lane": robot.lane, "v": robot.v, "mode": robot.mode.value}
-
+# Snapshot readers of trace lines; ``checker`` writes the lines.
 
 def robot_from_dict(data: dict) -> RobotSnapshot:
     _as_object(data, "robot")
@@ -429,13 +425,6 @@ def robot_from_dict(data: dict) -> RobotSnapshot:
         _want_int(data, "x", "robot"), _want_int(data, "lane", "robot"),
         _want_int(data, "v", "robot"), _want_mode(data, "mode", "robot"),
     )
-
-
-def obstacle_to_dict(obs: ObstacleSnapshot) -> dict:
-    return {
-        "id": obs.id, "x": obs.x, "lane": obs.lane,
-        "isStatic": obs.is_static, "destCell": obs.dest_cell,
-    }
 
 
 def obstacle_from_dict(data: dict) -> ObstacleSnapshot:
@@ -447,17 +436,8 @@ def obstacle_from_dict(data: dict) -> ObstacleSnapshot:
     )
 
 
-def world_to_dict(world: WorldState) -> dict:
-    return {
-        "tick": world.tick,
-        "robot": robot_to_dict(world.robot),
-        "obstacles": [obstacle_to_dict(o) for o in world.obstacles],
-        "prevObstacles": [obstacle_to_dict(o) for o in world.prev_obstacles],
-    }
-
-
 def world_from_dict(data: dict) -> WorldState:
-    """Inverse of world_to_dict; a malformed record raises ScenarioError,
+    """A state of a trace line; a malformed record raises ScenarioError,
     which ``checker.trace_from_jsonl`` reports with its line number."""
     _as_object(data, "state")
     return WorldState(

@@ -3,8 +3,8 @@
 The builders derive from the committed configs, so a test variant and
 the file the CLI checks cannot drift apart.  The oracles are independent
 of the search: a state-invariant check, a seeded random rollout, a trace
-file reader, the state digest as one ``json.dumps`` of the whole state,
-and a scenario serializer for round trips.
+file reader, the state digest and the trace file as ``json.dumps`` of
+the states' dicts, and a scenario serializer for round trips.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from passivesafe import (Assumptions, GridScenario, ObstacleChoice, ObstacleSpec
                          TraceError, WorldState, initial_world_state, is_passive_safe,
                          load_scenario, world_step)
 from passivesafe.checker import trace_from_jsonl
-from passivesafe.model import (_ASSUMPTION_KEYS, _OBSTACLE_KEYS, _SCENARIO_KEYS, _to_dict,
-                              read_utf8, world_to_dict)
+from passivesafe.model import _ASSUMPTION_KEYS, _OBSTACLE_KEYS, _SCENARIO_KEYS, _to_dict, read_utf8
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -141,6 +140,42 @@ def random_rollout(
 
 def read_trace_jsonl(path: str | os.PathLike) -> Trace:
     return trace_from_jsonl(read_utf8(path, TraceError))
+
+
+def world_to_dict(world: WorldState) -> dict:
+    """A state as a JSON object, keys in the order of the trace file."""
+    return {
+        "tick": world.tick,
+        "robot": {"x": world.robot.x, "lane": world.robot.lane, "v": world.robot.v,
+                  "mode": world.robot.mode.value},
+        "obstacles": [obstacle_to_dict(o) for o in world.obstacles],
+        "prevObstacles": [obstacle_to_dict(o) for o in world.prev_obstacles],
+    }
+
+
+def obstacle_to_dict(obs) -> dict:
+    return {"id": obs.id, "x": obs.x, "lane": obs.lane, "isStatic": obs.is_static,
+            "destCell": obs.dest_cell}
+
+
+def reference_trace_jsonl(trace: Trace, scenario: GridScenario) -> str:
+    """What ``checker.trace_to_jsonl`` writes, one ``json.dumps`` per line."""
+    lines = [json.dumps({"type": "initial", **world_to_dict(trace.initial)})]
+    world = trace.initial
+    for label in trace.steps:
+        world = world_step(world, label.choices, scenario)
+        state = world_to_dict(world)
+        lines.append(json.dumps({
+            "type": "step",
+            "tick": label.tick,
+            "modeBefore": label.mode_before.value,
+            "modeAfter": label.mode_after.value,
+            "choices": [{"id": c.obstacle_id, "velocity": c.velocity} for c in label.choices],
+            "robot": state["robot"],
+            "obstacles": state["obstacles"],
+            "stateHash": label.state_hash,
+        }))
+    return "\n".join(lines) + "\n"
 
 
 def reference_state_digest(world: WorldState) -> str:

@@ -346,6 +346,33 @@ def test_counterexample_matches_pinned_digest(tmp_path, capsys, config, states, 
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("start, verdict", [
+    (18, ("Violated", 33, 5)),      # Holds after 58 states on mover x <= x + bound
+    (22, ("Holds", 73, None)),      # Violated at length 6 on mover x - x <= bound
+])
+def test_moving_danger_rule_keeps_its_float_order(tmp_path, capsys, start, verdict):
+    """``configs/head_on.json`` with a non-dyadic assumed bound (2.3) and
+    buffer (1.1), the mover starting on cell ``start`` with maxVel 2.  The
+    moving danger rule sums ``x + braking distance + assumed * vmax`` and
+    compares it with ``mover x - buffer``.  Folded into one precomputed
+    bound (braking distance + assumed * vmax + buffer), it rounds other
+    floats differently, and the verdict changes as noted."""
+    data = json.loads((CONFIGS / "head_on.json").read_text())
+    data["assumptions"].update(assumedObstacleMaxVel=2.3, buffer=1.1)
+    for obstacle in data["obstacles"]:
+        if not obstacle["isStatic"]:
+            obstacle.update(startCell=start, maxVel=2)
+    config, path = tmp_path / "float.json", tmp_path / "cex.jsonl"
+    config.write_text(json.dumps(data))
+    code = main(["check", str(config), "--trace", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert (out["outcome"], out["statesExplored"], out["counterexampleLength"]) == verdict
+    assert code == (2 if verdict[0] == "Violated" else 0)
+    if code == 2:
+        assert main(["replay", str(config), str(path)]) == 0
+        capsys.readouterr()
+
+
 def _assert_fixpoint(config: str, stats: tuple[int, int, int, int]) -> None:
     """``stats`` is (states, transitions, peak frontier, max depth)."""
     verdict = check_safety(load_scenario((CONFIGS / config).read_text()))

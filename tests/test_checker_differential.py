@@ -52,7 +52,7 @@ from passivesafe import (
     replay_trace,
     world_step,
 )
-from passivesafe import automata
+from passivesafe import automata, checker
 from passivesafe.automata import ObstacleChoice, TransitionLabel, robot_step
 from passivesafe.checker import (
     _MODES,
@@ -61,10 +61,11 @@ from passivesafe.checker import (
     state_digest,
     state_key,
     trace_from_jsonl,
+    trace_to_jsonl,
 )
-from passivesafe.model import (DEFAULT_STATE_BUDGET, ObstacleSnapshot, RobotSnapshot, WorldState,
-                               world_to_dict)
-from helpers import head_on_scenario, reference_state_digest, serialize_scenario
+from passivesafe.model import DEFAULT_STATE_BUDGET, ObstacleSnapshot, RobotSnapshot, WorldState
+from helpers import (head_on_scenario, reference_state_digest, reference_trace_jsonl,
+                     serialize_scenario, world_to_dict)
 
 
 def parked_key(key):
@@ -335,9 +336,10 @@ def scenarios(draw):
         robot_dest_cell=dest,
         obstacles=tuple(draw(st.permutations(obstacles))),
         assumptions=Assumptions(
-            assumed_obstacle_max_vel=draw(st.sampled_from([1, 2, 3, 1.5])),
+            # 2.3 and 1.1 are not dyadic: the moving danger rule's sum rounds.
+            assumed_obstacle_max_vel=draw(st.sampled_from([1, 2, 3, 1.5, 2.3])),
             visual_radius=visual,
-            buffer=draw(st.sampled_from([1, 2, 4, 0.5])),
+            buffer=draw(st.sampled_from([1, 2, 4, 0.5, 1.1])),
             reaction_radius=visual,
         ),
     )
@@ -504,6 +506,15 @@ def test_checker_matches_reference_up_to_interchange(scenario, depth_bound, stat
     assert_orbit_equivalent(scenario, depth_bound, state_budget)
 
 
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(scenario=scenarios() | interchangeable_scenarios())
+def test_checker_matches_parked_reference_on_many_draws(scenario):
+    """A larger derandomized run of the reference comparison, unbounded:
+    deselected by default, run with ``pytest -m slow``."""
+    assert_matches_reference(scenario, None, 10**6)
+
+
 def assert_matches_walked_search(scenario):
     """Equal verdicts in full (outcome, counterexample, depth bound and
     all four statistics) with the copied search: unbounded, at depth
@@ -539,6 +550,26 @@ def test_state_digest_matches_the_reference_json(scenario, data):
         assert state_digest(world) == state_digest(loaded) == expected
         steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices, expected))
     assert replay_trace(scenario, Trace(initial_world_state(scenario), tuple(steps))) == world
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios() | interchangeable_scenarios(), data=st.data())
+def test_trace_jsonl_matches_the_reference_json(scenario, data):
+    """``trace_to_jsonl`` writes the bytes of one ``json.dumps`` per line,
+    on a random walk whose obstacle fragments recur from line to line, and
+    on the check's own counterexample."""
+    world = initial_world_state(scenario)
+    steps = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        choices = data.draw(st.sampled_from(enumerate_obstacle_choices(world, scenario)))
+        before = world.robot.mode
+        world = world_step(world, choices, scenario)
+        steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices,
+                                     data.draw(st.sampled_from(["", state_digest(world)]))))
+    traces = [Trace(initial_world_state(scenario), tuple(steps))]
+    traces += [t for t in [check_safety(scenario).counterexample] if t is not None]
+    for trace in traces:
+        assert trace_to_jsonl(trace, scenario) == reference_trace_jsonl(trace, scenario)
 
 
 def _two_movers(**unlike) -> GridScenario:
@@ -592,21 +623,39 @@ def test_checker_matches_walked_search_on_dodges(side, dodge, monkeypatch):
     """The search reaches the named dodge, recorded as the side lane the
     robot takes (None: it brakes) and the distances ahead of the robot of
     the obstacles on other lanes it sees.  A mover at exactly the visual
-    radius blocks the lane; one cell further on it does not.  The
-    verdict is then equal in full to both references'."""
+    radius blocks the lane; one cell further on it does not.
+
+    The search decides on key ints, so it is watched through the free
+    lane it hands ``robot_decide``: its dodges, as (robot, free lane),
+    are those of the parked object-level reference, which also records
+    what the robot saw on each.  The verdict is then equal in full to
+    both references'."""
     scenario = _dodge(side)
-    dodges = set()
+
+    def dodges_of(decide, dodges):
+        def spy(x, lane, v, mode, danger, free_lane, scenario):
+            if free_lane is not automata._UNLOOKED:
+                dodges.add((x, lane, v, mode, free_lane))
+            return decide(x, lane, v, mode, danger, free_lane, scenario)
+        return spy
+
+    searched, referenced, views = set(), set(), set()
+    monkeypatch.setattr(checker, "robot_decide", dodges_of(checker.robot_decide, searched))
+    assert check_safety(scenario).outcome is Outcome.HOLDS
     plain = automata.lane_change_possible_at
 
-    def spy(x, lane, seen, scenario):
+    def view(x, lane, seen, scenario):
         free_lane = plain(x, lane, seen, scenario)
-        dodges.add((free_lane,
-                    tuple(sorted(o.x - x for o in seen if o.lane != lane and o.x >= x))))
+        views.add((x, lane, free_lane,
+                   tuple(sorted(o.x - x for o in seen if o.lane != lane and o.x >= x))))
         return free_lane
 
-    monkeypatch.setattr(automata, "lane_change_possible_at", spy)
-    assert check_safety(scenario).outcome is Outcome.HOLDS
-    assert dodge in dodges
+    monkeypatch.setattr(automata, "robot_decide", dodges_of(automata.robot_decide, referenced))
+    monkeypatch.setattr(automata, "lane_change_possible_at", view)
+    reference_check(scenario, None, 10**6, parked_key)
+    assert searched == referenced
+    assert any((f, distances) == dodge and (x, lane, f) == (d[0], d[1], d[4])
+               for x, lane, f, distances in views for d in searched), views
     monkeypatch.undo()
     assert_matches_reference(scenario, None, 10**6)
     assert_matches_walked_search(scenario)
