@@ -2,6 +2,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from passivesafe.checker import (
     state_key,
     trace_from_jsonl,
     trace_to_jsonl,
+    verdict_to_dict,
     write_trace_jsonl,
 )
 from passivesafe.cli import main
@@ -150,6 +152,28 @@ def test_state_budget_exceeded_is_inconclusive():
     verdict = check_safety(scenario, state_budget=50)
     assert verdict.outcome is Outcome.INCONCLUSIVE
     assert verdict.counterexample is None
+
+
+def test_budgeted_memory_follows_the_budget_not_the_track():
+    """``configs/head_on.json`` on a 100,000-cell track with the mover on
+    its last cell: a budget of 1,000 states cuts the search long before
+    the mover comes near, and what the search allocates follows the
+    states it reached, not the cells of the track (a pick table over
+    every cell up to the mover's start took about 39 MB here)."""
+    data = json.loads((CONFIGS / "head_on.json").read_text())
+    cells = 100_000
+    data.update(trackLengthCells=cells, robotDestCell=cells - 1)
+    data["obstacles"][0]["startCell"] = cells - 1
+    scenario = load_scenario(json.dumps(data))
+    tracemalloc.start()
+    try:
+        verdict = check_safety(scenario, state_budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.outcome is Outcome.INCONCLUSIVE
+    assert verdict.stats[:4] == (1001, 2674, 111, 19)
+    assert peak < 5_000_000
 
 
 def test_rollouts_agree_with_holds_verdict():
@@ -278,6 +302,14 @@ def test_replay_rejects_hash_mismatch():
         replay_trace(scenario, tampered)
 
 
+def test_replay_compares_every_hash_even_an_empty_one():
+    scenario = head_on_scenario(assumed_obstacle_max_vel=2)
+    trace = check_safety(scenario).counterexample
+    unhashed = Trace(trace.initial, tuple(step._replace(state_hash="") for step in trace.steps))
+    with pytest.raises(TraceError, match="invalid label at step 0: state hash mismatch"):
+        replay_trace(scenario, unhashed)
+
+
 @pytest.mark.parametrize("fields", [
     {"tick": 99},
     {"mode_before": RobotMode.STOP},
@@ -344,6 +376,29 @@ def test_counterexample_matches_pinned_digest(tmp_path, capsys, config, states, 
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
     assert main(["replay", str(CONFIGS / config), str(path)]) == 0
     capsys.readouterr()
+
+
+def test_design_points_match_their_pinned_digest():
+    """Every design point of ``head_on_scenario``: mover start 30-46, true
+    maxVel 1-3, assumed bound 1-5.  One SHA-256 over each point's verdict
+    JSON, four counts and counterexample JSONL pins them all, so a change
+    to the search that moves any byte or count fails here."""
+    digest, outcomes, states, steps = hashlib.sha256(), [], 0, 0
+    for start in range(30, 47):
+        for true_max_vel in (1, 2, 3):
+            for assumed in (1, 2, 3, 4, 5):
+                scenario = head_on_scenario(assumed, true_max_vel, obstacle_start=start)
+                verdict = check_safety(scenario)
+                trace = verdict.counterexample
+                digest.update(json.dumps(verdict_to_dict(verdict)).encode())
+                digest.update(json.dumps(verdict.stats[:4]).encode())
+                digest.update((trace_to_jsonl(trace, scenario) if trace else "").encode())
+                outcomes.append(verdict.outcome)
+                states += verdict.states_explored
+                steps += len(trace.steps) if trace else 0
+    assert (outcomes.count(Outcome.HOLDS), outcomes.count(Outcome.VIOLATED)) == (204, 51)
+    assert (states, steps) == (37_465, 405)
+    assert digest.hexdigest() == "9cf0e22dcc70b2ed2b892ff99ed92e8fe31dcc094e3a4053af26af6ad02ab94f"
 
 
 @pytest.mark.parametrize("start, verdict", [

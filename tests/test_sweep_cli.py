@@ -658,6 +658,12 @@ def test_sweep_spec_field_types_exit_dataerr(tmp_path, capsys, key, value, messa
     (lambda initial, step: (initial, [step]), "record must be a JSON object"),
     (lambda initial, step: ({**initial, "robot": {**initial["robot"], "x": "0"}}, step),
      "robot.x must be an integer"),
+    (lambda initial, step: (initial, {k: v for k, v in step.items() if k != "stateHash"}),
+     "missing required field step.stateHash"),
+    (lambda initial, step: (initial, {**step, "stateHash": False}),
+     "step.stateHash must be a string"),
+    (lambda initial, step: (initial, {**step, "stateHash": None}),
+     "step.stateHash must be a string"),
 ])
 def test_malformed_trace_line_exits_dataerr(tmp_path, capsys, damage, message):
     """``damage`` rewrites the initial line and the first step line; the
