@@ -1,7 +1,7 @@
 """Executable transition relations for the robot and its obstacles.
 
 The robot is a five-mode machine (Idle, Accelerate, Drive, Brake, Stop)
-run by ``model.MODE_TABLE``, with unit acceleration and deceleration and
+run by ``model.MODE_TABLE`` and ``velocity_step`` in unit speed steps,
 its position capped at the destination cell.  Moving obstacles pick a
 velocity from [1, max_vel] every tick; the set of those picks is the
 only nondeterminism in a world step.  Robot and obstacles advance in
@@ -26,6 +26,7 @@ from .model import (
     RobotSnapshot,
     VelocityAction,
     WorldState,
+    velocity_step,
 )
 
 
@@ -90,8 +91,7 @@ def robot_step_at(x: int, lane: int, v: int, mode: RobotMode, seen: tuple,
 _UNLOOKED = object()    # a free lane not looked for yet
 # On CPython 3.11 each read of an enum member as a class attribute costs a
 # descriptor call, about 150 ns; the step reads these from module globals.
-_ACCELERATE, _BRAKE, _PARK, _DODGE = (VelocityAction.ACCELERATE, VelocityAction.BRAKE,
-                                      VelocityAction.PARK, VelocityAction.DODGE)
+_ACCELERATE, _DODGE = VelocityAction.ACCELERATE, VelocityAction.DODGE
 
 
 def robot_decide(x: int, lane: int, v: int, mode: RobotMode, danger: bool, free_lane,
@@ -103,29 +103,19 @@ def robot_decide(x: int, lane: int, v: int, mode: RobotMode, danger: bool, free_
     ``_UNLOOKED`` returns None: the caller looks for the lane only then."""
     near_dest = scenario.robot_dest_cell - x <= braking_distance_cells(v)
     action = MODE_TABLE[mode][2 * danger + near_dest]
-    if action is _DODGE:
+    if action is _DODGE and free_lane is not None:
         if free_lane is _UNLOOKED:
             return None
-        if free_lane is None:
-            action = _BRAKE
-        else:
-            lane, action = free_lane, _ACCELERATE
+        lane, action = free_lane, _ACCELERATE
     return apply_action(x, lane, v, mode, action, scenario)
 
 
 def apply_action(x: int, lane: int, v: int, mode: RobotMode, action: VelocityAction,
                  scenario: GridScenario) -> tuple[int, int, int, RobotMode]:
     """The robot's (x, lane, v, mode) after one tick of a velocity action
-    other than dodge, driven on ``lane``: the action's update of v and
-    mode, then the move at the new v, capped at the destination."""
-    if action is _ACCELERATE:
-        v = min(v + 1, scenario.robot_max_vel)
-        mode = RobotMode.DRIVE if v == scenario.robot_max_vel else RobotMode.ACCELERATE
-    elif action is _BRAKE:
-        v = max(v - 1, 0)
-        mode = RobotMode.STOP if v == 0 else RobotMode.BRAKE
-    elif action is _PARK:
-        mode = RobotMode.IDLE
+    on ``lane``: ``velocity_step`` in unit steps (a dodge brakes), then the
+    move at the new v, capped at the destination."""
+    v, mode = velocity_step(v, mode, action, 1, 1, 0, scenario.robot_max_vel)
     return min(x + v, scenario.robot_dest_cell), lane, v, mode
 
 

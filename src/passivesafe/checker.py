@@ -45,13 +45,12 @@ from .model import (
     ScenarioError,
     TraceError,
     WorldState,
+    _as_bool,
+    _as_int,
+    _as_list,
     _as_object,
     _field,
-    _want_int,
-    _want_list,
-    _want_mode,
     initial_world_state,
-    world_from_dict,
 )
 
 _MODES = tuple(RobotMode)
@@ -558,6 +557,57 @@ def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
 def write_trace_jsonl(trace: Trace, scenario: GridScenario, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as out:
         out.write(trace_to_jsonl(trace, scenario))
+
+
+# Readers of ``trace_to_jsonl``'s lines: a malformed record raises
+# ScenarioError, which ``trace_from_jsonl`` reports with its line number.
+
+def _want_int(mapping: dict, key: str, where: str) -> int:
+    return _as_int(_field(mapping, key, where), f"{where}.{key}")
+
+
+def _want_list(mapping: dict, key: str, where: str) -> list:
+    return _as_list(_field(mapping, key, where), f"{where}.{key}")
+
+
+def _want_bool(mapping: dict, key: str, where: str) -> bool:
+    return _as_bool(_field(mapping, key, where), f"{where}.{key}")
+
+
+def _want_mode(mapping: dict, key: str, where: str) -> RobotMode:
+    value = _field(mapping, key, where)
+    try:
+        return RobotMode(value)
+    except ValueError:
+        raise ScenarioError(f"{where}.{key}: unknown robot mode {value!r}") from None
+
+
+def robot_from_dict(data: dict) -> RobotSnapshot:
+    _as_object(data, "robot")
+    return RobotSnapshot(
+        _want_int(data, "x", "robot"), _want_int(data, "lane", "robot"),
+        _want_int(data, "v", "robot"), _want_mode(data, "mode", "robot"),
+    )
+
+
+def obstacle_from_dict(data: dict) -> ObstacleSnapshot:
+    _as_object(data, "obstacle")
+    return ObstacleSnapshot(
+        _want_int(data, "id", "obstacle"), _want_int(data, "x", "obstacle"),
+        _want_int(data, "lane", "obstacle"), _want_bool(data, "isStatic", "obstacle"),
+        _want_int(data, "destCell", "obstacle"),
+    )
+
+
+def world_from_dict(data: dict) -> WorldState:
+    """The state of a trace's initial line."""
+    _as_object(data, "state")
+    return WorldState(
+        tick=_want_int(data, "tick", "state"),
+        robot=robot_from_dict(_field(data, "robot", "state")),
+        obstacles=tuple(map(obstacle_from_dict, _want_list(data, "obstacles", "state"))),
+        prev_obstacles=tuple(map(obstacle_from_dict, _want_list(data, "prevObstacles", "state"))),
+    )
 
 
 def _label_from_dict(record: dict) -> TransitionLabel:

@@ -66,14 +66,14 @@ class VelocityAction(str, Enum):
 
 
 # The robot controller of both halves: ``automata.robot_decide`` on the grid
-# (steps of one cell per tick) and the sim's episode (steps of acceleration
-# or deceleration times dt).  A mode's row is read at column
+# and the sim's episode.  A mode's row is read at column
 # ``2 * danger + near``.  Danger is ``kinematics.danger_from`` for some
 # obstacle on the grid; in the sim, a latched monitor or an observed gap
 # inside the reaction area and below the look-ahead distance.  Near: the
 # destination lies within braking distance of the current velocity (at
 # v = 0, "at the destination").  The sim's episode ends at its destination
-# on a one-lane track, so it reads only the far columns, with dodge as brake.
+# on a one-lane track, so it reads only the far columns.  Both halves apply
+# the action with ``velocity_step``, in their own speed steps.
 _A = VelocityAction
 MODE_TABLE: dict[RobotMode, tuple[VelocityAction, ...]] = {
     #                      calm, far      calm, near     danger, far    danger, near
@@ -84,6 +84,27 @@ MODE_TABLE: dict[RobotMode, tuple[VelocityAction, ...]] = {
     RobotMode.STOP:       (_A.ACCELERATE, _A.PARK,       _A.HOLD,       _A.PARK),
 }
 del _A
+
+# Module globals: an enum member read off its class costs a descriptor call.
+_ACCELERATE, _HOLD, _PARK = VelocityAction.ACCELERATE, VelocityAction.HOLD, VelocityAction.PARK
+_IDLE, _ACCELERATING, _DRIVE, _BRAKING, _STOP = (
+    RobotMode.IDLE, RobotMode.ACCELERATE, RobotMode.DRIVE, RobotMode.BRAKE, RobotMode.STOP)
+
+
+def velocity_step(v, mode: RobotMode, action: VelocityAction, up, down, low, top) -> tuple:
+    """The robot's (v, mode) after one tick of ``action``, for speeds in
+    [low, top]: accelerate by ``up`` (Drive at ``top``), brake by ``down``
+    (Stop at ``low``), park in Idle, or hold.  A dodge here has no free
+    lane, so it brakes.  Each half passes its own zero, 0 or 0.0, as low."""
+    if action is _ACCELERATE:
+        v = min(v + up, top)
+        return v, _DRIVE if v == top else _ACCELERATING
+    if action is _HOLD:
+        return v, mode
+    if action is _PARK:
+        return v, _IDLE
+    v = max(v - down, low)      # brake, or a dodge with no free lane
+    return v, _STOP if v == low else _BRAKING
 
 
 class Assumptions(namedtuple("Assumptions", "assumed_obstacle_max_vel visual_radius buffer "
@@ -354,26 +375,6 @@ def _as_number(value, name: str) -> float:
     return value
 
 
-def _want_int(mapping: dict, key: str, where: str) -> int:
-    return _as_int(_field(mapping, key, where), f"{where}.{key}")
-
-
-def _want_list(mapping: dict, key: str, where: str) -> list:
-    return _as_list(_field(mapping, key, where), f"{where}.{key}")
-
-
-def _want_bool(mapping: dict, key: str, where: str) -> bool:
-    return _as_bool(_field(mapping, key, where), f"{where}.{key}")
-
-
-def _want_mode(mapping: dict, key: str, where: str) -> RobotMode:
-    value = _field(mapping, key, where)
-    try:
-        return RobotMode(value)
-    except ValueError:
-        raise ScenarioError(f"{where}.{key}: unknown robot mode {value!r}") from None
-
-
 def read_utf8(path, error: type[ValueError] = ScenarioError) -> str:
     """A file's text.  JSON is UTF-8 (RFC 8259); other bytes raise
     ``error``, naming the file and the offset of the first bad byte."""
@@ -415,34 +416,3 @@ def load_scenario(source: str) -> GridScenario:
     scenario = scenario_from_dict(parse_json(source))
     scenario.validate()
     return scenario
-
-
-# Snapshot readers of trace lines; ``checker`` writes the lines.
-
-def robot_from_dict(data: dict) -> RobotSnapshot:
-    _as_object(data, "robot")
-    return RobotSnapshot(
-        _want_int(data, "x", "robot"), _want_int(data, "lane", "robot"),
-        _want_int(data, "v", "robot"), _want_mode(data, "mode", "robot"),
-    )
-
-
-def obstacle_from_dict(data: dict) -> ObstacleSnapshot:
-    _as_object(data, "obstacle")
-    return ObstacleSnapshot(
-        _want_int(data, "id", "obstacle"), _want_int(data, "x", "obstacle"),
-        _want_int(data, "lane", "obstacle"), _want_bool(data, "isStatic", "obstacle"),
-        _want_int(data, "destCell", "obstacle"),
-    )
-
-
-def world_from_dict(data: dict) -> WorldState:
-    """A state of a trace line; a malformed record raises ScenarioError,
-    which ``checker.trace_from_jsonl`` reports with its line number."""
-    _as_object(data, "state")
-    return WorldState(
-        tick=_want_int(data, "tick", "state"),
-        robot=robot_from_dict(_field(data, "robot", "state")),
-        obstacles=tuple(map(obstacle_from_dict, _want_list(data, "obstacles", "state"))),
-        prev_obstacles=tuple(map(obstacle_from_dict, _want_list(data, "prevObstacles", "state"))),
-    )

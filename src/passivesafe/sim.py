@@ -8,10 +8,10 @@ lane.  Every tick:
   2. while the one-tick-delayed obstacle position lies inside the
      robot's reaction area, the assumption monitor sees it and the robot
      state (outside that area it cannot fire);
-  3. the robot takes its mode's far action from ``model.MODE_TABLE``;
-     there is danger while the monitor has latched a violation, or while
-     the observed gap is inside its reaction area and below the
-     look-ahead collision distance;
+  3. the robot applies its mode's far action from ``model.MODE_TABLE``
+     with ``model.velocity_step``, as the grid does; there is danger while
+     the monitor has latched a violation, or while the observed gap is
+     inside its reaction area and below the look-ahead collision distance;
   4. positions integrate the updated velocities over dt;
   5. contact is checked against the collision threshold; contact while
      the robot still moves is an active collision and ends the run.
@@ -57,6 +57,7 @@ from .model import (
     _record,
     _to_dict,
     parse_json,
+    velocity_step,
 )
 from .monitor import Feedback, new_monitor, observe_at
 
@@ -130,11 +131,6 @@ class SimConfig:
         return v * t_brake + self.assumed_obstacle_max_vel * t_brake + self.buffer
 
 
-# Per mode, ``MODE_TABLE``'s far columns (calm, danger), dodge read as brake.
-_FAR_ACTIONS = {mode: tuple(VelocityAction.BRAKE if a is VelocityAction.DODGE else a
-                            for a in row[0::2]) for mode, row in MODE_TABLE.items()}
-
-
 class SimState(namedtuple("SimState", "t robot_x robot_v robot_mode obstacle_x obstacle_v "
                            "monitor_tripped")):
     """The world after one tick; ``obstacle_v`` is the tick's sample, 0.0
@@ -195,13 +191,12 @@ def _approach(config: SimConfig) -> tuple[int, list, list, float, Assumptions]:
     the obstacle after tick n - 2 (the start for n <= 2) and the robot
     before tick n; its contact test reads both after tick n."""
     x, dest, max_vel, dt = config.robot_start, config.robot_dest, config.robot_max_vel, config.dt
-    v, mode, accel_dv = 0.0, RobotMode.IDLE, config.robot_accel * dt
+    v, mode = 0.0, RobotMode.IDLE
+    accel_dv, decel_dv = config.robot_accel * dt, config.robot_decel * dt
     robot = [(x, v, mode)]
     while (len(robot) <= config.max_ticks and x < dest
            and config.obstacle_start - x > config.reaction_radius):
-        if _FAR_ACTIONS[mode][0] is not VelocityAction.HOLD:
-            v = min(v + accel_dv, max_vel)
-            mode = RobotMode.DRIVE if v == max_vel else RobotMode.ACCELERATE
+        v, mode = velocity_step(v, mode, MODE_TABLE[mode][0], accel_dv, decel_dv, 0.0, max_vel)
         x += v * dt
         robot.append((x, v, mode))
     last = len(robot) - 1
@@ -284,11 +279,9 @@ def _episode(
     decel_dv = config.robot_decel * dt
     dest = config.robot_dest
     monitor = new_monitor(assumptions)
-    observe = observe_at
-    HOLD, BRAKING = VelocityAction.HOLD, VelocityAction.BRAKE
-    ACCELERATE, DRIVE, BRAKE, STOP = (
-        RobotMode.ACCELERATE, RobotMode.DRIVE, RobotMode.BRAKE, RobotMode.STOP)
-    calm, alarmed = _FAR_ACTIONS[mode]
+    observe, step = observe_at, velocity_step
+    HOLD = VelocityAction.HOLD
+    calm, alarmed = MODE_TABLE[mode][0::2]
     latched = in_contact = False
     outcome = SimOutcome.TICK_BUDGET_EXHAUSTED
 
@@ -311,21 +304,16 @@ def _episode(
         else:
             skipped_robot_x, skipped_seen = robot_x, prev_obstacle_x
 
-        # (3) robot transition by the mode's far actions; the trigger
-        # reads the delayed gap.  Only an action that is not hold can
-        # change the mode, and only a new mode looks up a new pair.
+        # (3) robot transition by the mode's far actions (calm, danger);
+        # the trigger reads the delayed gap.  Only an action that is not
+        # hold can change the mode, and only a new mode looks up a new pair.
         action = alarmed if latched or (in_reach and gap_observed <= d_collision) else calm
         if action is not HOLD:
             mode_before = mode
-            if action is BRAKING:
-                robot_v = max(robot_v - decel_dv, 0.0)
-                mode = STOP if robot_v == 0.0 else BRAKE
-            else:
-                robot_v = min(robot_v + accel_dv, max_vel)
-                mode = DRIVE if robot_v == max_vel else ACCELERATE
+            robot_v, mode = step(robot_v, mode, action, accel_dv, decel_dv, 0.0, max_vel)
             if mode is not mode_before:
                 events.append(ModeChangeEvent(tick * dt, mode_before, mode))
-                calm, alarmed = _FAR_ACTIONS[mode]
+                calm, alarmed = MODE_TABLE[mode][0::2]
 
         # (4) integrate positions
         gap_before = obstacle_x - robot_x

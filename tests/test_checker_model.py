@@ -7,17 +7,22 @@ ones included, up to a cap) is stepped both ways: by the model on its
 key, and by ``world_step`` over ``enumerate_obstacle_choices`` on the
 world.
 """
+import json
 from collections import deque
 
 from hypothesis import given, settings
 
 from passivesafe import (
+    Outcome,
+    check_safety,
     enumerate_obstacle_choices,
     initial_world_state,
     is_passive_safe,
+    load_scenario,
     world_step,
 )
 from passivesafe.checker import _Model, _robot_key, state_key
+from helpers import CONFIGS
 from test_checker_differential import interchangeable_scenarios, scenarios
 
 STATE_CAP = 1000    # worlds stepped per scenario, to bound a draw's time
@@ -53,9 +58,7 @@ def model_step(model, key):
     return head, safe, {head + tail for tail in tails}
 
 
-@settings(max_examples=200, deadline=None)
-@given(scenario=scenarios() | interchangeable_scenarios())
-def test_model_steps_as_world_step_does(scenario):
+def assert_model_steps_as_world_step_does(scenario):
     model = _Model(scenario)
     assert model.init_key == model.key_of(initial_world_state(scenario))
     for world in reachable_worlds(scenario):
@@ -71,3 +74,24 @@ def test_model_steps_as_world_step_does(scenario):
             now = model.key_of(successor)[4::2]
             ok = safe[now] if now in safe else model.is_safe(head, now)
             assert ok == is_passive_safe(successor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=scenarios() | interchangeable_scenarios())
+def test_model_steps_as_world_step_does(scenario):
+    assert_model_steps_as_world_step_does(scenario)
+
+
+def test_mover_that_arrives_short_of_the_robot_steps_as_world_step_does():
+    """``head_on.json`` with the mover's destination at cell 25, short of
+    the robot's: once there it stands in the robot's lane, and the
+    robot's danger test must read it as standing, not moving.  The small
+    random scenarios above seldom reach such a state, so this one is
+    pinned, its statistics too."""
+    data = json.loads((CONFIGS / "head_on.json").read_text())
+    data["obstacles"][0]["destCell"] = 25
+    scenario = load_scenario(json.dumps(data))
+    assert_model_steps_as_world_step_does(scenario)
+    verdict = check_safety(scenario)
+    assert verdict.outcome is Outcome.HOLDS
+    assert verdict.stats[:4] == (245, 661, 53, 10)

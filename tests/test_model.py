@@ -1,10 +1,12 @@
-"""Scenario configuration loading, validation, and initial states."""
+"""Scenario configuration loading, validation, initial states, and the
+robot's velocity step."""
 import dataclasses
 import json
 from dataclasses import replace
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passivesafe import (
@@ -24,7 +26,10 @@ from passivesafe import (
     sim,
     sweep,
 )
+from passivesafe.model import RobotMode, VelocityAction, velocity_step
 from helpers import CONFIGS, empty_scenario, head_on_scenario, serialize_scenario, validate_world
+from test_automata import _accelerated as grid_accelerated, _braked as grid_braked
+from test_sim_differential import _accelerated as sim_accelerated, _braked as sim_braked
 
 MINIMAL = """
 {
@@ -331,3 +336,44 @@ def test_negative_seeds_rejected():
     with pytest.raises(ScenarioError, match="^seedBase must be >= 0$"):
         load_sweep_spec(json.dumps(model._to_dict(spec, sweep._SPEC_KEYS,
                                                   base=sim.sim_config_to_dict)))
+
+
+def _reference_step(v, mode, action, accelerated, braked):
+    """(v, mode) after ``action`` by one half's own references; a dodge
+    that reaches the velocity step has no free lane, so it brakes."""
+    if action is VelocityAction.ACCELERATE:
+        mode, v = accelerated(v)
+    elif action in (VelocityAction.BRAKE, VelocityAction.DODGE):
+        mode, v = braked(v)
+    elif action is VelocityAction.PARK:
+        mode = RobotMode.IDLE
+    return v, mode
+
+
+@pytest.mark.parametrize("vmax", [1, 3])
+def test_velocity_step_on_grid_ints(vmax):
+    """Every mode, action and speed of the grid, in its steps (1, 1, 0,
+    robotMaxVel), against ``test_automata``'s references.  Reprs are
+    compared, so a speed that is an int must stay one."""
+    for mode, action, v in product(RobotMode, VelocityAction, range(vmax + 1)):
+        want = _reference_step(v, mode, action, lambda v: grid_accelerated(v, vmax), grid_braked)
+        assert repr(velocity_step(v, mode, action, 1, 1, 0, vmax)) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=sim_configs(), fraction=st.floats(0, 1))
+@example(config=replace(SimConfig(), dt=1, robot_accel=1, robot_decel=1, robot_max_vel=1.5),
+         fraction=0.5)
+def test_velocity_step_on_sim_floats(config, fraction):
+    """Every mode and action in the sim's steps (robotAccel * dt,
+    robotDecel * dt, 0.0, robotMaxVel), against ``test_sim_differential``'s
+    references: at rest, one step up from rest, a speed between, one step
+    down from top speed and at top speed.  Reprs are compared, so a robot
+    that brakes to rest in int steps must stop at 0.0, not 0."""
+    up, down = config.robot_accel * config.dt, config.robot_decel * config.dt
+    top = config.robot_max_vel
+    for mode, action, v in product(RobotMode, VelocityAction, [
+            0.0, min(0.0 + up, top), top * fraction, max(top - down, 0.0), top]):
+        want = _reference_step(v, mode, action, lambda v: sim_accelerated(v, config),
+                               lambda v: sim_braked(v, config))
+        assert repr(velocity_step(v, mode, action, up, down, 0.0, top)) == repr(want)

@@ -14,10 +14,9 @@ from passivesafe import (
     simulate,
 )
 from passivesafe.cli import main
-from passivesafe.model import ScenarioError, VelocityAction
+from passivesafe.model import MODE_TABLE, ScenarioError, VelocityAction
 from passivesafe.sim import (
     _CONFIG_KEYS,
-    _FAR_ACTIONS,
     load_sim_config,
     sim_config_to_dict,
     trace_to_jsonl,
@@ -329,7 +328,7 @@ def _script_draws(monkeypatch, draws):
          NEAR, {"robot_accel": 5.0}, [STILL] * 2),
         (RobotMode.BRAKE, False, "accelerate", RobotMode.DRIVE,
          NEAR, {"robot_accel": 5.0}, [BACK_OFF, STILL, STILL]),
-        (RobotMode.BRAKE, True, "brake", RobotMode.BRAKE,
+        (RobotMode.BRAKE, True, "dodge", RobotMode.BRAKE,
          NEAR, {"robot_accel": 5.0}, [STILL] * 3),
         (RobotMode.STOP, False, "accelerate", RobotMode.ACCELERATE,
          NEAR, {"robot_decel": 5.0}, [BACK_OFF, STILL, STILL]),
@@ -342,7 +341,9 @@ def test_mode_table_row(monkeypatch, mode_before, danger, action, mode_after, st
     """``model.MODE_TABLE``'s far columns as the sim reads them, one (mode,
     danger) cell per case, pinned on the last tick of a run cut to
     len(draws) ticks.  The 1 m buffer puts the look-ahead distance above
-    the 1 m reaction radius, so the trigger is the observed gap alone."""
+    the 1 m reaction radius, so the trigger is the observed gap alone.
+    A dodge brakes, as the grid's does with no free side lane: the sim's
+    one lane has none."""
     _script_draws(monkeypatch, draws)
     config = cfg(obstacle_true_max_vel=1.0, buffer=1.0, reaction_radius=1.0,
                  obstacle_start=start, max_ticks=len(draws), **overrides)
@@ -357,19 +358,37 @@ def test_mode_table_row(monkeypatch, mode_before, danger, action, mode_after, st
     assert (0 <= delayed_obstacle_x - before.robot_x <= config.reaction_radius) is danger
 
     v = before.robot_v
+    braked = max(v - config.robot_decel * config.dt, 0.0)
     expected_v = {
         "accelerate": min(v + config.robot_accel * config.dt, config.robot_max_vel),
-        "brake": max(v - config.robot_decel * config.dt, 0.0),
+        "brake": braked,
+        "dodge": braked,
         "hold": v,
     }[action]
+    assert MODE_TABLE[mode_before][2 * danger] is VelocityAction(action)
     assert after.robot_v == expected_v
     assert after.robot_mode is mode_after
 
 
 def test_calm_far_actions_only_accelerate_or_hold():
-    """The approach before the reaction area is computed on this premise."""
-    assert {calm for calm, _ in _FAR_ACTIONS.values()} == {
+    """The approach before the reaction area is computed on this premise:
+    ``MODE_TABLE``'s calm far column, the action the sim takes there."""
+    assert {row[0] for row in MODE_TABLE.values()} == {
         VelocityAction.ACCELERATE, VelocityAction.HOLD}
+
+
+def test_integer_speed_steps_stop_at_a_float_zero():
+    """With dt, robotAccel and robotDecel as JSON ints, one tick's speed
+    steps are ints too; the sim still brakes to the float 0.0, its own
+    zero, and the trace prints it so."""
+    data = json.loads((CONFIGS / "runtime.json").read_text())
+    data.update(dt=1, robotDecel=1, robotAccel=1, robotMaxVel=1.5, trackLength=40, robotDest=30,
+                obstacleStart=40, visualRange=10, reactionRadius=8, obstacleTrueMaxVel=3,
+                assumedObstacleMaxVel=0.5)
+    trace = simulate(load_sim_config(json.dumps(data)))
+    assert trace.outcome is SimOutcome.STOPPED_SAFE
+    assert ('{"type": "tick", "t": 15, "robotX": 19.5, "robotV": 0.0, "robotMode": "Stop", '
+            in trace_to_jsonl(trace))
 
 
 @pytest.mark.parametrize("field, before, value, text", [
