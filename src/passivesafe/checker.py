@@ -18,7 +18,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import time
 from collections import defaultdict, namedtuple
 from enum import Enum
 from functools import lru_cache
@@ -48,7 +47,9 @@ from .model import (
     _as_bool,
     _as_int,
     _as_list,
+    _as_mode,
     _as_object,
+    _as_str,
     _field,
     initial_world_state,
 )
@@ -76,7 +77,7 @@ class Trace(namedtuple("Trace", "initial steps")):
 
 
 class ExplorationStats(namedtuple("ExplorationStats",
-                                  "states transitions peak_frontier max_depth wall_time_s")):
+                                  "states transitions peak_frontier max_depth")):
     """Exploration bookkeeping.
 
     ``states`` counts states up to parking of dead movers and
@@ -84,23 +85,9 @@ class ExplorationStats(namedtuple("ExplorationStats",
     target differs from the source; the terminal idle self-loop is not a
     transition.  When an expansion repeats one whose successors are all
     known, its transitions are counted, not walked, to the same number.
-    Wall time is a measurement, not part of the identity of a run, so
-    equality and the hash read the four counts only.
     """
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, ExplorationStats):
-            return NotImplemented
-        return self[:4] == other[:4]
-
-    def __ne__(self, other):     # tuple's own would compare wall_time_s
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self):
-        return hash(self[:4])
 
 
 class SafetyVerdict(namedtuple("SafetyVerdict", "outcome stats counterexample depth_bound")):
@@ -205,11 +192,10 @@ def check_safety(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        started = time.perf_counter()
         model = _Model(scenario)
         outcome, parents, *counts = _search(model, depth_bound, state_budget)
         trace = model.trace_to(parents) if outcome is Outcome.VIOLATED else None
-        stats = ExplorationStats(len(parents), *counts, time.perf_counter() - started)
+        stats = ExplorationStats(len(parents), *counts)
         return SafetyVerdict(outcome, stats, trace, depth_bound)
     finally:
         if collecting:
@@ -559,78 +545,48 @@ def write_trace_jsonl(trace: Trace, scenario: GridScenario, path: str | os.PathL
         out.write(trace_to_jsonl(trace, scenario))
 
 
-# Readers of ``trace_to_jsonl``'s lines: a malformed record raises
+# Readers of ``trace_to_jsonl``'s lines.  Each record has one table from
+# JSON key to (field, reader), in reading order; a malformed record raises
 # ScenarioError, which ``trace_from_jsonl`` reports with its line number.
 
-def _want_int(mapping: dict, key: str, where: str) -> int:
-    return _as_int(_field(mapping, key, where), f"{where}.{key}")
+def _read(cls, data, table: dict, where: str):
+    """``cls`` from the JSON object ``data``: each key of ``table`` is
+    required and its value read in table order, named ``where.key``, so
+    the first fault in that order is the one reported."""
+    _as_object(data, where)
+    return cls(**{field: read(_field(data, key, where), f"{where}.{key}")
+                  for key, (field, read) in table.items()})
 
 
-def _want_list(mapping: dict, key: str, where: str) -> list:
-    return _as_list(_field(mapping, key, where), f"{where}.{key}")
+def _each(cls, table: dict, where: str | None = None):
+    """The reader of a list of ``cls`` records, each named ``where``, or
+    by its index in the list."""
+    return lambda items, name: tuple([_read(cls, item, table, where or f"{name}[{i}]")
+                                      for i, item in enumerate(_as_list(items, name))])
 
 
-def _want_bool(mapping: dict, key: str, where: str) -> bool:
-    return _as_bool(_field(mapping, key, where), f"{where}.{key}")
-
-
-def _want_mode(mapping: dict, key: str, where: str) -> RobotMode:
-    value = _field(mapping, key, where)
-    try:
-        return RobotMode(value)
-    except ValueError:
-        raise ScenarioError(f"{where}.{key}: unknown robot mode {value!r}") from None
-
-
-def robot_from_dict(data: dict) -> RobotSnapshot:
-    _as_object(data, "robot")
-    return RobotSnapshot(
-        _want_int(data, "x", "robot"), _want_int(data, "lane", "robot"),
-        _want_int(data, "v", "robot"), _want_mode(data, "mode", "robot"),
-    )
-
-
-def obstacle_from_dict(data: dict) -> ObstacleSnapshot:
-    _as_object(data, "obstacle")
-    return ObstacleSnapshot(
-        _want_int(data, "id", "obstacle"), _want_int(data, "x", "obstacle"),
-        _want_int(data, "lane", "obstacle"), _want_bool(data, "isStatic", "obstacle"),
-        _want_int(data, "destCell", "obstacle"),
-    )
-
-
-def world_from_dict(data: dict) -> WorldState:
-    """The state of a trace's initial line."""
-    _as_object(data, "state")
-    return WorldState(
-        tick=_want_int(data, "tick", "state"),
-        robot=robot_from_dict(_field(data, "robot", "state")),
-        obstacles=tuple(map(obstacle_from_dict, _want_list(data, "obstacles", "state"))),
-        prev_obstacles=tuple(map(obstacle_from_dict, _want_list(data, "prevObstacles", "state"))),
-    )
-
-
-def _label_from_dict(record: dict) -> TransitionLabel:
-    choices = []
-    for i, raw in enumerate(_want_list(record, "choices", "step")):
-        where = f"step.choices[{i}]"
-        _as_object(raw, where)
-        choices.append(ObstacleChoice(_want_int(raw, "id", where),
-                                      _want_int(raw, "velocity", where)))
-    state_hash = _field(record, "stateHash", "step")
-    if not isinstance(state_hash, str):
-        raise TraceError("step.stateHash must be a string")
-    return TransitionLabel(
-        tick=_want_int(record, "tick", "step"),
-        mode_before=_want_mode(record, "modeBefore", "step"),
-        mode_after=_want_mode(record, "modeAfter", "step"),
-        choices=tuple(choices),
-        state_hash=state_hash,
-    )
+_ROBOT_LINE = {"x": ("x", _as_int), "lane": ("lane", _as_int), "v": ("v", _as_int),
+               "mode": ("mode", _as_mode)}
+_OBSTACLE_LINE = {"id": ("id", _as_int), "x": ("x", _as_int), "lane": ("lane", _as_int),
+                  "isStatic": ("is_static", _as_bool), "destCell": ("dest_cell", _as_int)}
+_CHOICE_LINE = {"id": ("obstacle_id", _as_int), "velocity": ("velocity", _as_int)}
+_INITIAL_LINE = {
+    "tick": ("tick", _as_int),
+    "robot": ("robot", lambda data, _: _read(RobotSnapshot, data, _ROBOT_LINE, "robot")),
+    "obstacles": ("obstacles", _each(ObstacleSnapshot, _OBSTACLE_LINE, "obstacle")),
+    "prevObstacles": ("prev_obstacles", _each(ObstacleSnapshot, _OBSTACLE_LINE, "obstacle")),
+}
+_STEP_LINE = {      # written tick first; this order decides which of several faults is reported
+    "choices": ("choices", _each(ObstacleChoice, _CHOICE_LINE)),
+    "stateHash": ("state_hash", _as_str), "tick": ("tick", _as_int),
+    "modeBefore": ("mode_before", _as_mode), "modeAfter": ("mode_after", _as_mode),
+}
 
 
 def trace_from_jsonl(text: str) -> Trace:
-    """Parse counterexample JSONL; any malformed line raises TraceError."""
+    """Parse counterexample JSONL; any malformed line raises TraceError.
+    The first non-blank line is the one initial line; every later line is
+    a step."""
     initial = None
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -644,12 +600,16 @@ def trace_from_jsonl(text: str) -> Trace:
             raise TraceError(f"trace line {lineno}: {e}") from e
         try:
             kind = _as_object(record, "record").get("type")
-            if kind == "initial":
-                initial = world_from_dict(record)
-            elif kind == "step":
-                steps.append(_label_from_dict(record))
-            else:
+            if kind != "initial" and kind != "step":
                 raise TraceError(f"unknown record type {kind!r}")
+            if initial is None and kind == "initial":
+                initial = _read(WorldState, record, _INITIAL_LINE, "state")
+            elif initial is None:
+                raise TraceError("step line before the initial state line")
+            elif kind == "step":
+                steps.append(_read(TransitionLabel, record, _STEP_LINE, "step"))
+            else:
+                raise TraceError("a trace has one initial state line")
         except (ScenarioError, TraceError) as e:
             raise TraceError(f"trace line {lineno}: {e}") from e
     if initial is None:

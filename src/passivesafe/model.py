@@ -13,7 +13,10 @@ config fails loudly instead of silently falling back to a default.
 Each config record has one table from JSON key to field, in serialization
 order, here and in ``sim`` and ``sweep``.  Loaders check only a document's
 shape (``_record``); types and values are the record's ``validate()``, so
-a file and an object built in Python fail with the same message.
+a file and an object built in Python fail with the same message.  Trace
+records have tables too: ``checker`` reads each counterexample line
+record with its types checked, since a trace has no ``validate()``, and
+``sim`` writes its tick and event lines with ``_to_dict``.
 
 Every record is a ``collections.namedtuple`` subclass with
 ``__slots__ = ()``, except the two configs that callers edit with
@@ -361,6 +364,19 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{name} must be an integer")
     return value
+
+
+def _as_str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{name} must be a string")
+    return value
+
+
+def _as_mode(value, name: str) -> RobotMode:
+    try:
+        return RobotMode(value)
+    except ValueError:
+        raise ScenarioError(f"{name}: unknown robot mode {value!r}") from None
 
 
 def _as_number(value, name: str) -> float:

@@ -45,6 +45,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .model import (
     MODE_TABLE,
@@ -382,22 +383,28 @@ def sim_config_to_dict(config: SimConfig) -> dict:
     return _to_dict(config, _CONFIG_KEYS)
 
 
-def _event_to_dict(event: SimEvent) -> dict:
-    if isinstance(event, CollisionEvent):
-        return {
-            "type": "event", "kind": event.kind, "t": event.t,
-            "robotV": event.robot_v, "gap": event.gap, "active": event.active,
-        }
-    if isinstance(event, ModeChangeEvent):
-        return {
-            "type": "event", "kind": event.kind, "t": event.t,
-            "modeBefore": event.mode_before.value, "modeAfter": event.mode_after.value,
-        }
-    return {
-        "type": "event", "kind": event.kind, "t": event.t,
-        "estimatedObstacleVel": event.estimated_obstacle_vel,
-        "assumedMax": event.assumed_max,
-    }
+# The trace's tick line and, by ``kind``, each event line have one table,
+# as the config does.  A mode is written as its ``.value``, whatever
+# ``json`` would make of the enum.
+_STATE_KEYS = {
+    "t": "t", "robotX": "robot_x", "robotV": "robot_v", "robotMode": "robot_mode",
+    "obstacleX": "obstacle_x", "obstacleV": "obstacle_v", "monitorTripped": "monitor_tripped",
+}
+_EVENT_KEYS = {
+    "collision": {"kind": "kind", "t": "t", "robotV": "robot_v", "gap": "gap",
+                  "active": "active"},
+    "mode_change": {"kind": "kind", "t": "t", "modeBefore": "mode_before",
+                    "modeAfter": "mode_after"},
+    "assumption_violated": {"kind": "kind", "t": "t",
+                            "estimatedObstacleVel": "estimated_obstacle_vel",
+                            "assumedMax": "assumed_max"},
+}
+_value = attrgetter("value")
+
+
+def _event_line(event: SimEvent) -> str:
+    return json.dumps({"type": "event", **_to_dict(
+        event, _EVENT_KEYS[event.kind], mode_before=_value, mode_after=_value)})
 
 
 def trace_to_jsonl(trace: SimTrace) -> str:
@@ -407,20 +414,11 @@ def trace_to_jsonl(trace: SimTrace) -> str:
     lines = [json.dumps({"type": "config", **sim_config_to_dict(trace.config)})]
     pending = list(trace.events)
     for state in trace.states:
-        lines.append(json.dumps({
-            "type": "tick",
-            "t": state.t,
-            "robotX": state.robot_x,
-            "robotV": state.robot_v,
-            "robotMode": state.robot_mode.value,
-            "obstacleX": state.obstacle_x,
-            "obstacleV": state.obstacle_v,
-            "monitorTripped": state.monitor_tripped,
-        }))
+        lines.append(json.dumps(
+            {"type": "tick", **_to_dict(state, _STATE_KEYS, robot_mode=_value)}))
         while pending and pending[0].t <= state.t:
-            lines.append(json.dumps(_event_to_dict(pending.pop(0))))
-    for event in pending:
-        lines.append(json.dumps(_event_to_dict(event)))
+            lines.append(_event_line(pending.pop(0)))
+    lines.extend(map(_event_line, pending))
     lines.append(json.dumps({
         "type": "outcome",
         "outcome": trace.outcome.value,

@@ -28,7 +28,6 @@ search ran level by level.  Against it the verdict must be equal in
 full, ``transitions`` and ``peak_frontier`` included.
 """
 import json
-import time
 from collections import deque
 from itertools import product
 
@@ -90,7 +89,7 @@ def reference_check(scenario, depth_bound, state_budget, key_of=lambda key: key)
     transitions, peak_frontier, max_depth, cut = 0, 1, 0, False
 
     def verdict(outcome, counterexample=None):
-        stats = ExplorationStats(len(parents), transitions, peak_frontier, max_depth, 0.0)
+        stats = ExplorationStats(len(parents), transitions, peak_frontier, max_depth)
         return SafetyVerdict(outcome, stats, counterexample, depth_bound), cut, parents.keys()
 
     def trace_to(key):
@@ -162,7 +161,6 @@ def reference_check_safety(scenario, depth_bound=None, state_budget=DEFAULT_STAT
     lower; this copy pins every field of the verdict, so a repeated
     expansion that is counted wrong, or a peak frontier taken at the
     wrong moment, shows here."""
-    started = time.perf_counter()
     scenario.validate()
     init = initial_world_state(scenario)
     movers = [(i, obs) for i, obs in enumerate(init.obstacles) if not obs.is_static]
@@ -249,8 +247,7 @@ def reference_check_safety(scenario, depth_bound=None, state_budget=DEFAULT_STAT
     max_depth = 0
 
     def verdict(outcome: Outcome, counterexample: Trace | None = None) -> SafetyVerdict:
-        stats = ExplorationStats(len(parents), transitions, peak_frontier, max_depth,
-                                 time.perf_counter() - started)
+        stats = ExplorationStats(len(parents), transitions, peak_frontier, max_depth)
         return SafetyVerdict(outcome, stats, counterexample, depth_bound)
 
     # The initial state has zero velocity and cannot violate, but keep the

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from passivesafe import (
     Assumptions,
-    ExplorationStats,
     GridScenario,
     ObstacleSpec,
     ScenarioError,
@@ -260,17 +259,6 @@ def test_python_built_records_keep_their_contracts():
                           (head_on_scenario(), "obstacles")):
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
-
-
-def test_exploration_stats_equality_ignores_wall_time():
-    stats = ExplorationStats(10, 20, 3, 4, 0.5)
-    same = ExplorationStats(10, 20, 3, 4, 9.0)
-    assert stats == same and not stats != same
-    assert hash(stats) == hash(same)
-    assert len({stats, same}) == 1
-    for counts in ((11, 20, 3, 4), (10, 21, 3, 4), (10, 20, 4, 4), (10, 20, 3, 5)):
-        other = ExplorationStats(*counts, 0.5)
-        assert stats != other and not stats == other, counts
 
 
 def test_json_null_is_no_absent_field():

@@ -13,9 +13,12 @@ worst case that the approach's untested prefix is proved against.
 The digests pin the command-line outputs to the bytes the plain loop
 wrote: the sweep CSV of ``configs/sweep.json`` at one and two workers,
 and the ``simulate --trace`` JSONL of ``configs/runtime.json`` for seeds
-0-9.
+0-9.  Those traces hold only collision and mode-change events, so two
+more runs pin every event kind's line: an active collision and a run
+whose monitor trips.
 """
 import hashlib
+import json
 import random
 import sys
 import types
@@ -48,6 +51,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SWEEP_CSV_SHA256 = "e68b7f2f4d975ad7ef5074450e59498dff7d037c30bee2de55993c6c46c6e8ef"
 RUNTIME_EXIT_CODES = [0] * 10   # every seed reaches the goal
 RUNTIME_TRACES_SHA256 = "0b13f71386822d22ee1fcc8e40352e8090016e779035e51dc70ee12aaf0f2bdd"
+EVENT_TRACES_SHA256 = "111320922278659f9b0eaf74052072856c92232f66bae33b6953d68a36afbd0f"
 
 
 def reference_simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
@@ -344,3 +348,24 @@ def test_runtime_traces_match_pinned_digest(tmp_path, capsys):
     capsys.readouterr()
     assert codes == RUNTIME_EXIT_CODES
     assert digest.hexdigest() == RUNTIME_TRACES_SHA256
+
+
+def test_event_traces_match_pinned_digest(tmp_path, capsys):
+    """``runtime_precondition_gap.json`` at seed 1 ends in an active
+    collision; ``runtime.json`` with a faster obstacle and a wider
+    reaction area trips the monitor at seed 9 (seven feedback lines) and
+    stops safe after 162 ticks."""
+    trip = json.loads((CONFIGS / "runtime.json").read_text())
+    trip.update(obstacleTrueMaxVel=0.4, reactionRadius=1.5)
+    (tmp_path / "trip.json").write_text(json.dumps(trip))
+    digest, codes, kinds = hashlib.sha256(), [], set()
+    for config, seed in ((CONFIGS / "runtime_precondition_gap.json", 1),
+                         (tmp_path / "trip.json", 9)):
+        path = tmp_path / f"{config.stem}.jsonl"
+        codes.append(main(["simulate", str(config), "--seed", str(seed), "--trace", str(path)]))
+        digest.update(path.read_bytes())
+        kinds.update(json.loads(line).get("kind") for line in path.read_text().splitlines())
+    capsys.readouterr()
+    assert codes == [2, 0]
+    assert kinds == {None, "collision", "mode_change", "assumption_violated"}
+    assert digest.hexdigest() == EVENT_TRACES_SHA256

@@ -682,6 +682,34 @@ def test_malformed_trace_line_exits_dataerr(tmp_path, capsys, damage, message):
     assert f"trace line {changed + 1}: {message}" in _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("arrange, message", [
+    (lambda own, foreign: own[:1] + own, "trace line 2: a trace has one initial state line"),
+    (lambda own, foreign: own[1:] + own[:1],
+     "trace line 1: step line before the initial state line"),
+    (lambda own, foreign: foreign[:1] + own, "trace line 2: a trace has one initial state line"),
+], ids=["doubled", "moved-last", "foreign-first"])
+def test_trace_initial_line_comes_once_and_first(tmp_path, capsys, arrange, message):
+    """The first non-blank line is a trace's one initial line.  Each case
+    holds the scenario's own initial line, which replay accepts; a second
+    initial line, or a step line before the first, exits 65 naming it.
+    The other config's initial line alone is refused as foreign."""
+    scenario = str(CONFIGS / "head_on_under_assumption.json")
+    lines = {}
+    for name, config in (("own", scenario),
+                         ("foreign", str(CONFIGS / "head_on_two_movers_under_assumption.json"))):
+        path = tmp_path / f"{name}.jsonl"
+        assert main(["check", config, "--trace", str(path)]) == 2
+        lines[name] = path.read_text().splitlines()
+    capsys.readouterr()
+    trace_path = tmp_path / "arranged.jsonl"
+    trace_path.write_text("\n".join(arrange(lines["own"], lines["foreign"])) + "\n")
+    assert main(["replay", scenario, str(trace_path)]) == EX_DATAERR
+    assert _one_line_error(capsys) == f"error: {message}\n"
+    trace_path.write_text(lines["foreign"][0] + "\n")
+    assert main(["replay", scenario, str(trace_path)]) == EX_DATAERR
+    assert "trace initial state does not match the scenario" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize("command", ["check", "simulate", "sweep", "replay"])
 def test_input_that_is_not_utf8_exits_dataerr(tmp_path, capsys, command):
     """JSON is UTF-8 (RFC 8259): a file with one stray byte fails with one
