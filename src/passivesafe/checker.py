@@ -20,7 +20,6 @@ import json
 import os
 from collections import defaultdict, namedtuple
 from enum import Enum
-from functools import lru_cache
 from itertools import product, repeat
 from operator import itemgetter
 
@@ -127,14 +126,31 @@ def state_digest(world: WorldState) -> str:
 
 
 class _ObstacleJson(dict):
-    """ObstacleSnapshot -> its JSON object, keys sorted, made on first use."""
+    """ObstacleSnapshot -> its JSON object as ``form`` writes it, made on
+    first use: one memo per trace, since a trace's obstacles recur."""
 
-    __slots__ = ()
+    __slots__ = ("form",)
+
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
 
     def __missing__(self, o: ObstacleSnapshot) -> str:
-        text = self[o] = '{"destCell":%d,"id":%d,"isStatic":%s,"lane":%d,"x":%d}' % (
-            o.dest_cell, o.id, "true" if o.is_static else "false", o.lane, o.x)
+        text = self[o] = self.form(o)
         return text
+
+
+def _digest_obstacle(o: ObstacleSnapshot) -> str:
+    """An obstacle's JSON object in ``state_digest``'s payload: compact,
+    keys sorted."""
+    return '{"destCell":%d,"id":%d,"isStatic":%s,"lane":%d,"x":%d}' % (
+        o.dest_cell, o.id, "true" if o.is_static else "false", o.lane, o.x)
+
+
+def _line_obstacle(o: ObstacleSnapshot) -> str:
+    """An obstacle's JSON object in a trace line, as ``json.dumps`` writes it."""
+    return '{"id": %d, "x": %d, "lane": %d, "isStatic": %s, "destCell": %d}' % (
+        o.id, o.x, o.lane, "true" if o.is_static else "false", o.dest_cell)
 
 
 def _digests():
@@ -147,7 +163,7 @@ def _digests():
     them."""
     import hashlib     # loaded only when a trace is digested
     sha256 = hashlib.sha256
-    obstacle = _ObstacleJson().__getitem__
+    obstacle = _ObstacleJson(_digest_obstacle).__getitem__
 
     def digest(world: WorldState) -> str:
         robot = world.robot
@@ -161,12 +177,13 @@ def _digests():
     return digest
 
 
-def _mover_groups(scenario: GridScenario, movers: list[ObstacleSnapshot]) -> list[tuple[int, ...]]:
+def _mover_groups(specs: dict, movers: list[ObstacleSnapshot]) -> list[tuple[int, ...]]:
     """Per mover, the indices of the movers interchangeable with it
-    (same lane, destination and maxVel), itself included, ascending."""
+    (same lane, destination and maxVel, read from ``specs``, id ->
+    ``ObstacleSpec``), itself included, ascending."""
     kinds: dict[tuple[int, int, int], list[int]] = {}
     for j, obs in enumerate(movers):
-        kind = (obs.lane, obs.dest_cell, scenario.obstacle_by_id(obs.id).max_vel)
+        kind = (obs.lane, obs.dest_cell, specs[obs.id].max_vel)
         kinds.setdefault(kind, []).append(j)
     groups = {j: tuple(members) for members in kinds.values() for j in members}
     return [groups[j] for j in range(len(movers))]
@@ -233,8 +250,9 @@ class _Model:
         scenario.validate()
         self.scenario = scenario
         self.init = init = initial_world_state(scenario)
+        specs = {obs.id: obs for obs in scenario.obstacles}
         movers = [(i, obs) for i, obs in enumerate(init.obstacles) if not obs.is_static]
-        group_of = _mover_groups(scenario, [obs for _, obs in movers])
+        group_of = _mover_groups(specs, [obs for _, obs in movers])
         at = sorted(range(len(movers)), key=group_of.__getitem__)    # key position -> mover
         tagged = any(len(group) > 1 for group in group_of)
         if tagged:      # sort each vector's (group tag, x, prev x) triples, then drop the tags
@@ -253,12 +271,14 @@ class _Model:
         self.pickers = []
         for j, (i, obs) in enumerate(movers):
             tag, d = (group_of[j][0],) if tagged else (), obs.dest_cell
-            picks = range(1, scenario.obstacle_by_id(obs.id).max_vel + 1)
+            picks = range(1, specs[obs.id].max_vel + 1)
             self.pickers.append((at.index(j), i, tag, d, picks, {d: (tag + (d, d),)}))
         self.lanes = tuple(movers[j][1].lane for j in at)
         self.dests = tuple(movers[j][1].dest_cell for j in at)
         self.statics = statics = [(obs.x, obs.lane) for obs in init.obstacles if obs.is_static]
-        self.on_lane = {lane: [cell for cell, on in statics if on == lane] for _, lane in statics}
+        self.on_lane = on_lane = {}     # lane -> the cells of its static obstacles
+        for cell, lane in statics:
+            on_lane.setdefault(lane, []).append(cell)
         # The memos, each filled by the method named.
         self.seen_statics = {}      # (x, lane) -> statics_at
         self.decisions = {}         # robot + (danger, free lane) -> decide
@@ -299,25 +319,25 @@ class _Model:
     def statics_at(self, x: int, lane: int) -> tuple[bool, bool, set]:
         """What the robot sees of the static obstacles from ``x`` and
         ``lane``: danger, an obstacle on the cell ahead, the lanes blocked."""
-        seen = self.seen_statics.get((x, lane))
-        if seen is None:
-            cells, scenario = self.on_lane.get(lane, ()), self.scenario
-            visual = scenario.assumptions.visual_radius
-            seen = self.seen_statics[x, lane] = (
-                any([danger_from(x, lane, cell, lane, True, scenario) for cell in cells]),
-                any([stands_ahead(x, lane, cell, lane) for cell in cells]),
-                {on for cell, on in self.statics if blocks_lane(x, cell, visual)})
+        cells, scenario = self.on_lane.get(lane, ()), self.scenario
+        visual = scenario.assumptions.visual_radius
+        seen = self.seen_statics[x, lane] = (
+            any([danger_from(x, lane, cell, lane, True, scenario) for cell in cells]),
+            any([stands_ahead(x, lane, cell, lane) for cell in cells]),
+            {on for cell, on in self.statics if blocks_lane(x, cell, visual)})
         return seen
 
     def decide(self, decision: tuple) -> tuple:
         """``robot_decide`` on the robot, danger and free lane, as ``move``
         gives it, or ``_UNLOOKED`` for a dodge whose lane is not looked for."""
-        head = robot_decide(*decision[:3], _MODES[decision[3]], *decision[4:], self.scenario)
+        x, lane, v, mode, danger, free_lane = decision
+        head = robot_decide(x, lane, v, _MODES[mode], danger, free_lane, self.scenario)
         move = _UNLOOKED
         if head is not None:
-            head = (*head[:3], _MODE_CODE[head[3]])
-            safe = self.safety.setdefault(head, {}) if head[2] else None
-            move = (head, safe, head == decision[:4])
+            to_x, to_lane, to_v, to_mode = head
+            head = (to_x, to_lane, to_v, _MODE_CODE[to_mode])
+            safe = self.safety.setdefault(head, {}) if to_v else None
+            move = (head, safe, to_x == x and to_lane == lane and to_v == v and head[3] == mode)
         self.decisions[decision] = move
         return move
 
@@ -327,16 +347,18 @@ class _Model:
         whether it stays put.  A free side lane is looked for only for a
         dodge."""
         x, lane, scenario = seen[0], seen[1], self.scenario
-        danger = lane in self.on_lane and self.statics_at(x, lane)[0]
-        for cell, on, d in zip(seen[4:], self.lanes, self.dests):
-            if danger:
-                break
-            danger = danger_from(x, lane, cell, on, cell == d, scenario)
+        danger = lane in self.on_lane and (self.seen_statics.get((x, lane))
+                                           or self.statics_at(x, lane))[0]
+        if not danger:
+            for cell, on, d in zip(seen[4:], self.lanes, self.dests):
+                if danger_from(x, lane, cell, on, cell == d, scenario):
+                    danger = True
+                    break
         decision = seen[:4] + (danger, _UNLOOKED)
         move = self.decisions.get(decision) or self.decide(decision)
         if move is _UNLOOKED:   # a dodge: look for a free side lane
             visual = scenario.assumptions.visual_radius
-            blocked = self.statics_at(x, lane)[2].union(
+            blocked = (self.seen_statics.get((x, lane)) or self.statics_at(x, lane))[2].union(
                 [on for cell, on in zip(seen[4:], self.lanes) if blocks_lane(x, cell, visual)])
             decision = seen[:4] + (True, free_side_lane(lane, blocked, scenario))
             move = self.decisions.get(decision) or self.decide(decision)
@@ -346,16 +368,21 @@ class _Model:
     def is_safe(self, head: tuple, now: tuple) -> bool:
         """Whether the robot ``head``, with speed, is passive safe with
         the movers at ``now``."""
-        x, lane = head[:2]
-        return not (lane in self.on_lane and self.statics_at(x, lane)[1]
-                    or any([stands_ahead(x, lane, cell, on) for cell, on in zip(now, self.lanes)]))
+        x, lane = head[0], head[1]
+        if lane in self.on_lane and (self.seen_statics.get((x, lane))
+                                     or self.statics_at(x, lane))[1]:
+            return False
+        for cell, on in zip(now, self.lanes):
+            if stands_ahead(x, lane, cell, on):
+                return False
+        return True
 
     def successor_tails(self, xs: tuple[int, ...], robot_x: int = -1) -> tuple[tuple, int]:
         """The successor tails of ``xs``, each vector of the movers' options
         canonicalised in the order of ``enumerate_obstacle_choices``, the
         movers behind ``robot_x`` parked; and the lowest x of a mover not
         yet parked.  A mover dies on a step when its x is behind the moved
-        robot."""
+        robot.  A lone mover's tails are its option row."""
         rows, lowest = [], self.scenario.track_length_cells     # above any robot x
         for k, _, tag, d, picks, options in self.pickers:
             x = xs[k]
@@ -365,7 +392,8 @@ class _Model:
             rows.append(options[d] * len(row) if x < robot_x else row)
             if d != x < lowest:
                 lowest = x
-        entry = self.tails[xs + (robot_x,)] = tuple(self.canonical(product(*rows))), lowest
+        tails = rows[0] if len(rows) == 1 else tuple(self.canonical(product(*rows)))
+        entry = self.tails[xs + (robot_x,)] = tails, lowest
         return entry
 
 
@@ -516,10 +544,7 @@ def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
     JSON kept for the trace, in the bytes of one ``json.dumps`` per line
     for fields of their declared types.
     """
-    @lru_cache(maxsize=None)
-    def obstacle(o: ObstacleSnapshot) -> str:
-        return '{"id": %d, "x": %d, "lane": %d, "isStatic": %s, "destCell": %d}' % (
-            o.id, o.x, o.lane, "true" if o.is_static else "false", o.dest_cell)
+    obstacle = _ObstacleJson(_line_obstacle).__getitem__
 
     def snapshots(world: WorldState) -> str:
         robot = world.robot
@@ -546,16 +571,22 @@ def write_trace_jsonl(trace: Trace, scenario: GridScenario, path: str | os.PathL
 
 
 # Readers of ``trace_to_jsonl``'s lines.  Each record has one table from
-# JSON key to (field, reader), in reading order; a malformed record raises
-# ScenarioError, which ``trace_from_jsonl`` reports with its line number.
+# JSON key to (field, type, reader), in reading order; a malformed record
+# raises ScenarioError, which ``trace_from_jsonl`` reports with its line
+# number.
 
 def _read(cls, data, table: dict, where: str):
     """``cls`` from the JSON object ``data``: each key of ``table`` is
     required and its value read in table order, named ``where.key``, so
-    the first fault in that order is the one reported."""
+    the first fault in that order is the one reported.  As in
+    ``GridScenario.validate``, a value of the exact type passes at once;
+    only another value builds its name and goes to the reader."""
     _as_object(data, where)
-    return cls(**{field: read(_field(data, key, where), f"{where}.{key}")
-                  for key, (field, read) in table.items()})
+    fields = {}
+    for key, (field, exact, read) in table.items():
+        value = data[key] if key in data else _field(data, key, where)
+        fields[field] = value if type(value) is exact else read(value, f"{where}.{key}")
+    return cls(**fields)
 
 
 def _each(cls, table: dict, where: str | None = None):
@@ -565,21 +596,25 @@ def _each(cls, table: dict, where: str | None = None):
                                       for i, item in enumerate(_as_list(items, name))])
 
 
-_ROBOT_LINE = {"x": ("x", _as_int), "lane": ("lane", _as_int), "v": ("v", _as_int),
-               "mode": ("mode", _as_mode)}
-_OBSTACLE_LINE = {"id": ("id", _as_int), "x": ("x", _as_int), "lane": ("lane", _as_int),
-                  "isStatic": ("is_static", _as_bool), "destCell": ("dest_cell", _as_int)}
-_CHOICE_LINE = {"id": ("obstacle_id", _as_int), "velocity": ("velocity", _as_int)}
+# A reader with no exact type (None) sees every value: a mode is read
+# from its string, a record from its object.
+_ROBOT_LINE = {"x": ("x", int, _as_int), "lane": ("lane", int, _as_int),
+               "v": ("v", int, _as_int), "mode": ("mode", None, _as_mode)}
+_OBSTACLE_LINE = {"id": ("id", int, _as_int), "x": ("x", int, _as_int),
+                  "lane": ("lane", int, _as_int), "isStatic": ("is_static", bool, _as_bool),
+                  "destCell": ("dest_cell", int, _as_int)}
+_CHOICE_LINE = {"id": ("obstacle_id", int, _as_int), "velocity": ("velocity", int, _as_int)}
 _INITIAL_LINE = {
-    "tick": ("tick", _as_int),
-    "robot": ("robot", lambda data, _: _read(RobotSnapshot, data, _ROBOT_LINE, "robot")),
-    "obstacles": ("obstacles", _each(ObstacleSnapshot, _OBSTACLE_LINE, "obstacle")),
-    "prevObstacles": ("prev_obstacles", _each(ObstacleSnapshot, _OBSTACLE_LINE, "obstacle")),
+    "tick": ("tick", int, _as_int),
+    "robot": ("robot", None, lambda data, _: _read(RobotSnapshot, data, _ROBOT_LINE, "robot")),
+    "obstacles": ("obstacles", None, _each(ObstacleSnapshot, _OBSTACLE_LINE, "obstacle")),
+    "prevObstacles": ("prev_obstacles", None, _each(ObstacleSnapshot, _OBSTACLE_LINE,
+                                                    "obstacle")),
 }
 _STEP_LINE = {      # written tick first; this order decides which of several faults is reported
-    "choices": ("choices", _each(ObstacleChoice, _CHOICE_LINE)),
-    "stateHash": ("state_hash", _as_str), "tick": ("tick", _as_int),
-    "modeBefore": ("mode_before", _as_mode), "modeAfter": ("mode_after", _as_mode),
+    "choices": ("choices", None, _each(ObstacleChoice, _CHOICE_LINE)),
+    "stateHash": ("state_hash", str, _as_str), "tick": ("tick", int, _as_int),
+    "modeBefore": ("mode_before", None, _as_mode), "modeAfter": ("mode_after", None, _as_mode),
 }
 
 

@@ -25,8 +25,13 @@ def collision_danger(world: WorldState, scenario: GridScenario) -> bool:
 
 def collision_danger_at(x: int, lane: int, seen: tuple, scenario: GridScenario) -> bool:
     """Is braking warranted for any obstacle of ``seen`` (the robot's
-    view), for a robot on cell ``x`` of ``lane``?  See ``danger_from``."""
-    return any(danger_from(x, lane, obs.x, obs.lane, obs.is_static, scenario) for obs in seen)
+    view), for a robot on cell ``x`` of ``lane``?  See ``danger_from``,
+    which is False for an obstacle on any other lane, so only those on
+    ``lane`` are put to it."""
+    for obs in seen:
+        if obs.lane == lane and danger_from(x, lane, obs.x, obs.lane, obs.is_static, scenario):
+            return True
+    return False
 
 
 def danger_from(x: int, lane: int, obs_x: int, obs_lane: int, obs_static: bool,
@@ -35,11 +40,11 @@ def danger_from(x: int, lane: int, obs_x: int, obs_lane: int, obs_static: bool,
     warrant braking for a robot on cell ``x`` of ``lane``?
 
     Only obstacles ahead of the robot on its own lane and inside the
-    visual radius count.  Moving obstacles are checked against the full
-    look-ahead distance at the robot's *maximum* velocity plus the
-    buffer; static obstacles against the braking distance computed one
-    velocity step above maximum, which builds in the margin without a
-    separate buffer term.
+    visual radius count: on any other lane the answer is False.  Moving
+    obstacles are checked against the full look-ahead distance at the
+    robot's *maximum* velocity plus the buffer; static obstacles against
+    the braking distance computed one velocity step above maximum, which
+    builds in the margin without a separate buffer term.
     """
     a = scenario.assumptions
     if obs_lane != lane or not 0 <= obs_x - x <= a.visual_radius:
@@ -60,7 +65,8 @@ def blocks_lane(x: int, obs_x: int, visual_radius: float) -> bool:
 
 def stands_ahead(x: int, lane: int, obs_x: int, obs_lane: int) -> bool:
     """Does an obstacle on cell ``obs_x`` of ``obs_lane`` stand in the cell
-    directly ahead of a robot on cell ``x`` of ``lane``?"""
+    directly ahead of a robot on cell ``x`` of ``lane``?  Never on any
+    other lane."""
     return obs_lane == lane and x < obs_x <= x + 1
 
 
@@ -75,5 +81,11 @@ def is_passive_safe_at(x: int, lane: int, v: int, obstacles: tuple) -> bool:
     """A state is unsafe exactly when some obstacle of ``obstacles``
     ``stands_ahead`` of the robot while the robot still has speed.
     Contact at zero velocity is admissible: the robot did not cause it.
+    ``stands_ahead`` is False for an obstacle on any other lane, so only
+    those on ``lane`` are put to it.
     """
-    return v == 0 or not any(stands_ahead(x, lane, obs.x, obs.lane) for obs in obstacles)
+    if v:
+        for obs in obstacles:
+            if obs.lane == lane and stands_ahead(x, lane, obs.x, obs.lane):
+                return False
+    return True

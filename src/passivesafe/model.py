@@ -254,25 +254,15 @@ class WorldState(namedtuple("WorldState", "tick robot obstacles prev_obstacles")
 
 
 def initial_world_state(scenario: GridScenario) -> WorldState:
-    """Tick-0 state: robot idle at its start cell, obstacles at theirs."""
-    robot = RobotSnapshot(
-        x=scenario.robot_start_cell,
-        lane=scenario.robot_start_lane,
-        v=0,
-        mode=RobotMode.IDLE,
-    )
-    obstacles = tuple(
-        ObstacleSnapshot(
-            id=o.id,
-            x=o.start_cell,
-            lane=o.lane,
-            # A mover that starts on its destination has already arrived.
-            is_static=o.is_static or o.start_cell == o.dest_cell,
-            dest_cell=o.dest_cell,
-        )
+    """Tick-0 state: robot idle at its start cell, obstacles at theirs.
+    A mover that starts on its destination has already arrived."""
+    robot = RobotSnapshot(scenario.robot_start_cell, scenario.robot_start_lane, 0, _IDLE)
+    obstacles = tuple([
+        ObstacleSnapshot(o.id, o.start_cell, o.lane, o.is_static or o.start_cell == o.dest_cell,
+                         o.dest_cell)
         for o in scenario.obstacles
-    )
-    return WorldState(tick=0, robot=robot, obstacles=obstacles, prev_obstacles=obstacles)
+    ])
+    return WorldState(0, robot, obstacles, obstacles)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +302,8 @@ def _record(cls, data, keys: dict[str, str], where: str, **nested):
     runtime records (``SimConfig``, ``SweepSpec``) are dataclasses with a
     default on every field, so none of their keys is required."""
     _as_object(data, where)
-    unknown = sorted(data.keys() - keys.keys())
-    if unknown:
+    if not keys.keys() >= data.keys():
+        unknown = sorted(data.keys() - keys.keys())
         raise ScenarioError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     defaults = getattr(cls, "_field_defaults", None)
     if defaults is not None and len(data) < len(keys):     # some key is absent

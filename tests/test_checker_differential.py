@@ -167,7 +167,7 @@ def reference_check_safety(scenario, depth_bound=None, state_budget=DEFAULT_STAT
     n = len(movers)
     dests = tuple(obs.dest_cell for _, obs in movers)
     xs0 = tuple(obs.x for _, obs in movers)
-    group_of = _mover_groups(scenario, [obs for _, obs in movers])
+    group_of = _mover_groups({o.id: o for o in scenario.obstacles}, [obs for _, obs in movers])
     groups = [g for g in dict.fromkeys(group_of) if len(g) > 1]
     # Per mover and cell: the cells its picks 1..maxVel lead to, in pick
     # order.  After a swap a mover may stand on any cell of its group.

@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passivesafe import (
     Assumptions,
@@ -15,7 +17,12 @@ from passivesafe import (
     collision_danger,
     is_passive_safe,
 )
-from passivesafe.kinematics import is_passive_safe_at
+from passivesafe.kinematics import (
+    collision_danger_at,
+    danger_from,
+    is_passive_safe_at,
+    stands_ahead,
+)
 
 
 def brake_oracle(v: int) -> int:
@@ -218,3 +225,35 @@ def test_passive_safe_invariant_under_obstacle_permutation():
         rng.shuffle(shuffled)
         permuted = WorldState(0, robot, tuple(shuffled), world.prev_obstacles)
         assert is_passive_safe(world) == is_passive_safe(permuted)
+
+
+# ---------------------------------------------------------------------------
+# Row rules against their per-obstacle rule
+# ---------------------------------------------------------------------------
+
+@st.composite
+def rows(draw):
+    """A scenario, a robot (x, lane, v) and a row of obstacles in any
+    order, with obstacles on every lane near the robot's cell."""
+    lanes = draw(st.integers(1, 4))
+    scenario = lane_scenario(assumed=draw(st.integers(1, 5)), visual=draw(st.integers(1, 30)),
+                             buffer=draw(st.integers(1, 5)), lanes=lanes)
+    x = draw(st.integers(0, 50))
+    row = [(lane, x + draw(st.integers(-2, 12)), draw(st.booleans()))
+           for lane in range(lanes) for _ in range(draw(st.integers(1, 3)))]
+    row = tuple(ObstacleSnapshot(i, cell, lane, static, 0)
+                for i, (lane, cell, static) in enumerate(draw(st.permutations(row))))
+    return scenario, x, draw(st.integers(0, lanes - 1)), draw(st.integers(0, 3)), row
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows())
+def test_row_rules_are_any_of_their_per_obstacle_rule(case):
+    """``collision_danger_at`` and ``is_passive_safe_at`` put only the
+    obstacles on the robot's lane to their rule; over a row with
+    obstacles on every lane, that is ``any`` of the rule over the row."""
+    scenario, x, lane, v, row = case
+    assert collision_danger_at(x, lane, row, scenario) == any(
+        danger_from(x, lane, o.x, o.lane, o.is_static, scenario) for o in row)
+    assert is_passive_safe_at(x, lane, v, row) == (
+        v == 0 or not any(stands_ahead(x, lane, o.x, o.lane) for o in row))
