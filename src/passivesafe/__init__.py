@@ -14,11 +14,11 @@ package, or one half of it, loads only the submodules that half needs.
 from importlib import import_module
 
 _EXPORTS = {
-    "automata": ("ChoiceError ObstacleChoice TransitionLabel apply_action "
+    "automata": ("ChoiceError ObstacleChoice apply_action "
                  "enumerate_obstacle_choices free_side_lane lane_change_possible_at "
                  "robot_decide robot_step robot_step_at world_step"),
-    "checker": ("ExplorationStats Outcome SafetyVerdict Trace check_safety replay_trace "
-                "state_space_stats"),
+    "checker": "ExplorationStats Outcome SafetyVerdict check_safety state_space_stats",
+    "counterexample": "Trace TransitionLabel replay_trace",
     "kinematics": ("blocks_lane braking_distance_cells collision_danger collision_danger_at "
                    "danger_from is_passive_safe is_passive_safe_at stands_ahead"),
     "model": ("Assumptions GridScenario ObstacleSnapshot ObstacleSpec RobotMode RobotSnapshot "

@@ -40,19 +40,6 @@ class ObstacleChoice(namedtuple("ObstacleChoice", "obstacle_id velocity")):
     __slots__ = ()
 
 
-class TransitionLabel(namedtuple("TransitionLabel", "tick mode_before mode_after choices "
-                                 "state_hash")):
-    """Record of one world step, enough to replay and explain it: the
-    tick, the robot's modes before and after, and the choices (a tuple of
-    ``ObstacleChoice``).
-
-    ``state_hash`` is the digest of the state the step produced; replay
-    recomputes and compares it.
-    """
-
-    __slots__ = ()
-
-
 def lane_change_possible_at(x: int, lane: int, seen: tuple, scenario: GridScenario) -> int | None:
     """Adjacent lane with no obstacle of ``seen`` ahead of cell ``x``
     within visual range (``blocks_lane``); see ``free_side_lane``."""

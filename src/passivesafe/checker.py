@@ -9,24 +9,20 @@ includes the delayed obstacle view: two states whose robots have seen
 different histories must not be merged.
 
 The search runs on the int keys of a ``_Model`` compiled from the
-scenario.  The object-level ``world_step``, ``state_key`` and
-``replay_trace`` stay the reference semantics that counterexample
-rebuilds, replays and tests compare against.
+scenario.  The object-level ``world_step`` and ``state_key`` stay the
+reference semantics that counterexample rebuilds and tests compare
+against.  The counterexample format, its records, JSONL, digests and
+replay, is ``counterexample``'s, loaded only when a search ends Violated.
 """
 from __future__ import annotations
 
 import gc
-import json
-import os
 from collections import defaultdict, namedtuple
 from enum import Enum
 from itertools import product, repeat
 from operator import itemgetter
 
 from .automata import (
-    ChoiceError,
-    ObstacleChoice,
-    TransitionLabel,
     _UNLOOKED,
     enumerate_obstacle_choices,
     free_side_lane,
@@ -40,16 +36,7 @@ from .model import (
     ObstacleSnapshot,
     RobotMode,
     RobotSnapshot,
-    ScenarioError,
-    TraceError,
     WorldState,
-    _as_bool,
-    _as_int,
-    _as_list,
-    _as_mode,
-    _as_object,
-    _as_str,
-    _field,
     initial_world_state,
 )
 
@@ -67,12 +54,6 @@ class Outcome(str, Enum):
     HOLDS = "Holds"
     VIOLATED = "Violated"
     INCONCLUSIVE = "Inconclusive"
-
-
-class Trace(namedtuple("Trace", "initial steps")):
-    """Replayable counterexample: initial state plus one label per step."""
-
-    __slots__ = ()
 
 
 class ExplorationStats(namedtuple("ExplorationStats",
@@ -116,65 +97,6 @@ class SafetyVerdict(namedtuple("SafetyVerdict", "outcome stats counterexample de
 def state_key(world: WorldState):
     """Hashable identity of a state: everything except the tick."""
     return (world.robot, world.obstacles, world.prev_obstacles)
-
-
-def state_digest(world: WorldState) -> str:
-    """Content hash of the full state, stable across runs and processes:
-    the SHA-256 of the state's JSON object (as in a trace's initial line,
-    less its type) in compact JSON with sorted keys."""
-    return _digests()(world)
-
-
-class _ObstacleJson(dict):
-    """ObstacleSnapshot -> its JSON object as ``form`` writes it, made on
-    first use: one memo per trace, since a trace's obstacles recur."""
-
-    __slots__ = ("form",)
-
-    def __init__(self, form):
-        super().__init__()
-        self.form = form
-
-    def __missing__(self, o: ObstacleSnapshot) -> str:
-        text = self[o] = self.form(o)
-        return text
-
-
-def _digest_obstacle(o: ObstacleSnapshot) -> str:
-    """An obstacle's JSON object in ``state_digest``'s payload: compact,
-    keys sorted."""
-    return '{"destCell":%d,"id":%d,"isStatic":%s,"lane":%d,"x":%d}' % (
-        o.dest_cell, o.id, "true" if o.is_static else "false", o.lane, o.x)
-
-
-def _line_obstacle(o: ObstacleSnapshot) -> str:
-    """An obstacle's JSON object in a trace line, as ``json.dumps`` writes it."""
-    return '{"id": %d, "x": %d, "lane": %d, "isStatic": %s, "destCell": %d}' % (
-        o.id, o.x, o.lane, "true" if o.is_static else "false", o.dest_cell)
-
-
-def _digests():
-    """``state_digest`` for the states of one trace.  The payload is
-    pieced together from the JSON of each obstacle, kept for the next
-    state: the static obstacles recur in every state, and a state's
-    ``obstacles`` are the next one's ``prev_obstacles``.  The bytes are
-    those of ``json.dumps`` for fields of their declared types (ints, a
-    bool and a ``RobotMode``), as ``world_step`` and every loader give
-    them."""
-    import hashlib     # loaded only when a trace is digested
-    sha256 = hashlib.sha256
-    obstacle = _ObstacleJson(_digest_obstacle).__getitem__
-
-    def digest(world: WorldState) -> str:
-        robot = world.robot
-        payload = ('{"obstacles":[%s],"prevObstacles":[%s],"robot":{"lane":%d,"mode":"%s",'
-                   '"v":%d,"x":%d},"tick":%d}' % (
-                       ",".join(map(obstacle, world.obstacles)),
-                       ",".join(map(obstacle, world.prev_obstacles)),
-                       robot.lane, robot.mode.value, robot.v, robot.x, world.tick))
-        return sha256(payload.encode()).hexdigest()
-
-    return digest
 
 
 def _mover_groups(specs: dict, movers: list[ObstacleSnapshot]) -> list[tuple[int, ...]]:
@@ -294,16 +216,17 @@ class _Model:
             tag + ((d, d) if prev[i].x < robot_x else (now[i].x, prev[i].x))
             for _, i, tag, d, _, _ in self.pickers]]))
 
-    def trace_to(self, parents: dict) -> Trace:
-        """The counterexample that ends in the last key of ``parents``, the
-        one a violation stopped the search at.  Each step takes the first
-        vector of ``enumerate_obstacle_choices`` whose ``world_step``
-        successor has the next key on the path back, so its choices are
-        legal for the real movers."""
+    def trace_to(self, parents: dict):
+        """The ``counterexample.Trace`` that ends in the last key of
+        ``parents``, the one a violation stopped the search at.  Each step
+        takes the first vector of ``enumerate_obstacle_choices`` whose
+        ``world_step`` successor has the next key on the path back, so its
+        choices are legal for the real movers."""
         path, key = [], next(reversed(parents))
         while key is not None:
             path.append(key)
             key = parents[key]
+        from .counterexample import Trace, TransitionLabel, _digests
         world, steps, digest = self.init, [], _digests()
         for key in reversed(path[:-1]):
             before = world.robot.mode
@@ -487,36 +410,8 @@ def state_space_stats(
     return verdict.stats
 
 
-def replay_trace(scenario: GridScenario, trace: Trace) -> WorldState:
-    """Deterministically re-execute a trace, validating every label.
-
-    Independent check on counterexamples: each step's choices must be
-    legal for the state they are applied to, and its tick, modes and
-    stored state hash must match the replayed step.  Returns the final
-    state.
-    """
-    world = initial_world_state(scenario)
-    if world != trace.initial:
-        raise TraceError("trace initial state does not match the scenario")
-    digest = _digests()
-    for k, label in enumerate(trace.steps):
-        before = world.robot.mode
-        try:
-            world = world_step(world, label.choices, scenario)
-        except ChoiceError as e:
-            raise TraceError(f"invalid label at step {k}: {e}") from e
-        stated = (label.tick, label.mode_before, label.mode_after)
-        if stated != (world.tick, before, world.robot.mode):
-            raise TraceError(f"invalid label at step {k}: tick {label.tick}, "
-                             f"{label.mode_before.value} -> {label.mode_after.value}; replayed "
-                             f"tick {world.tick}, {before.value} -> {world.robot.mode.value}")
-        if digest(world) != label.state_hash:
-            raise TraceError(f"invalid label at step {k}: state hash mismatch")
-    return world
-
-
 # ---------------------------------------------------------------------------
-# Serialization: verdict summary JSON and counterexample JSONL
+# Serialization: verdict summary JSON
 # ---------------------------------------------------------------------------
 
 def verdict_to_dict(verdict: SafetyVerdict, counterexample_path: str | None = None) -> dict:
@@ -535,118 +430,14 @@ def verdict_to_dict(verdict: SafetyVerdict, counterexample_path: str | None = No
     return summary
 
 
-def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
-    """One JSON line per transition, preceded by the initial state.
-
-    Step lines carry the resulting snapshots for human inspection; only
-    the choices and hashes are authoritative for replay.  The lines are
-    pieced together as ``state_digest``'s payloads are, each obstacle's
-    JSON kept for the trace, in the bytes of one ``json.dumps`` per line
-    for fields of their declared types.
-    """
-    obstacle = _ObstacleJson(_line_obstacle).__getitem__
-
-    def snapshots(world: WorldState) -> str:
-        robot = world.robot
-        return '"robot": {"x": %d, "lane": %d, "v": %d, "mode": "%s"}, "obstacles": [%s]' % (
-            robot.x, robot.lane, robot.v, robot.mode.value,
-            ", ".join(map(obstacle, world.obstacles)))
-
-    world = trace.initial
-    lines = ['{"type": "initial", "tick": %d, %s, "prevObstacles": [%s]}' % (
-        world.tick, snapshots(world), ", ".join(map(obstacle, world.prev_obstacles)))]
-    for label in trace.steps:
-        world = world_step(world, label.choices, scenario)
-        lines.append('{"type": "step", "tick": %d, "modeBefore": "%s", "modeAfter": "%s", '
-                     '"choices": [%s], %s, "stateHash": %s}' % (
-                         label.tick, label.mode_before.value, label.mode_after.value,
-                         ", ".join(['{"id": %d, "velocity": %d}' % c for c in label.choices]),
-                         snapshots(world), json.dumps(label.state_hash)))
-    return "\n".join(lines) + "\n"
+# ``perfbench/layers.py`` calls these four through this module.  They are
+# ``counterexample``'s, loaded on first use, and forwarded until ROADMAP
+# item 10 points the benchmark at that module.
+_FORWARDED = ("write_trace_jsonl", "trace_from_jsonl", "replay_trace", "state_digest")
 
 
-def write_trace_jsonl(trace: Trace, scenario: GridScenario, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        out.write(trace_to_jsonl(trace, scenario))
-
-
-# Readers of ``trace_to_jsonl``'s lines.  Each record has one table from
-# JSON key to (field, type, reader), in reading order; a malformed record
-# raises ScenarioError, which ``trace_from_jsonl`` reports with its line
-# number.
-
-def _read(cls, data, table: dict, where: str):
-    """``cls`` from the JSON object ``data``: each key of ``table`` is
-    required and its value read in table order, named ``where.key``, so
-    the first fault in that order is the one reported.  As in
-    ``GridScenario.validate``, a value of the exact type passes at once;
-    only another value builds its name and goes to the reader."""
-    _as_object(data, where)
-    fields = {}
-    for key, (field, exact, read) in table.items():
-        value = data[key] if key in data else _field(data, key, where)
-        fields[field] = value if type(value) is exact else read(value, f"{where}.{key}")
-    return cls(**fields)
-
-
-def _each(cls, table: dict, where: str | None = None):
-    """The reader of a list of ``cls`` records, each named ``where``, or
-    by its index in the list."""
-    return lambda items, name: tuple([_read(cls, item, table, where or f"{name}[{i}]")
-                                      for i, item in enumerate(_as_list(items, name))])
-
-
-# A reader with no exact type (None) sees every value: a mode is read
-# from its string, a record from its object.
-_ROBOT_LINE = {"x": ("x", int, _as_int), "lane": ("lane", int, _as_int),
-               "v": ("v", int, _as_int), "mode": ("mode", None, _as_mode)}
-_OBSTACLE_LINE = {"id": ("id", int, _as_int), "x": ("x", int, _as_int),
-                  "lane": ("lane", int, _as_int), "isStatic": ("is_static", bool, _as_bool),
-                  "destCell": ("dest_cell", int, _as_int)}
-_CHOICE_LINE = {"id": ("obstacle_id", int, _as_int), "velocity": ("velocity", int, _as_int)}
-_INITIAL_LINE = {
-    "tick": ("tick", int, _as_int),
-    "robot": ("robot", None, lambda data, _: _read(RobotSnapshot, data, _ROBOT_LINE, "robot")),
-    "obstacles": ("obstacles", None, _each(ObstacleSnapshot, _OBSTACLE_LINE, "obstacle")),
-    "prevObstacles": ("prev_obstacles", None, _each(ObstacleSnapshot, _OBSTACLE_LINE,
-                                                    "obstacle")),
-}
-_STEP_LINE = {      # written tick first; this order decides which of several faults is reported
-    "choices": ("choices", None, _each(ObstacleChoice, _CHOICE_LINE)),
-    "stateHash": ("state_hash", str, _as_str), "tick": ("tick", int, _as_int),
-    "modeBefore": ("mode_before", None, _as_mode), "modeAfter": ("mode_after", None, _as_mode),
-}
-
-
-def trace_from_jsonl(text: str) -> Trace:
-    """Parse counterexample JSONL; any malformed line raises TraceError.
-    The first non-blank line is the one initial line; every later line is
-    a step."""
-    initial = None
-    steps = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise TraceError(f"trace line {lineno}: {e.msg}") from e
-        except (ValueError, RecursionError) as e:   # over-long integer literal, deep nesting
-            raise TraceError(f"trace line {lineno}: {e}") from e
-        try:
-            kind = _as_object(record, "record").get("type")
-            if kind != "initial" and kind != "step":
-                raise TraceError(f"unknown record type {kind!r}")
-            if initial is None and kind == "initial":
-                initial = _read(WorldState, record, _INITIAL_LINE, "state")
-            elif initial is None:
-                raise TraceError("step line before the initial state line")
-            elif kind == "step":
-                steps.append(_read(TransitionLabel, record, _STEP_LINE, "step"))
-            else:
-                raise TraceError("a trace has one initial state line")
-        except (ScenarioError, TraceError) as e:
-            raise TraceError(f"trace line {lineno}: {e}") from e
-    if initial is None:
-        raise TraceError("trace has no initial state line")
-    return Trace(initial=initial, steps=tuple(steps))
+def __getattr__(name: str):
+    if name in _FORWARDED:
+        from . import counterexample
+        return getattr(counterexample, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -78,7 +78,8 @@ def _cmd_check(args) -> int:
         if trace_path is None:
             from pathlib import PurePath   # only here: `check --trace` loads no pathlib
             trace_path = PurePath(args.scenario).stem + ".counterexample.jsonl"
-        _write(trace_path, checker.trace_to_jsonl(verdict.counterexample, scenario))
+        from .counterexample import trace_to_jsonl     # only here: a Holds check loads none of it
+        _write(trace_path, trace_to_jsonl(verdict.counterexample, scenario))
     print(json.dumps(checker.verdict_to_dict(verdict, trace_path)))
     if verdict.outcome is checker.Outcome.INCONCLUSIVE:
         stats = verdict.stats
@@ -136,11 +137,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from . import checker
+    from .counterexample import replay_trace, trace_from_jsonl
+    from .kinematics import is_passive_safe
     scenario = load_scenario(_read(args.scenario))
-    trace = checker.trace_from_jsonl(_read(args.trace))
-    final = checker.replay_trace(scenario, trace)
-    violating = not checker.is_passive_safe(final)
+    trace = trace_from_jsonl(_read(args.trace))
+    final = replay_trace(scenario, trace)
+    violating = not is_passive_safe(final)
     print(json.dumps({
         "steps": len(trace.steps),
         "finalTick": final.tick,

@@ -14,16 +14,17 @@ Each config record has one table from JSON key to field, in serialization
 order, here and in ``sim`` and ``sweep``.  Loaders check only a document's
 shape (``_record``); types and values are the record's ``validate()``, so
 a file and an object built in Python fail with the same message.  Trace
-records have tables too: ``checker`` reads each counterexample line
-record with its types checked, since a trace has no ``validate()``, and
-``sim`` writes its tick and event lines with ``_to_dict``.
+records have tables too: ``counterexample`` reads each counterexample
+line record with its types checked, since a trace has no ``validate()``,
+and ``sim`` writes its tick and event lines with ``_to_dict``.
 
 Every record is a ``collections.namedtuple`` subclass with
 ``__slots__ = ()``, except the two configs that callers edit with
 ``dataclasses.replace`` (``sim.SimConfig``, ``sweep.SweepSpec``) and the
-mutable ``monitor.MonitorState``.  The reason is start-up: importing
-``dataclasses`` and running its class decorators took about 20 ms of each
-``check`` process.  Edit such a record with ``_replace``, which skips the
+mutable ``monitor.MonitorState``; a ``counterexample.Trace`` read from
+JSONL also keeps its step lines in an attribute beside its items.  The
+reason is start-up: importing ``dataclasses`` and running its class
+decorators took about 20 ms of each ``check`` process.  Edit such a record with ``_replace``, which skips the
 record's ``__new__`` and so its defaulting.  Like any tuple, it equals a
 tuple with the same items and iterates over its fields, so records of
 different kinds are never compared or mixed in one set, unless a ``kind``
@@ -354,19 +355,6 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{name} must be an integer")
     return value
-
-
-def _as_str(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ScenarioError(f"{name} must be a string")
-    return value
-
-
-def _as_mode(value, name: str) -> RobotMode:
-    try:
-        return RobotMode(value)
-    except ValueError:
-        raise ScenarioError(f"{name}: unknown robot mode {value!r}") from None
 
 
 def _as_number(value, name: str) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 from passivesafe import (Assumptions, GridScenario, ObstacleChoice, ObstacleSpec, RobotMode, Trace,
                          TraceError, WorldState, initial_world_state, is_passive_safe,
                          load_scenario, world_step)
-from passivesafe.checker import trace_from_jsonl
+from passivesafe.counterexample import trace_from_jsonl
 from passivesafe.model import _ASSUMPTION_KEYS, _OBSTACLE_KEYS, _SCENARIO_KEYS, _to_dict, read_utf8
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -159,7 +159,7 @@ def obstacle_to_dict(obs) -> dict:
 
 
 def reference_trace_jsonl(trace: Trace, scenario: GridScenario) -> str:
-    """What ``checker.trace_to_jsonl`` writes, one ``json.dumps`` per line."""
+    """What ``counterexample.trace_to_jsonl`` writes, one ``json.dumps`` per line."""
     lines = [json.dumps({"type": "initial", **world_to_dict(trace.initial)})]
     world = trace.initial
     for label in trace.steps:
@@ -179,7 +179,7 @@ def reference_trace_jsonl(trace: Trace, scenario: GridScenario) -> str:
 
 
 def reference_state_digest(world: WorldState) -> str:
-    """What ``checker.state_digest`` hashes, in one ``json.dumps``: the
+    """What ``counterexample.state_digest`` hashes, in one ``json.dumps``: the
     whole state as compact JSON with sorted keys."""
     payload = json.dumps(world_to_dict(world), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()

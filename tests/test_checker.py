@@ -22,18 +22,18 @@ from passivesafe import (
     state_space_stats,
     world_step,
 )
-from passivesafe.automata import TransitionLabel
-from passivesafe.checker import (
+from passivesafe import counterexample
+from passivesafe.checker import state_key, verdict_to_dict
+from passivesafe.counterexample import (
     _CHOICE_LINE,
     _INITIAL_LINE,
     _OBSTACLE_LINE,
     _ROBOT_LINE,
     _STEP_LINE,
+    TransitionLabel,
     state_digest,
-    state_key,
     trace_from_jsonl,
     trace_to_jsonl,
-    verdict_to_dict,
     write_trace_jsonl,
 )
 from passivesafe.cli import main
@@ -454,6 +454,27 @@ def test_design_points_match_their_pinned_digest():
     assert (outcomes.count(Outcome.HOLDS), outcomes.count(Outcome.VIOLATED)) == (204, 51)
     assert (states, steps) == (37_465, 405)
     assert digest.hexdigest() == "9cf0e22dcc70b2ed2b892ff99ed92e8fe31dcc094e3a4053af26af6ad02ab94f"
+
+
+def test_design_point_counterexamples_replay_from_their_jsonl(monkeypatch):
+    """The JSONL of each of the 51 Violated design points replays to an
+    unsafe state.  Every step line is in the writer's bytes, so replay
+    checks its snapshots by comparing text and never reads them."""
+    def unread(lineno, record, world):
+        raise AssertionError(f"line {lineno} read through the snapshot tables")
+
+    monkeypatch.setattr(counterexample, "_check_shown", unread)
+    replayed = 0
+    for start in range(30, 47):
+        for true_max_vel in (1, 2, 3):
+            for assumed in (1, 2, 3, 4, 5):
+                scenario = head_on_scenario(assumed, true_max_vel, obstacle_start=start)
+                trace = check_safety(scenario).counterexample
+                if trace is not None:
+                    loaded = trace_from_jsonl(trace_to_jsonl(trace, scenario))
+                    assert not is_passive_safe(replay_trace(scenario, loaded))
+                    replayed += 1
+    assert replayed == 51
 
 
 @pytest.mark.parametrize("start, verdict", [

@@ -52,16 +52,10 @@ from passivesafe import (
     world_step,
 )
 from passivesafe import automata, checker
-from passivesafe.automata import ObstacleChoice, TransitionLabel, robot_step
-from passivesafe.checker import (
-    _MODES,
-    _mover_groups,
-    _robot_key,
-    state_digest,
-    state_key,
-    trace_from_jsonl,
-    trace_to_jsonl,
-)
+from passivesafe.automata import ObstacleChoice, robot_step
+from passivesafe.checker import _MODES, _mover_groups, _robot_key, state_key
+from passivesafe.counterexample import (TransitionLabel, state_digest, trace_from_jsonl,
+                                        trace_to_jsonl)
 from passivesafe.model import DEFAULT_STATE_BUDGET, ObstacleSnapshot, RobotSnapshot, WorldState
 from helpers import (head_on_scenario, reference_state_digest, reference_trace_jsonl,
                      serialize_scenario, world_to_dict)

@@ -5,7 +5,9 @@ not pay for the checker.  Each case runs in a fresh interpreter, since
 this test process has imported everything already.
 """
 import ast
+import contextlib
 import importlib
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -50,11 +52,25 @@ def test_check_and_replay_load_no_dataclasses(tmp_path):
 
 
 def test_holds_check_loads_no_hashlib():
-    """Only a counterexample's states are digested.  Under ``-S``, as a
-    site ``.pth`` file may load it beforehand."""
+    """Only a counterexample's states are digested, and only a Violated
+    check loads the counterexample format.  Under ``-S``, as a site
+    ``.pth`` file may load ``hashlib`` beforehand."""
     scenario = str(CONFIGS / "head_on.json")
     statement = f"from passivesafe import cli; assert cli.main(['check', {scenario!r}]) == 0"
-    assert _loaded_after(statement, ["hashlib"], flags=("-S",)) == []
+    assert _loaded_after(statement, ["passivesafe.counterexample", "hashlib"],
+                         flags=("-S",)) == []
+
+
+def test_replay_loads_no_search(tmp_path):
+    """``replay`` needs the counterexample format and the reference step,
+    not the checker."""
+    from passivesafe import cli
+    scenario, trace = str(CONFIGS / "head_on_under_assumption.json"), str(tmp_path / "cex.jsonl")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["check", scenario, "--trace", trace]) == 2
+    statement = (f"from passivesafe import cli; "
+                 f"assert cli.main(['replay', {scenario!r}, {trace!r}]) == 0")
+    assert _loaded_after(statement, ["passivesafe.checker"], flags=("-S",)) == []
 
 
 def test_check_and_replay_load_no_pathlib_or_random(tmp_path):

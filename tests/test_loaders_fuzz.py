@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passivesafe import TraceError, check_safety, load_scenario, load_sim_config, load_sweep_spec
-from passivesafe.checker import trace_from_jsonl, trace_to_jsonl
+from passivesafe.counterexample import trace_from_jsonl, trace_to_jsonl
 from passivesafe.cli import main
-from passivesafe.model import ScenarioError
+from passivesafe.model import RobotMode, ScenarioError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -108,3 +108,47 @@ def test_damaged_documents_end_in_documented_exit_codes(name, data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(_cli_args(name, doc, Path(scratch)))
     assert code in {0, 2, 3, 64, 65, 66}
+
+
+_VIOLATED = {}      # config path -> its counterexample's JSON records
+for _name in ("head_on_under_assumption.json", "head_on_two_movers_under_assumption.json"):
+    _path = CONFIGS / _name
+    _violated = load_scenario(_path.read_text())
+    _VIOLATED[str(_path)] = [json.loads(line) for line in trace_to_jsonl(
+        check_safety(_violated).counterexample, _violated).splitlines()]
+
+
+def _other_values(old):
+    """JSON values that are not ``old``: others of its type, and others
+    equal to it in Python but of another JSON type (``1.0`` or ``true``
+    for ``1``, ``1`` for ``true``)."""
+    if isinstance(old, str):
+        same = st.sampled_from([mode.value for mode in RobotMode])
+        alike = st.nothing()
+    else:
+        same = st.booleans() if isinstance(old, bool) else st.integers(-3, 60)
+        alike = st.sampled_from([float(old), int(old), bool(old)])
+    return (same | alike | st.sampled_from([None, "x", [], {}])).filter(
+        lambda value: type(value) is not type(old) or value != old)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=st.sampled_from(sorted(_VIOLATED)), data=st.data())
+def test_a_step_line_that_misstates_one_snapshot_field_exits_65(scenario, data):
+    """One field of one step line's robot or obstacle snapshot changed in
+    a valid counterexample: replay exits 65 naming the line and the key."""
+    records = json.loads(json.dumps(_VIOLATED[scenario]))
+    k = data.draw(st.integers(1, len(records) - 1), label="line index")
+    step = records[k]
+    snapshot = data.draw(st.sampled_from([step["robot"], *step["obstacles"]]))
+    key = data.draw(st.sampled_from(sorted(snapshot)), label="key")
+    snapshot[key] = data.draw(_other_values(snapshot[key]), label="value")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as scratch:
+        doc = Path(scratch) / "cex.jsonl"
+        doc.write_text("\n".join(map(json.dumps, records)) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["replay", scenario, str(doc)])
+    assert code == 65
+    (line,) = err.getvalue().splitlines()
+    assert line.startswith(f"error: trace line {k + 1}: ") and key in line, line

@@ -710,6 +710,38 @@ def test_trace_initial_line_comes_once_and_first(tmp_path, capsys, arrange, mess
     assert "trace initial state does not match the scenario" in _one_line_error(capsys)
 
 
+def test_replay_rejects_a_step_line_that_shows_another_state(tmp_path, capsys):
+    """A step line's snapshots must show the state its step reaches: with
+    line 4's robot moved to cell 999 and its obstacles gone, the labels
+    and hashes still pass, and replay exits 65 naming the line and the
+    first field that differs."""
+    scenario = str(CONFIGS / "head_on_under_assumption.json")
+    trace_path = tmp_path / "ce.jsonl"
+    assert main(["check", scenario, "--trace", str(trace_path)]) == 2
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    step = json.loads(lines[3])
+    step["robot"]["x"], step["obstacles"] = 999, []
+    lines[3] = json.dumps(step)
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", scenario, str(trace_path)]) == EX_DATAERR
+    assert _one_line_error(capsys) == "error: trace line 4: robot.x shows 999, replayed 6\n"
+
+
+def test_replay_reads_snapshots_in_another_json_layout(tmp_path, capsys):
+    """Snapshots in other bytes than the writer's, here compact and with
+    sorted keys, are read and compared, not refused."""
+    scenario = str(CONFIGS / "head_on_two_movers_under_assumption.json")
+    trace_path = tmp_path / "ce.jsonl"
+    assert main(["check", scenario, "--trace", str(trace_path)]) == 2
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    trace_path.write_text("".join(json.dumps(record, separators=(",", ":"), sort_keys=True)
+                                  + "\n" for record in records))
+    capsys.readouterr()
+    assert main(["replay", scenario, str(trace_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["violatesPassiveSafety"] is True
+
+
 @pytest.mark.parametrize("command", ["check", "simulate", "sweep", "replay"])
 def test_input_that_is_not_utf8_exits_dataerr(tmp_path, capsys, command):
     """JSON is UTF-8 (RFC 8259): a file with one stray byte fails with one
