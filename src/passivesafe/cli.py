@@ -137,11 +137,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from .counterexample import replay_trace, trace_from_jsonl
+    from .counterexample import replay_jsonl
     from .kinematics import is_passive_safe
     scenario = load_scenario(_read(args.scenario))
-    trace = trace_from_jsonl(_read(args.trace))
-    final = replay_trace(scenario, trace)
+    trace, final = replay_jsonl(scenario, _read(args.trace))
     violating = not is_passive_safe(final)
     print(json.dumps({
         "steps": len(trace.steps),

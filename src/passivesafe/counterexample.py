@@ -4,9 +4,9 @@ A counterexample is a ``Trace``: the initial state and one
 ``TransitionLabel`` per step.  ``trace_to_jsonl`` writes it one JSON line
 per state, ``trace_from_jsonl`` reads it back with every value's type
 checked, and ``replay_trace`` re-executes it with the object-level
-``world_step``, the reference semantics, checking each label and what
-each step line shows.  ``state_digest`` is the content hash a label
-carries.
+``world_step``, the reference semantics, checking each label.
+``replay_jsonl`` does both and also checks what each step line shows.
+``state_digest`` is the content hash a label carries.
 
 The checker loads this module only when a search ends Violated, and
 ``replay`` loads no search: a Holds check compiles none of it and never
@@ -54,19 +54,6 @@ class Trace(namedtuple("Trace", "initial steps")):
     """Replayable counterexample: initial state plus one label per step."""
 
     __slots__ = ()
-
-
-class _ReadTrace(Trace):
-    """A ``Trace`` read from JSONL.  It equals the ``Trace`` of its initial
-    state and labels, and also keeps ``lines``: each step line's number,
-    text and JSON object, for ``replay_trace`` to check what it shows.
-    The one record with an attribute beside its items: a tuple subclass
-    cannot have slots of its own."""
-
-    def __new__(cls, initial: WorldState, steps: tuple, lines: tuple):
-        trace = super().__new__(cls, initial, steps)
-        trace.lines = lines
-        return trace
 
 
 def state_digest(world: WorldState) -> str:
@@ -127,16 +114,17 @@ def _digests():
     return digest
 
 
-def replay_trace(scenario: GridScenario, trace: Trace) -> WorldState:
+def replay_trace(scenario: GridScenario, trace: Trace, shown=()) -> WorldState:
     """Deterministically re-execute a trace, validating every label.
 
     Independent check on counterexamples: each step's choices must be
     legal for the state they are applied to, and its tick, modes and
-    stored state hash must match the replayed step.  A trace read from
-    JSONL must then also show, on each step line, the robot and
-    obstacles of the replayed step: that check runs once every label has
-    passed, so a trace that fails a label check is reported as before.
-    Returns the final state.
+    stored state hash must match the replayed step.  ``shown`` holds the
+    step lines of a trace read from JSONL, one ``(line number, JSON
+    object)`` per step, as ``replay_jsonl`` passes them: once every label
+    has passed, so that a label fault is reported first, each must show
+    the robot and obstacles of its replayed step.  Returns the final
+    state.
     """
     world = initial_world_state(scenario)
     if world != trace.initial:
@@ -156,13 +144,10 @@ def replay_trace(scenario: GridScenario, trace: Trace) -> WorldState:
                              f"tick {world.tick}, {before.value} -> {world.robot.mode.value}")
         if digest(world) != label.state_hash:
             raise TraceError(f"invalid label at step {k}: state hash mismatch")
-        worlds.append(world)
-    lines = getattr(trace, "lines", ())
-    if lines:
-        step = _line_writers()[1]
-        for (lineno, line, record), label, replayed in zip(lines, trace.steps, worlds):
-            if line != step(label, replayed):   # not in the writer's bytes: read what it shows
-                _check_shown(lineno, record, replayed)
+        if shown:
+            worlds.append(world)
+    for (lineno, record), replayed in zip(shown, worlds):
+        _check_shown(lineno, record, replayed)
     return world
 
 
@@ -198,12 +183,15 @@ def _name_field(lineno: int, where: str, table: dict, shown, replayed) -> None:
                              f"{json.dumps(value)}, replayed {json.dumps(expected)}")
 
 
-def _line_writers():
-    """The writers of one trace's lines, ``initial(world)`` and
-    ``step(label, world)``, the state being the one after the step.  The
-    lines are pieced together as ``state_digest``'s payloads are, each
-    obstacle's JSON kept for the trace, in the bytes of one
-    ``json.dumps`` per line for fields of their declared types."""
+def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
+    """One JSON line per transition, preceded by the initial state.
+
+    Step lines carry the resulting snapshots, which ``replay_jsonl``
+    checks against the states it reaches.  The lines are pieced together
+    as ``state_digest``'s payloads are, each obstacle's JSON kept for the
+    trace, in the bytes of one ``json.dumps`` per line for fields of their
+    declared types.
+    """
     obstacle = _ObstacleJson(_line_obstacle).__getitem__
 
     def snapshots(world: WorldState) -> str:
@@ -212,30 +200,16 @@ def _line_writers():
             robot.x, robot.lane, robot.v, robot.mode.value,
             ", ".join(map(obstacle, world.obstacles)))
 
-    def initial(world: WorldState) -> str:
-        return '{"type": "initial", "tick": %d, %s, "prevObstacles": [%s]}' % (
-            world.tick, snapshots(world), ", ".join(map(obstacle, world.prev_obstacles)))
-
-    def step(label: TransitionLabel, world: WorldState) -> str:
-        return ('{"type": "step", "tick": %d, "modeBefore": "%s", "modeAfter": "%s", '
-                '"choices": [%s], %s, "stateHash": %s}' % (
-                    label.tick, label.mode_before.value, label.mode_after.value,
-                    ", ".join(['{"id": %d, "velocity": %d}' % c for c in label.choices]),
-                    snapshots(world), json.dumps(label.state_hash)))
-
-    return initial, step
-
-
-def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
-    """One JSON line per transition, preceded by the initial state.  Step
-    lines carry the resulting snapshots, which replay checks against the
-    states it reaches."""
-    initial, step = _line_writers()
     world = trace.initial
-    lines = [initial(world)]
+    lines = ['{"type": "initial", "tick": %d, %s, "prevObstacles": [%s]}' % (
+        world.tick, snapshots(world), ", ".join(map(obstacle, world.prev_obstacles)))]
     for label in trace.steps:
         world = world_step(world, label.choices, scenario)
-        lines.append(step(label, world))
+        lines.append('{"type": "step", "tick": %d, "modeBefore": "%s", "modeAfter": "%s", '
+                     '"choices": [%s], %s, "stateHash": %s}' % (
+                         label.tick, label.mode_before.value, label.mode_after.value,
+                         ", ".join(['{"id": %d, "velocity": %d}' % c for c in label.choices]),
+                         snapshots(world), json.dumps(label.state_hash)))
     return "\n".join(lines) + "\n"
 
 
@@ -310,9 +284,23 @@ _SHOWN_LINE = {key: _INITIAL_LINE[key] for key in ("robot", "obstacles")}
 def trace_from_jsonl(text: str) -> Trace:
     """Parse counterexample JSONL; any malformed line raises TraceError.
     The first non-blank line is the one initial line; every later line is
-    a step, whose snapshots are kept for ``replay_trace`` to check."""
+    a step."""
+    return _read_jsonl(text)[0]
+
+
+def replay_jsonl(scenario: GridScenario, text: str) -> tuple[Trace, WorldState]:
+    """Read counterexample JSONL and replay it: ``replay_trace`` with each
+    step line's snapshots checked against the state its step reaches.
+    Returns the trace and its final state."""
+    trace, shown = _read_jsonl(text)
+    return trace, replay_trace(scenario, trace, shown)
+
+
+def _read_jsonl(text: str):
+    """``trace_from_jsonl``'s trace, and each step line's number and JSON
+    object for ``replay_trace`` to check what it shows."""
     initial = None
-    steps, lines = [], []
+    steps, shown = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -332,11 +320,11 @@ def trace_from_jsonl(text: str) -> Trace:
                 raise TraceError("step line before the initial state line")
             elif kind == "step":
                 steps.append(_read(TransitionLabel, record, _STEP_LINE, "step"))
-                lines.append((lineno, line, record))
+                shown.append((lineno, record))
             else:
                 raise TraceError("a trace has one initial state line")
         except (ScenarioError, TraceError) as e:
             raise TraceError(f"trace line {lineno}: {e}") from e
     if initial is None:
         raise TraceError("trace has no initial state line")
-    return _ReadTrace(initial, tuple(steps), tuple(lines))
+    return Trace(initial=initial, steps=tuple(steps)), tuple(shown)

@@ -21,10 +21,9 @@ and ``sim`` writes its tick and event lines with ``_to_dict``.
 Every record is a ``collections.namedtuple`` subclass with
 ``__slots__ = ()``, except the two configs that callers edit with
 ``dataclasses.replace`` (``sim.SimConfig``, ``sweep.SweepSpec``) and the
-mutable ``monitor.MonitorState``; a ``counterexample.Trace`` read from
-JSONL also keeps its step lines in an attribute beside its items.  The
-reason is start-up: importing ``dataclasses`` and running its class
-decorators took about 20 ms of each ``check`` process.  Edit such a record with ``_replace``, which skips the
+mutable ``monitor.MonitorState``.  The reason is start-up: importing
+``dataclasses`` and running its class decorators took about 20 ms of each
+``check`` process.  Edit such a record with ``_replace``, which skips the
 record's ``__new__`` and so its defaulting.  Like any tuple, it equals a
 tuple with the same items and iterates over its fields, so records of
 different kinds are never compared or mixed in one set, unless a ``kind``

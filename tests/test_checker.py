@@ -22,7 +22,6 @@ from passivesafe import (
     state_space_stats,
     world_step,
 )
-from passivesafe import counterexample
 from passivesafe.checker import state_key, verdict_to_dict
 from passivesafe.counterexample import (
     _CHOICE_LINE,
@@ -31,6 +30,7 @@ from passivesafe.counterexample import (
     _ROBOT_LINE,
     _STEP_LINE,
     TransitionLabel,
+    replay_jsonl,
     state_digest,
     trace_from_jsonl,
     trace_to_jsonl,
@@ -456,14 +456,9 @@ def test_design_points_match_their_pinned_digest():
     assert digest.hexdigest() == "9cf0e22dcc70b2ed2b892ff99ed92e8fe31dcc094e3a4053af26af6ad02ab94f"
 
 
-def test_design_point_counterexamples_replay_from_their_jsonl(monkeypatch):
-    """The JSONL of each of the 51 Violated design points replays to an
-    unsafe state.  Every step line is in the writer's bytes, so replay
-    checks its snapshots by comparing text and never reads them."""
-    def unread(lineno, record, world):
-        raise AssertionError(f"line {lineno} read through the snapshot tables")
-
-    monkeypatch.setattr(counterexample, "_check_shown", unread)
+def test_design_point_counterexamples_replay_from_their_jsonl():
+    """The JSONL of each of the 51 Violated design points replays, every
+    step line's snapshots checked, to an unsafe state."""
     replayed = 0
     for start in range(30, 47):
         for true_max_vel in (1, 2, 3):
@@ -471,8 +466,8 @@ def test_design_point_counterexamples_replay_from_their_jsonl(monkeypatch):
                 scenario = head_on_scenario(assumed, true_max_vel, obstacle_start=start)
                 trace = check_safety(scenario).counterexample
                 if trace is not None:
-                    loaded = trace_from_jsonl(trace_to_jsonl(trace, scenario))
-                    assert not is_passive_safe(replay_trace(scenario, loaded))
+                    loaded, final = replay_jsonl(scenario, trace_to_jsonl(trace, scenario))
+                    assert loaded == trace and not is_passive_safe(final)
                     replayed += 1
     assert replayed == 51
 
