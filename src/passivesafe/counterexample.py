@@ -3,9 +3,10 @@
 A counterexample is a ``Trace``: the initial state and one
 ``TransitionLabel`` per step.  ``trace_to_jsonl`` writes it one JSON line
 per state, ``trace_from_jsonl`` reads it back with every value's type
-checked, and ``replay_trace`` re-executes it with the object-level
-``world_step``, the reference semantics, checking each label.
-``replay_jsonl`` does both and also checks what each step line shows.
+checked, each step line's snapshots included, and ``replay_trace``
+re-executes it with the object-level ``world_step``, the reference
+semantics, checking each label.  ``replay_jsonl`` does both, and also
+checks, right after each step's label, the snapshots its line shows.
 ``state_digest`` is the content hash a label carries.
 
 The checker loads this module only when a search ends Violated, and
@@ -120,17 +121,16 @@ def replay_trace(scenario: GridScenario, trace: Trace, shown=()) -> WorldState:
     Independent check on counterexamples: each step's choices must be
     legal for the state they are applied to, and its tick, modes and
     stored state hash must match the replayed step.  ``shown`` holds the
-    step lines of a trace read from JSONL, one ``(line number, JSON
-    object)`` per step, as ``replay_jsonl`` passes them: once every label
-    has passed, so that a label fault is reported first, each must show
-    the robot and obstacles of its replayed step.  Returns the final
-    state.
+    snapshots of a trace read from JSONL, one ``(line number, {"robot",
+    "obstacles"})`` per step, as ``replay_jsonl`` passes them: once its
+    label has passed, each step's line must show the robot and obstacles
+    the step reached.  So each step fails at its first fault, its label
+    before its snapshots.  Returns the final state.
     """
     world = initial_world_state(scenario)
     if world != trace.initial:
         raise TraceError("trace initial state does not match the scenario")
     digest = _digests()
-    worlds = []
     for k, label in enumerate(trace.steps):
         before = world.robot.mode
         try:
@@ -145,22 +145,14 @@ def replay_trace(scenario: GridScenario, trace: Trace, shown=()) -> WorldState:
         if digest(world) != label.state_hash:
             raise TraceError(f"invalid label at step {k}: state hash mismatch")
         if shown:
-            worlds.append(world)
-    for (lineno, record), replayed in zip(shown, worlds):
-        _check_shown(lineno, record, replayed)
+            _check_shown(*shown[k], world)
     return world
 
 
-def _check_shown(lineno: int, record: dict, world: WorldState) -> None:
-    """Raise TraceError unless the step line ``record``, line ``lineno``,
-    shows ``world``'s robot and obstacles.  They are read through the
-    initial line's tables, so a value of another JSON type (``1.0`` or
-    ``true`` for ``1``) fails as it would there; the error names the
-    first field that differs."""
-    try:
-        shown = _read(dict, record, _SHOWN_LINE, "step")
-    except ScenarioError as e:
-        raise TraceError(f"trace line {lineno}: {e}") from e
+def _check_shown(lineno: int, shown: dict, world: WorldState) -> None:
+    """Raise TraceError unless the snapshots ``shown`` on line ``lineno``
+    are ``world``'s robot and obstacles; the error names the first field
+    that differs."""
     robot, obstacles = shown["robot"], shown["obstacles"]
     if robot != world.robot:
         _name_field(lineno, "robot", _ROBOT_LINE, robot, world.robot)
@@ -277,14 +269,16 @@ _STEP_LINE = {      # written tick first; this order decides which of several fa
     "stateHash": ("state_hash", str, _as_str), "tick": ("tick", int, _as_int),
     "modeBefore": ("mode_before", None, _as_mode), "modeAfter": ("mode_after", None, _as_mode),
 }
-# A step line's snapshots, read by ``replay_trace`` once every label has passed.
+# A step line's snapshots, read after its label through the initial line's
+# tables, so a value of another JSON type (``1.0`` or ``true`` for ``1``)
+# fails as it would there.
 _SHOWN_LINE = {key: _INITIAL_LINE[key] for key in ("robot", "obstacles")}
 
 
 def trace_from_jsonl(text: str) -> Trace:
-    """Parse counterexample JSONL; any malformed line raises TraceError.
-    The first non-blank line is the one initial line; every later line is
-    a step."""
+    """Parse counterexample JSONL; any malformed line raises TraceError,
+    a step line's robot and obstacles included.  The first non-blank line
+    is the one initial line; every later line is a step."""
     return _read_jsonl(text)[0]
 
 
@@ -297,8 +291,8 @@ def replay_jsonl(scenario: GridScenario, text: str) -> tuple[Trace, WorldState]:
 
 
 def _read_jsonl(text: str):
-    """``trace_from_jsonl``'s trace, and each step line's number and JSON
-    object for ``replay_trace`` to check what it shows."""
+    """``trace_from_jsonl``'s trace, and each step line's number and
+    snapshots for ``replay_trace`` to check."""
     initial = None
     steps, shown = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -320,7 +314,7 @@ def _read_jsonl(text: str):
                 raise TraceError("step line before the initial state line")
             elif kind == "step":
                 steps.append(_read(TransitionLabel, record, _STEP_LINE, "step"))
-                shown.append((lineno, record))
+                shown.append((lineno, _read(dict, record, _SHOWN_LINE, "step")))
             else:
                 raise TraceError("a trace has one initial state line")
         except (ScenarioError, TraceError) as e:

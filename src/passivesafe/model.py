@@ -185,6 +185,13 @@ class GridScenario(namedtuple("GridScenario", "track_length_cells lane_count rob
             raise ScenarioError("laneCount must be >= 1")
         if self.robot_max_vel < 1:
             raise ScenarioError("robotMaxVel must be >= 1")
+        # Every cell lies below trackLengthCells.  Up to 2**53 a float holds
+        # every integer, so the rules' mixed int/float arithmetic
+        # (``kinematics.danger_from``, ``blocks_lane``) stays finite.
+        for key, value in (("trackLengthCells", self.track_length_cells),
+                           ("robotMaxVel", self.robot_max_vel)):
+            if value > 2**53:
+                raise ScenarioError(f"{key} must be <= 2**53 (9007199254740992)")
         if not 0 <= self.robot_start_cell < self.robot_dest_cell:
             raise ScenarioError(
                 "robot start/destination out of order: need "
@@ -368,15 +375,15 @@ def _as_number(value, name: str) -> float:
     return value
 
 
-def read_utf8(path, error: type[ValueError] = ScenarioError) -> str:
+def read_utf8(path) -> str:
     """A file's text.  JSON is UTF-8 (RFC 8259); other bytes raise
-    ``error``, naming the file and the offset of the first bad byte."""
+    ScenarioError, naming the file and the offset of the first bad byte."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise error(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
+        raise ScenarioError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def parse_json(source: str):

@@ -4,9 +4,11 @@ Watches the robot's observations of the obstacle and raises feedback the
 moment the estimated obstacle speed exceeds the assumed bound while the
 obstacle is inside the robot's reaction area.  Estimation is a two-point
 finite difference over consecutive observations: the fastest-reacting
-estimator, and it errs toward safety.  Once tripped, the monitor stays
-tripped for the rest of the episode; the calling system is expected to
-brake to a standstill and end the run.
+estimator, and it errs toward safety.  An estimate trips the monitor
+only above the assumed bound plus 1% of it, a fixed margin that keeps
+float noise from tripping it.  Once tripped, the monitor stays tripped
+for the rest of the episode; the calling system is expected to brake to
+a standstill and end the run.
 """
 from __future__ import annotations
 
@@ -37,25 +39,23 @@ class MonitorState:
 
     It keeps the time and obstacle position of the last observation
     (``last_t`` is None before the first) and the speed an estimate must
-    exceed to trip, ``assumed_obstacle_max_vel + tolerance``.
+    exceed to trip, the assumed bound plus 1% of it.
     """
 
     __slots__ = ("assumptions", "last_t", "last_obstacle_x", "violation_latched", "trip_speed")
 
-    def __init__(self, assumptions: Assumptions, tolerance: float) -> None:
+    def __init__(self, assumptions: Assumptions) -> None:
         self.assumptions = assumptions
         self.last_t = None
         self.last_obstacle_x = 0.0
         self.violation_latched = False
-        self.trip_speed = assumptions.assumed_obstacle_max_vel + tolerance
+        assumed = assumptions.assumed_obstacle_max_vel
+        self.trip_speed = assumed + 0.01 * assumed
 
 
-def new_monitor(assumptions: Assumptions, tolerance: float | None = None) -> MonitorState:
-    """Fresh monitor; default tolerance is 1% of the assumed bound, which
-    keeps float noise from tripping it."""
-    if tolerance is None:
-        tolerance = 0.01 * assumptions.assumed_obstacle_max_vel
-    return MonitorState(assumptions=assumptions, tolerance=tolerance)
+def new_monitor(assumptions: Assumptions) -> MonitorState:
+    """Fresh monitor for ``assumptions``."""
+    return MonitorState(assumptions)
 
 
 def observe_at(
@@ -67,7 +67,7 @@ def observe_at(
 
     The estimate is the approach speed since the last observation, so a
     stationary or receding obstacle never fires.  Feedback fires only
-    when the estimate exceeds the assumed bound plus tolerance *and* the
+    when the estimate exceeds the monitor's ``trip_speed`` *and* the
     obstacle is ahead within the reaction radius.  A fast obstacle
     outside the reaction area is noted only once the gap has closed to
     the radius.  The first observation of a stream never fires (no

@@ -4,7 +4,9 @@ Each grid cell runs a fixed number of seeded simulations and counts the
 runs that end in an active collision.  Per-run seeds derive from the
 cell index, so results are reproducible and independent of execution
 order; cells may run in parallel worker processes without changing a
-byte of the output.
+byte of the output.  Every worker, this process included, reports each
+of its cells as one line of outcome counts, and ``run_sweep`` reads
+every such line back the same way.
 """
 from __future__ import annotations
 
@@ -76,22 +78,18 @@ class SweepResult(namedtuple("SweepResult", "spec cells")):
     __slots__ = ()
 
 
-def _run_cell(job: tuple[SimConfig, int, int]) -> CellResult:
+def _cell_counts(job: tuple[SimConfig, int, int]) -> str:
+    """Run one cell's seeds; its ``a,b,c,d`` line of outcome counts, in
+    CellResult's field order."""
     config, first_seed, runs = job
     counts = {outcome: 0 for outcome in SimOutcome}
     approach = _approach(config)
     for seed in range(first_seed, first_seed + runs):
         _, _, outcome, _ = _episode(config, seed, collect_states=False, approach=approach)
         counts[outcome] += 1
-    return CellResult(
-        obstacle_vel=config.obstacle_true_max_vel,
-        reaction_radius=config.reaction_radius,
-        runs=runs,
-        active_collisions=counts[SimOutcome.ACTIVE_COLLISION],
-        reached_goal=counts[SimOutcome.REACHED_GOAL],
-        stopped_safe=counts[SimOutcome.STOPPED_SAFE],
-        tick_budget_exhausted=counts[SimOutcome.TICK_BUDGET_EXHAUSTED],
-    )
+    return "%d,%d,%d,%d\n" % (
+        counts[SimOutcome.ACTIVE_COLLISION], counts[SimOutcome.REACHED_GOAL],
+        counts[SimOutcome.STOPPED_SAFE], counts[SimOutcome.TICK_BUDGET_EXHAUSTED])
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -99,13 +97,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     matter how many processes ran them.  Every cell's config is validated
     before any episode runs.  N ``workers`` (at most one per cell; 1
     without ``os.fork``) are this process, worker 0, and N - 1 forked
-    children; worker k runs cells k, k + N, k + 2N, …  A child pipes back
-    one line of outcome counts per cell and leaves only through
-    ``os._exit`` (status 0 once its reply is written), so it never returns
-    into the caller, flushes inherited stdio buffers or runs atexit
-    handlers.  Every pipe is read to EOF and every child reaped before
-    this returns or raises; a failed child makes it raise RuntimeError,
-    with the text of the child's exception when it sent one."""
+    children; worker k runs cells k, k + N, k + 2N, …  Every worker
+    replies with one ``_cell_counts`` line per cell, and one loop turns
+    the replies, this process's first, into CellResults.  A child pipes
+    its reply back and leaves only through ``os._exit`` (status 0 once
+    its reply is written), so it never returns into the caller, flushes
+    inherited stdio buffers or runs atexit handlers.  Every pipe is read
+    to EOF and every child reaped before this returns or raises; a failed
+    child makes it raise RuntimeError, with the text of the child's
+    exception when it sent one."""
     runs = spec.runs_per_cell
     jobs = [(config, spec.seed_base + i * runs, runs)
             for i, config in enumerate(spec.cell_configs())]
@@ -120,13 +120,13 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                 if pid == 0:
                     _child(jobs[k::workers], reply)
             pids.append(pid)
-        cells[0::workers] = [_run_cell(job) for job in jobs[0::workers]]
-        replies = [pipe.read() for pipe in pipes]
+        replies = ["".join(map(_cell_counts, jobs[0::workers]))]
+        replies += [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
             pipe.close()
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for k, (status, reply) in enumerate(zip(statuses, replies), start=1):
+        statuses = [0] + [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, (status, reply) in enumerate(zip(statuses, replies)):
         if status:
             raise RuntimeError(f"sweep worker {k} failed: exit code "
                                f"{os.waitstatus_to_exitcode(status)}"
@@ -140,16 +140,14 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
 
 def _child(jobs: list[tuple[SimConfig, int, int]], reply):
-    """A forked worker's whole life: one ``a,b,c,d`` line of outcome
-    counts per job, in CellResult's field order, and exit 0; or, if a job
-    raises, only its exception's text (``ValueError: boom``) and exit 1.
-    It never returns: every path ends in ``os._exit``."""
+    """A forked worker's whole life: one ``_cell_counts`` line per job,
+    and exit 0; or, if a job raises, only its exception's text
+    (``ValueError: boom``) and exit 1.  It never returns: every path ends
+    in ``os._exit``."""
     code = 1
     try:
         try:
-            status, text = 0, "".join(
-                f"{c.active_collisions},{c.reached_goal},{c.stopped_safe},"
-                f"{c.tick_budget_exhausted}\n" for c in map(_run_cell, jobs))
+            status, text = 0, "".join(map(_cell_counts, jobs))
         except Exception as e:
             status, text = 1, f"{type(e).__name__}: {e}"
         reply.write(text)

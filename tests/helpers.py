@@ -18,7 +18,8 @@ from passivesafe import (Assumptions, GridScenario, ObstacleChoice, ObstacleSpec
                          TraceError, WorldState, initial_world_state, is_passive_safe,
                          load_scenario, world_step)
 from passivesafe.counterexample import trace_from_jsonl
-from passivesafe.model import _ASSUMPTION_KEYS, _OBSTACLE_KEYS, _SCENARIO_KEYS, _to_dict, read_utf8
+from passivesafe.model import (_ASSUMPTION_KEYS, _OBSTACLE_KEYS, _SCENARIO_KEYS, ScenarioError,
+                              _to_dict, read_utf8)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -139,7 +140,12 @@ def random_rollout(
 
 
 def read_trace_jsonl(path: str | os.PathLike) -> Trace:
-    return trace_from_jsonl(read_utf8(path, TraceError))
+    """A trace file's ``Trace``; a file that is not UTF-8 raises TraceError too."""
+    try:
+        text = read_utf8(path)
+    except ScenarioError as e:
+        raise TraceError(str(e)) from None
+    return trace_from_jsonl(text)
 
 
 def world_to_dict(world: WorldState) -> dict:

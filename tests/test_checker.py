@@ -376,6 +376,22 @@ def test_trace_initial_line_is_the_first_non_blank_line():
         trace_from_jsonl("\n".join([initial, steps[0], initial]))
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda step: step.pop("robot"), "missing required field step.robot"),
+    (lambda step: step["robot"].update(x=1.0), "robot.x must be an integer"),
+], ids=["no-robot", "float-x"])
+def test_trace_from_jsonl_reads_step_snapshots(damage, message):
+    """A step line's robot and obstacles are read with its label, through
+    the initial line's tables, so parsing alone refuses a malformed one."""
+    scenario = head_on_scenario(assumed_obstacle_max_vel=2)
+    trace = check_safety(scenario).counterexample
+    initial, step, *steps = trace_to_jsonl(trace, scenario).splitlines()
+    record = json.loads(step)
+    damage(record)
+    with pytest.raises(TraceError, match=rf"^trace line 2: {message}$"):
+        trace_from_jsonl("\n".join([initial, json.dumps(record), *steps]))
+
+
 @pytest.mark.parametrize("config", ["head_on_under_assumption.json",
                                     "head_on_two_movers_under_assumption.json"])
 def test_reader_tables_state_the_trace_keys(monkeypatch, config):

@@ -170,6 +170,17 @@ def test_non_finite_numbers_rejected_in_python_built_scenarios(value):
         scenario._replace(track_length_cells=value).validate()
 
 
+@pytest.mark.parametrize("field, key", [("track_length_cells", "trackLengthCells"),
+                                        ("robot_max_vel", "robotMaxVel")])
+def test_grid_integers_stay_within_exact_floats(field, key):
+    """Up to 2**53 a float holds every integer, so the rules' mixed
+    int/float arithmetic stays finite; one more is refused."""
+    scenario = head_on_scenario()
+    scenario._replace(**{field: 2**53}).validate()
+    with pytest.raises(ScenarioError, match=rf"^{key} must be <= 2\*\*53 \(9007199254740992\)$"):
+        scenario._replace(**{field: 2**53 + 1}).validate()
+
+
 def test_non_bool_is_static_rejected():
     scenario = head_on_scenario()
     mover = scenario.obstacles[0]._replace(is_static="false")

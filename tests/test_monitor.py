@@ -1,4 +1,5 @@
 """Assumption monitor: estimation, gating, latency, latching."""
+import math
 import random
 
 import pytest
@@ -20,15 +21,15 @@ def obs(t, obstacle_x, robot_x=0.0, robot_v=0.0):
 
 
 def test_stationary_obstacle_never_fires():
-    """Even with a trip speed of 0 m/s, which any approach exceeds."""
-    monitor = new_monitor(Assumptions(0.2, 2.0, 0.1, 1.5), tolerance=-0.2)
+    """Even under a tiny assumed bound, which any approach here exceeds."""
+    monitor = new_monitor(Assumptions(1e-9, 2.0, 0.1, 1.5))
     assert observe_at(monitor, 0.0, 0.0, 1.0) is None
     assert observe_at(monitor, 0.1, 0.0, 1.0) is None
     assert observe_at(monitor, 0.2, 0.0, 0.999) is not None
 
 
 def test_receding_obstacle_never_fires():
-    monitor = new_monitor(Assumptions(0.2, 2.0, 0.1, 1.5), tolerance=-0.2)
+    monitor = new_monitor(Assumptions(1e-9, 2.0, 0.1, 1.5))
     assert observe_at(monitor, 0.0, 0.0, 1.0) is None
     assert observe_at(monitor, 0.1, 0.0, 1.02) is None
     assert not monitor.violation_latched
@@ -67,14 +68,18 @@ def test_rejected_observation_leaves_monitor_unchanged():
 
 
 def test_trip_rule_boundaries():
-    """An estimate exactly at the bound does not trip; gaps of exactly 0
-    and exactly the reaction radius are inside the reaction area."""
+    """An estimate exactly at the trip speed does not trip, the next float
+    above it does; gaps of exactly 0 and exactly the reaction radius are
+    inside the reaction area."""
     assumptions = Assumptions(0.5, 2.0, 0.1, 1.5)
-    at_bound = new_monitor(assumptions, tolerance=0.0)
-    observe_at(at_bound, 0.5, 0.0, 1.25)
-    assert observe_at(at_bound, 1.0, 0.0, 1.0) is None     # estimate 0.5
+    trip = new_monitor(assumptions).trip_speed
+    assert trip == 0.5 + 0.01 * 0.5
+    for estimate, fires in ((trip, False), (math.nextafter(trip, math.inf), True)):
+        monitor = new_monitor(assumptions)
+        observe_at(monitor, 0.5, -1.0, estimate)               # over 1 s to gap 1
+        assert (observe_at(monitor, 1.5, -1.0, 0.0) is not None) is fires
     for robot_x in (1.0, -0.5):                               # gap 0, gap 1.5
-        monitor = new_monitor(assumptions, tolerance=0.0)
+        monitor = new_monitor(assumptions)
         observe_at(monitor, 0.5, robot_x, 1.5)
         assert observe_at(monitor, 1.0, robot_x, 1.0) is not None   # estimate 1.0
 

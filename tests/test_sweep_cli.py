@@ -285,6 +285,30 @@ def test_invalid_scenario_exits_dataerr_with_one_line(tmp_path, monkeypatch, cap
     assert list(tmp_path.glob("bad.counterexample.jsonl")) == []
 
 
+_HUGE = 10**310
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda data: data.update(robotMaxVel=10**160), "robotMaxVel"),
+    (lambda data: (data.update(trackLengthCells=_HUGE + 100, robotStartCell=_HUGE,
+                               robotDestCell=_HUGE + 90),
+                   data["obstacles"][0].update(startCell=_HUGE + 5, destCell=_HUGE)),
+     "trackLengthCells"),
+], ids=["robotMaxVel", "trackLengthCells"])
+def test_grid_integer_too_large_for_a_float_exits_dataerr(tmp_path, capsys, edit, key):
+    """``head_on.json`` under an assumed bound of 2.5 with a robot speed,
+    or a track whose cells, are past a float's range: the danger rule's
+    mixed int/float arithmetic would overflow, so `check` refuses the
+    scenario with one line naming the key."""
+    data = json.loads((CONFIGS / "head_on.json").read_text())
+    data["assumptions"]["assumedObstacleMaxVel"] = 2.5
+    edit(data)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path), "--budget", "200"]) == EX_DATAERR
+    assert _one_line_error(capsys) == f"error: {key} must be <= 2**53 (9007199254740992)\n"
+
+
 def test_scenario_without_assumptions_exits_dataerr(tmp_path, monkeypatch, capsys):
     """A scenario is checked only against assumptions it states: with none,
     `check` gives no verdict and writes no counterexample."""
@@ -726,6 +750,24 @@ def test_replay_rejects_a_step_line_that_shows_another_state(tmp_path, capsys):
     trace_path.write_text("\n".join(lines) + "\n")
     assert main(["replay", scenario, str(trace_path)]) == EX_DATAERR
     assert _one_line_error(capsys) == "error: trace line 4: robot.x shows 999, replayed 6\n"
+
+
+def test_replay_names_the_first_faulty_step(tmp_path, capsys):
+    """Each step is checked whole, its label and then its snapshots,
+    before the next: with line 3's robot moved to cell 999 and line 6's
+    tick set to 77, replay names line 3, not step 4's label."""
+    scenario = str(CONFIGS / "head_on_under_assumption.json")
+    trace_path = tmp_path / "ce.jsonl"
+    assert main(["check", scenario, "--trace", str(trace_path)]) == 2
+    capsys.readouterr()
+    lines = trace_path.read_text().splitlines()
+    records = {n: json.loads(lines[n]) for n in (2, 5)}
+    records[2]["robot"]["x"], records[5]["tick"] = 999, 77
+    for n, record in records.items():
+        lines[n] = json.dumps(record)
+    trace_path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", scenario, str(trace_path)]) == EX_DATAERR
+    assert _one_line_error(capsys) == "error: trace line 3: robot.x shows 999, replayed 3\n"
 
 
 def test_replay_reads_snapshots_in_another_json_layout(tmp_path, capsys):
