@@ -22,13 +22,7 @@ from enum import Enum
 from itertools import product, repeat
 from operator import itemgetter
 
-from .automata import (
-    _UNLOOKED,
-    enumerate_obstacle_choices,
-    free_side_lane,
-    robot_decide,
-    world_step,
-)
+from .automata import _UNLOOKED, ObstacleChoice, free_side_lane, robot_decide, world_step
 from .kinematics import blocks_lane, danger_from, is_passive_safe, stands_ahead
 from .model import (
     DEFAULT_STATE_BUDGET,
@@ -61,10 +55,11 @@ class ExplorationStats(namedtuple("ExplorationStats",
     """Exploration bookkeeping.
 
     ``states`` counts states up to parking of dead movers and
-    interchange of like movers (see ``_Model``).  ``transitions`` counts explored edges whose
-    target differs from the source; the terminal idle self-loop is not a
-    transition.  When an expansion repeats one whose successors are all
-    known, its transitions are counted, not walked, to the same number.
+    interchange of like movers (see ``_Model``).  ``transitions`` counts,
+    for each expanded state, its velocity pick vectors (the product of
+    maxVel over the movers off their destination) whose successor differs
+    from the state; the terminal idle self-loop is not one.  A search cut
+    short has counted every vector of the state it stopped in.
     """
 
     __slots__ = ()
@@ -188,13 +183,13 @@ class _Model:
         self.canonical = canonical
         # Per mover in scenario order: key position, obstacle index, tag
         # (its group when some movers are interchangeable), destination,
-        # picks and options per cell, on its destination its one parked
+        # maxVel and options per cell, on its destination its one parked
         # option.
         self.pickers = []
         for j, (i, obs) in enumerate(movers):
             tag, d = (group_of[j][0],) if tagged else (), obs.dest_cell
-            picks = range(1, specs[obs.id].max_vel + 1)
-            self.pickers.append((at.index(j), i, tag, d, picks, {d: (tag + (d, d),)}))
+            self.pickers.append((at.index(j), i, tag, d, specs[obs.id].max_vel,
+                                 {d: (tag + (d, d),)}))
         self.lanes = tuple(movers[j][1].lane for j in at)
         self.dests = tuple(movers[j][1].dest_cell for j in at)
         self.statics = statics = [(obs.x, obs.lane) for obs in init.obstacles if obs.is_static]
@@ -219,19 +214,27 @@ class _Model:
     def trace_to(self, parents: dict):
         """The ``counterexample.Trace`` that ends in the last key of
         ``parents``, the one a violation stopped the search at.  Each step
-        takes the first vector of ``enumerate_obstacle_choices`` whose
-        ``world_step`` successor has the next key on the path back, so its
-        choices are legal for the real movers."""
+        takes the first pick vector, in the order of
+        ``enumerate_obstacle_choices``, whose ``world_step`` successor has
+        the next key on the path back, so its choices are legal for the
+        real movers.  A pick beyond a mover's distance to its destination
+        lands where that distance does, so none is tried: the first match
+        stays the same."""
         path, key = [], next(reversed(parents))
         while key is not None:
             path.append(key)
             key = parents[key]
         from .counterexample import Trace, TransitionLabel, _digests
+        scenario = self.scenario
         world, steps, digest = self.init, [], _digests()
         for key in reversed(path[:-1]):
             before = world.robot.mode
-            for choices in enumerate_obstacle_choices(world, self.scenario):
-                successor = world_step(world, choices, self.scenario)
+            movers = [obs for obs in world.obstacles if not obs.is_static]
+            ids = [obs.id for obs in movers]
+            for picks in product(*[range(1, min(scenario.obstacle_by_id(obs.id).max_vel,
+                                                obs.x - obs.dest_cell) + 1) for obs in movers]):
+                choices = tuple(map(ObstacleChoice, ids, picks))
+                successor = world_step(world, choices, scenario)
                 if self.key_of(successor) == key:
                     break
             world = successor
@@ -300,23 +303,29 @@ class _Model:
                 return False
         return True
 
-    def successor_tails(self, xs: tuple[int, ...], robot_x: int = -1) -> tuple[tuple, int]:
+    def successor_tails(self, xs: tuple[int, ...], robot_x: int = -1) -> tuple[tuple, int, int]:
         """The successor tails of ``xs``, each vector of the movers' options
         canonicalised in the order of ``enumerate_obstacle_choices``, the
-        movers behind ``robot_x`` parked; and the lowest x of a mover not
-        yet parked.  A mover dies on a step when its x is behind the moved
-        robot.  A lone mover's tails are its option row."""
-        rows, lowest = [], self.scenario.track_length_cells     # above any robot x
-        for k, _, tag, d, picks, options in self.pickers:
+        movers behind ``robot_x`` parked; the lowest x of a mover not yet
+        parked; and the pick vectors the tails stand for, the product of
+        maxVel over the movers off their destination.  A mover's options
+        at x are its distinct successors in pick order, x - 1 down to
+        max(x - maxVel, dest), or one, parked, once it dies: its x is
+        behind the moved robot.  A lone mover's tails are its option row."""
+        rows, lowest, vectors = [], self.scenario.track_length_cells, 1     # above any robot x
+        for k, _, tag, d, max_vel, options in self.pickers:
             x = xs[k]
             row = options.get(x)
-            if row is None:     # (new x, x) for each pick, in pick order
-                row = options[x] = tuple([tag + (x - v if x - v > d else d, x) for v in picks])
-            rows.append(options[d] * len(row) if x < robot_x else row)
-            if d != x < lowest:
-                lowest = x
+            if row is None:     # (new x, x) for each distinct new x, in pick order
+                row = options[x] = tuple([tag + (to, x)
+                                          for to in range(x - 1, max(x - max_vel, d) - 1, -1)])
+            rows.append(options[d] if x < robot_x else row)
+            if d != x:
+                vectors *= max_vel
+                if x < lowest:
+                    lowest = x
         tails = rows[0] if len(rows) == 1 else tuple(self.canonical(product(*rows)))
-        entry = self.tails[xs + (robot_x,)] = tails, lowest
+        entry = self.tails[xs + (robot_x,)] = tails, lowest, vectors
         return entry
 
 
@@ -326,11 +335,13 @@ def _search(model: _Model, depth_bound: int | None, state_budget: int) -> tuple:
     pairs it expanded, the counters and the cuts, and calls the model only
     on a miss.  Returns the outcome, ``parents`` and the three counters.
 
-    A state's successors depend only on its (head, xs) pair, and most
-    expansions repeat one (86% on two movers, 95% on three).  A repeat
-    only counts its transitions, every tail less those back to the state
-    itself: its successors are all in ``parents``, since the search
-    returns at the first violation or budget overrun.  ``peak_frontier``
+    An expansion counts its transitions before it walks anything: its
+    pick vectors, less one when its one vector leads back to it (the
+    robot stays put and every mover sits at (dest, dest)).  A state's
+    successors depend only on its (head, xs) pair, and most expansions
+    repeat one (86% on two movers, 95% on three).  A repeat only counts:
+    its successors are all in ``parents``, since the search returns at
+    the first violation or budget overrun.  ``peak_frontier``
     is the most states a FIFO queue would hold as the next is taken:
     after each finished expansion, the rest of the level plus the next
     level so far (after a level's last, the whole next level; a cut
@@ -339,7 +350,8 @@ def _search(model: _Model, depth_bound: int | None, state_budget: int) -> tuple:
     moves, move, tails = model.moves, model.move, model.tails
     successor_tails, is_safe = model.successor_tails, model.is_safe
     parents: dict = {model.init_key: None}
-    expanded = defaultdict(dict)    # head -> {xs: successor tails}
+    expanded = defaultdict(dict)    # head -> {xs: pick vectors}
+    settled = sum([(d, d) for d in model.dests], ())   # the tail of a state with no move left
     transitions = 0
     peak_frontier = 1
     max_depth = 0
@@ -360,20 +372,17 @@ def _search(model: _Model, depth_bound: int | None, state_budget: int) -> tuple:
             head, safe, stays = moves.get(seen) or move(seen)
             xs = key[4::2]
             known = expanded[head]
-            succ_tails = known.get(xs)
-            if succ_tails is not None:      # every successor is in parents already
-                transitions += len(succ_tails)
-                if stays:
-                    transitions -= succ_tails.count(key[4:])
+            vectors = known.get(xs)
+            if vectors is not None:     # every successor is in parents already
+                transitions += vectors - (stays and key[4:] == settled)
                 continue
-            succ_tails, lowest = tails.get(xs + _UNPARKED) or successor_tails(xs)
+            succ_tails, lowest, vectors = tails.get(xs + _UNPARKED) or successor_tails(xs)
             if lowest < head[0]:    # a mover dies: its prev x will be behind the robot
                 succ_tails = (tails.get(xs + head[:1]) or successor_tails(xs, head[0]))[0]
-            known[xs] = succ_tails
+            known[xs] = vectors
+            transitions += vectors - (stays and key[4:] == settled)
             for succ_tail in succ_tails:
                 succ_key = head + succ_tail
-                if succ_key != key:
-                    transitions += 1
                 if succ_key in parents:
                     continue
                 parents[succ_key] = key

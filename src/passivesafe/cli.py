@@ -99,7 +99,7 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         from dataclasses import replace
         config = replace(config, seed=args.seed)
-    trace = simulate(config)
+    trace = simulate(config, collect_states=args.trace is not None)
     if args.trace:
         _write(args.trace, trace_to_jsonl(trace))
     print(json.dumps({
@@ -161,8 +161,8 @@ def build_parser() -> _Parser:
                    help="tick bound (default: to fixpoint)")
     p.add_argument("--budget", type=_int_at_least(1), default=DEFAULT_STATE_BUDGET,
                    help="state budget before giving up as inconclusive (default "
-                        "%(default)s; at the ~270 B per state measured on three and four "
-                        "movers, a search that runs into it needs about 1.4 GB)")
+                        "%(default)s; at the ~260 B per state measured on three and four "
+                        "movers, a search that runs into it needs about 1.3 GB)")
     p.add_argument("--trace", default=None, help="counterexample output path")
     p.set_defaults(func=_cmd_check)
 

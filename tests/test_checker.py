@@ -177,8 +177,31 @@ def test_budgeted_memory_follows_the_budget_not_the_track():
     finally:
         tracemalloc.stop()
     assert verdict.outcome is Outcome.INCONCLUSIVE
-    assert verdict.stats[:4] == (1001, 2674, 111, 19)
+    assert verdict.stats[:4] == (1001, 2676, 111, 19)
     assert peak < 5_000_000
+
+
+def test_huge_mover_max_vel_builds_no_pick_per_velocity():
+    """``configs/head_on.json`` with the mover's maxVel 10**9, under a
+    budget of 1,000 states.  A mover's options at a cell are its distinct
+    successors, at most its distance from its destination, and the
+    counterexample rebuild tries no pick past that distance; a list of
+    every pick ran out of memory.  The mover can land on the cell ahead
+    of the robot in one tick, so the check ends Violated at depth 1."""
+    data = json.loads((CONFIGS / "head_on.json").read_text())
+    data["obstacles"][0]["maxVel"] = 10**9
+    scenario = load_scenario(json.dumps(data))
+    tracemalloc.start()
+    try:
+        verdict = check_safety(scenario, state_budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.outcome is Outcome.VIOLATED
+    assert verdict.states_explored == 39
+    assert len(verdict.counterexample.steps) == 1
+    assert not is_passive_safe(replay_trace(scenario, verdict.counterexample))
+    assert peak < 1_000_000
 
 
 def test_rollouts_agree_with_holds_verdict():
@@ -547,4 +570,4 @@ def test_four_interchangeable_movers_run_out_of_budget():
     assert verdict.outcome is Outcome.INCONCLUSIVE
     s = verdict.stats
     assert (s.states, s.transitions, s.peak_frontier, s.max_depth) == \
-        (1_000_001, 34_664_455, 572_085, 7)
+        (1_000_001, 34_664_517, 572_085, 7)

@@ -26,6 +26,11 @@ the reference's length and replays.
 before repeated expansions were counted instead of walked and the
 search ran level by level.  Against it the verdict must be equal in
 full, ``transitions`` and ``peak_frontier`` included.
+
+Both references count an expanded state's transitions from their own
+enumeration, one per pick vector whose successor differs from the
+state, before they walk any successor: so a search cut inside an
+expansion has counted every vector of the state it stopped in.
 """
 import json
 from collections import deque
@@ -106,11 +111,11 @@ def reference_check(scenario, depth_bound, state_budget, key_of=lambda key: key)
             cut = True
             continue
         key = key_of(state_key(world))
-        for choices in enumerate_obstacle_choices(world, scenario):
-            successor = world_step(world, choices, scenario)
+        steps = [(choices, world_step(world, choices, scenario))
+                 for choices in enumerate_obstacle_choices(world, scenario)]
+        transitions += sum(key_of(state_key(successor)) != key for _, successor in steps)
+        for choices, successor in steps:
             succ_key = key_of(state_key(successor))
-            if succ_key != key:
-                transitions += 1
             if succ_key in parents:
                 continue
             parents[succ_key] = (key, choices)
@@ -271,10 +276,9 @@ def reference_check_safety(scenario, depth_bound=None, state_budget=DEFAULT_STAT
             if succ_tails is None:
                 succ_tails = parked[dead] = successor_tails(xs, head[0])
         tick += 1
+        transitions += sum(head + succ_tail != key for succ_tail in succ_tails)
         for succ_tail in succ_tails:
             succ_key = head + succ_tail
-            if succ_key != key:
-                transitions += 1
             if succ_key in parents:
                 continue
             parents[succ_key] = key

@@ -9,6 +9,7 @@ world.
 """
 import json
 from collections import deque
+from itertools import product
 
 from hypothesis import given, settings
 
@@ -52,7 +53,7 @@ def model_step(model, key):
     seen = key[:4] + key[5::2]
     head, safe, _ = model.moves.get(seen) or model.move(seen)
     xs = key[4::2]
-    tails, lowest = model.successor_tails(xs)
+    tails, lowest, _ = model.successor_tails(xs)
     if lowest < head[0]:
         tails = model.successor_tails(xs, head[0])[0]
     return head, safe, {head + tail for tail in tails}
@@ -80,6 +81,41 @@ def assert_model_steps_as_world_step_does(scenario):
 @given(scenario=scenarios() | interchangeable_scenarios())
 def test_model_steps_as_world_step_does(scenario):
     assert_model_steps_as_world_step_does(scenario)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=scenarios() | interchangeable_scenarios())
+def test_option_rows_hold_each_successor_once(scenario):
+    """On every reachable key, with no mover parked and with the movers
+    behind the moved robot parked: no option row holds a successor twice,
+    a mover at x off its destination has min(maxVel, x - dest) options,
+    and the pick vectors returned are those of rows that keep one option
+    per pick, built here pick by pick.  The tails are those rows'
+    canonical vectors in the order each first appears, so the search
+    meets new states in the same order either way."""
+    model = _Model(scenario)
+    for world in reachable_worlds(scenario):
+        key = model.key_of(world)
+        seen = key[:4] + key[5::2]
+        head = (model.moves.get(seen) or model.move(seen))[0]
+        xs = key[4::2]
+        for robot_x in (-1, head[0]):
+            tails, _, vectors = model.successor_tails(xs, robot_x)
+            copies = []
+            for k, _, tag, d, max_vel, options in model.pickers:
+                x = xs[k]
+                row = options[x]
+                assert len(set(row)) == len(row)
+                if x == d:
+                    copies.append([tag + (d, d)])
+                    continue
+                assert len(row) == min(max_vel, x - d)
+                copies.append([tag + ((d, d) if x < robot_x else (max(x - v, d), x))
+                               for v in range(1, max_vel + 1)])
+            vectors_by_pick = list(product(*copies))
+            assert vectors == len(vectors_by_pick)
+            first_seen = dict.fromkeys(model.canonical(vectors_by_pick))
+            assert list(dict.fromkeys(tails)) == list(first_seen)
 
 
 def test_mover_that_arrives_short_of_the_robot_steps_as_world_step_does():

@@ -155,3 +155,28 @@ def test_submodules_import_from_the_package():
     # A submodule is also an attribute of the bare package, loaded on first use.
     assert _loaded_after("import passivesafe; passivesafe.checker.check_safety",
                          ["passivesafe.checker", "passivesafe.sim"]) == ["passivesafe.checker"]
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    """``perfbench/`` reads names off the package's submodules, as
+    attributes of a submodule it imports from ``passivesafe`` or by a
+    ``from passivesafe.<module> import``.  Each must resolve, forwarded
+    ones included, so that no edit to a submodule's own imports takes a
+    name the benchmark still reads."""
+    read = set()    # (submodule, name)
+    for path in (CONFIGS.parent / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        submodules = {}     # local name -> submodule
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "passivesafe":
+                submodules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").startswith("passivesafe."):
+                read.update((node.module.split(".", 1)[1], alias.name) for alias in node.names)
+        read.update((submodules[node.value.id], node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in submodules)
+    assert {("checker", "is_passive_safe"), ("checker", "replay_trace"), ("cli", "main")} <= read
+    missing = [f"{module}.{name}" for module, name in sorted(read)
+               if not hasattr(importlib.import_module(f"passivesafe.{module}"), name)]
+    assert missing == []

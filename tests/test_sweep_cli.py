@@ -133,7 +133,7 @@ def test_check_budget_exhaustion_exits_three(capsys):
         '{"outcome": "Inconclusive", "statesExplored": 11, "maxDepth": 2, '
         '"counterexampleLength": null, "depthBound": null, "reachedFixpoint": false}\n')
     assert captured.err == ("inconclusive: state budget 10 exceeded: 11 states, "
-                            "10 transitions, peak frontier 7, max depth 2\n")
+                            "12 transitions, peak frontier 7, max depth 2\n")
 
 
 def test_replay_against_wrong_scenario_fails(tmp_path, capsys):
@@ -166,6 +166,33 @@ def test_simulate_tick_budget_exhaustion_exits_three(tmp_path, capsys):
     path.write_text(json.dumps(stuck))
     assert main(["simulate", str(path)]) == 3
     assert json.loads(capsys.readouterr().out)["outcome"] == "TickBudgetExhausted"
+
+
+@pytest.mark.parametrize("config, seed, code", [
+    ("runtime.json", "1", 0),
+    ("runtime_precondition_gap.json", "1", 2),
+    ("runtime.json", None, 3),
+], ids=["safe", "active-collision", "tick-budget"])
+def test_simulate_without_trace_builds_no_states(config, seed, code, tmp_path, capsys,
+                                                 monkeypatch):
+    """Without ``--trace`` nothing reads the per-tick states, so none is
+    built; stdout and the exit code are those of the run that builds them."""
+    from passivesafe import sim
+    path = tmp_path / "config.json"
+    data = json.loads((CONFIGS / config).read_text())
+    if code == 3:
+        data["maxTicks"] = 3
+    path.write_text(json.dumps(data))
+    argv = ["simulate", str(path)] + (["--seed", seed] if seed else [])
+    assert main(argv + ["--trace", str(tmp_path / "run.jsonl")]) == code
+    expected = capsys.readouterr().out
+
+    def no_state(*args):
+        raise AssertionError("a SimState was built")
+
+    monkeypatch.setattr(sim, "SimState", no_state)
+    assert main(argv) == code
+    assert capsys.readouterr().out == expected
 
 
 def test_simulate_writes_trace(tmp_path, capsys):
