@@ -12,7 +12,8 @@ The search runs on the int keys of a ``_Model`` compiled from the
 scenario.  The object-level ``world_step`` and ``state_key`` stay the
 reference semantics that counterexample rebuilds and tests compare
 against.  The counterexample format, its records, JSONL, digests and
-replay, is ``counterexample``'s, loaded only when a search ends Violated.
+replay, is ``counterexample``'s, loaded only when a search ends Violated;
+the rebuild hands it the reached states through ``trace_of``.
 """
 from __future__ import annotations
 
@@ -219,16 +220,15 @@ class _Model:
         the next key on the path back, so its choices are legal for the
         real movers.  A pick beyond a mover's distance to its destination
         lands where that distance does, so none is tried: the first match
-        stays the same."""
+        stays the same.  A step that no pick vector reaches raises
+        RuntimeError: the search and ``world_step`` disagree."""
         path, key = [], next(reversed(parents))
         while key is not None:
             path.append(key)
             key = parents[key]
-        from .counterexample import Trace, TransitionLabel, _digests
-        scenario = self.scenario
-        world, steps, digest = self.init, [], _digests()
+        from .counterexample import trace_of
+        scenario, world, steps = self.scenario, self.init, []
         for key in reversed(path[:-1]):
-            before = world.robot.mode
             movers = [obs for obs in world.obstacles if not obs.is_static]
             ids = [obs.id for obs in movers]
             for picks in product(*[range(1, min(scenario.obstacle_by_id(obs.id).max_vel,
@@ -237,10 +237,12 @@ class _Model:
                 successor = world_step(world, choices, scenario)
                 if self.key_of(successor) == key:
                     break
+            else:
+                raise RuntimeError(f"counterexample rebuild: no pick vector reaches the state "
+                                   f"the search found at step {len(steps)}")
             world = successor
-            steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices,
-                                         digest(world)))
-        return Trace(self.init, tuple(steps))
+            steps.append((choices, world))
+        return trace_of(self.init, steps)
 
     def statics_at(self, x: int, lane: int) -> tuple[bool, bool, set]:
         """What the robot sees of the static obstacles from ``x`` and

@@ -79,7 +79,7 @@ def _cmd_check(args) -> int:
             from pathlib import PurePath   # only here: `check --trace` loads no pathlib
             trace_path = PurePath(args.scenario).stem + ".counterexample.jsonl"
         from .counterexample import trace_to_jsonl     # only here: a Holds check loads none of it
-        _write(trace_path, trace_to_jsonl(verdict.counterexample, scenario))
+        _write(trace_path, trace_to_jsonl(verdict.counterexample))
     print(json.dumps(checker.verdict_to_dict(verdict, trace_path)))
     if verdict.outcome is checker.Outcome.INCONCLUSIVE:
         stats = verdict.stats

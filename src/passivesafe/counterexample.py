@@ -1,13 +1,14 @@
 """The counterexample format: its records, its JSONL lines and its replay.
 
 A counterexample is a ``Trace``: the initial state and one
-``TransitionLabel`` per step.  ``trace_to_jsonl`` writes it one JSON line
-per state, ``trace_from_jsonl`` reads it back with every value's type
-checked, each step line's snapshots included, and ``replay_trace``
+``TransitionLabel`` per step, which holds everything its JSONL line
+shows.  ``trace_of`` builds one from a run's reached states,
+``trace_to_jsonl`` writes it one JSON line per state, ``trace_from_jsonl``
+reads it back with every value's type checked, and ``replay_trace``
 re-executes it with the object-level ``world_step``, the reference
-semantics, checking each label.  ``replay_jsonl`` does both, and also
-checks, right after each step's label, the snapshots its line shows.
-``state_digest`` is the content hash a label carries.
+semantics, checking each label, its snapshots included, whoever built
+the trace.  ``replay_jsonl`` does both and names a faulty snapshot's
+line.  ``state_digest`` is the content hash a label carries.
 
 The checker loads this module only when a search ends Violated, and
 ``replay`` loads no search: a Holds check compiles none of it and never
@@ -39,13 +40,14 @@ from .model import (
 
 
 class TransitionLabel(namedtuple("TransitionLabel", "tick mode_before mode_after choices "
-                                 "state_hash")):
+                                 "state_hash robot obstacles")):
     """Record of one world step, enough to replay and explain it: the
     tick, the robot's modes before and after, and the choices (a tuple of
     ``ObstacleChoice``).
 
-    ``state_hash`` is the digest of the state the step produced; replay
-    recomputes and compares it.
+    ``state_hash`` is the digest of the state the step produced, and
+    ``robot`` and ``obstacles`` are its snapshots; replay recomputes and
+    compares all three.
     """
 
     __slots__ = ()
@@ -115,17 +117,32 @@ def _digests():
     return digest
 
 
-def replay_trace(scenario: GridScenario, trace: Trace, shown=()) -> WorldState:
+def trace_of(initial: WorldState, steps) -> Trace:
+    """The ``Trace`` of a run from ``initial``: ``steps`` holds one
+    ``(choices, reached world)`` pair per step, each world the
+    ``world_step`` of the one before under its choices.  Its digests keep
+    their obstacle fragments for this trace only."""
+    digest, before, labels = _digests(), initial.robot.mode, []
+    for choices, world in steps:
+        robot = world.robot
+        labels.append(TransitionLabel(world.tick, before, robot.mode, choices, digest(world),
+                                      robot, world.obstacles))
+        before = robot.mode
+    return Trace(initial, tuple(labels))
+
+
+def replay_trace(scenario: GridScenario, trace: Trace, lines=()) -> WorldState:
     """Deterministically re-execute a trace, validating every label.
 
     Independent check on counterexamples: each step's choices must be
-    legal for the state they are applied to, and its tick, modes and
-    stored state hash must match the replayed step.  ``shown`` holds the
-    snapshots of a trace read from JSONL, one ``(line number, {"robot",
-    "obstacles"})`` per step, as ``replay_jsonl`` passes them: once its
-    label has passed, each step's line must show the robot and obstacles
-    the step reached.  So each step fails at its first fault, its label
-    before its snapshots.  Returns the final state.
+    legal for the state they are applied to; its tick, modes and stored
+    state hash must match the replayed step; and then its robot and
+    obstacles must be the replayed state's.  So each step fails at its
+    first fault, in that order.  ``lines`` only names the faulty line of
+    a trace read from JSONL, one line number per step, as
+    ``replay_jsonl`` passes them: a snapshot fault reads ``trace line N:
+    robot.x shows …``, and without them ``invalid label at step k: …``.
+    Returns the final state.
     """
     world = initial_world_state(scenario)
     if world != trace.initial:
@@ -144,70 +161,70 @@ def replay_trace(scenario: GridScenario, trace: Trace, shown=()) -> WorldState:
                              f"tick {world.tick}, {before.value} -> {world.robot.mode.value}")
         if digest(world) != label.state_hash:
             raise TraceError(f"invalid label at step {k}: state hash mismatch")
-        if shown:
-            _check_shown(*shown[k], world)
+        if label.robot != world.robot or label.obstacles != world.obstacles:
+            _check_shown(f"trace line {lines[k]}" if lines else f"invalid label at step {k}",
+                         label, world)
     return world
 
 
-def _check_shown(lineno: int, shown: dict, world: WorldState) -> None:
-    """Raise TraceError unless the snapshots ``shown`` on line ``lineno``
-    are ``world``'s robot and obstacles; the error names the first field
-    that differs."""
-    robot, obstacles = shown["robot"], shown["obstacles"]
+def _check_shown(where: str, label: TransitionLabel, world: WorldState) -> None:
+    """Raise TraceError, prefixed ``where``, unless ``label`` shows
+    ``world``'s robot and obstacles; the error names the first field that
+    differs."""
+    robot, obstacles = label.robot, label.obstacles
     if robot != world.robot:
-        _name_field(lineno, "robot", _ROBOT_LINE, robot, world.robot)
+        _name_field(where, "robot", _ROBOT_LINE, robot, world.robot)
     if obstacles != world.obstacles:
         if len(obstacles) != len(world.obstacles):
-            raise TraceError(f"trace line {lineno}: obstacles shows {len(obstacles)} obstacles, "
+            raise TraceError(f"{where}: obstacles shows {len(obstacles)} obstacles, "
                              f"replayed {len(world.obstacles)}")
         for i, (seen, replayed) in enumerate(zip(obstacles, world.obstacles)):
             if seen != replayed:
-                _name_field(lineno, f"obstacles[{i}]", _OBSTACLE_LINE, seen, replayed)
+                _name_field(where, f"obstacles[{i}]", _OBSTACLE_LINE, seen, replayed)
 
 
-def _name_field(lineno: int, where: str, table: dict, shown, replayed) -> None:
+def _name_field(where: str, name: str, table: dict, shown, replayed) -> None:
     """Raise the TraceError for the first field of ``table`` in which the
     records ``shown`` and ``replayed`` differ."""
     for key, (field, _, _) in table.items():
         value, expected = getattr(shown, field), getattr(replayed, field)
         if value != expected:
-            raise TraceError(f"trace line {lineno}: {where}.{key} shows "
+            raise TraceError(f"{where}: {name}.{key} shows "
                              f"{json.dumps(value)}, replayed {json.dumps(expected)}")
 
 
-def trace_to_jsonl(trace: Trace, scenario: GridScenario) -> str:
-    """One JSON line per transition, preceded by the initial state.
-
-    Step lines carry the resulting snapshots, which ``replay_jsonl``
-    checks against the states it reaches.  The lines are pieced together
-    as ``state_digest``'s payloads are, each obstacle's JSON kept for the
-    trace, in the bytes of one ``json.dumps`` per line for fields of their
-    declared types.
+def trace_to_jsonl(trace: Trace) -> str:
+    """One JSON line per transition, preceded by the initial state: each
+    record's fields, step lines with their labels' snapshots.  The lines
+    are pieced together as ``state_digest``'s payloads are, each
+    obstacle's JSON kept for the trace, in the bytes of one ``json.dumps``
+    per line for fields of their declared types.
     """
     obstacle = _ObstacleJson(_line_obstacle).__getitem__
 
-    def snapshots(world: WorldState) -> str:
-        robot = world.robot
+    def snapshots(robot: RobotSnapshot, obstacles: tuple) -> str:
         return '"robot": {"x": %d, "lane": %d, "v": %d, "mode": "%s"}, "obstacles": [%s]' % (
-            robot.x, robot.lane, robot.v, robot.mode.value,
-            ", ".join(map(obstacle, world.obstacles)))
+            robot.x, robot.lane, robot.v, robot.mode.value, ", ".join(map(obstacle, obstacles)))
 
-    world = trace.initial
+    initial = trace.initial
     lines = ['{"type": "initial", "tick": %d, %s, "prevObstacles": [%s]}' % (
-        world.tick, snapshots(world), ", ".join(map(obstacle, world.prev_obstacles)))]
+        initial.tick, snapshots(initial.robot, initial.obstacles),
+        ", ".join(map(obstacle, initial.prev_obstacles)))]
     for label in trace.steps:
-        world = world_step(world, label.choices, scenario)
         lines.append('{"type": "step", "tick": %d, "modeBefore": "%s", "modeAfter": "%s", '
                      '"choices": [%s], %s, "stateHash": %s}' % (
                          label.tick, label.mode_before.value, label.mode_after.value,
                          ", ".join(['{"id": %d, "velocity": %d}' % c for c in label.choices]),
-                         snapshots(world), json.dumps(label.state_hash)))
+                         snapshots(label.robot, label.obstacles), json.dumps(label.state_hash)))
     return "\n".join(lines) + "\n"
 
 
 def write_trace_jsonl(trace: Trace, scenario: GridScenario, path: str | os.PathLike) -> None:
+    """Write ``trace_to_jsonl(trace)`` to ``path``.  ``scenario`` is unread:
+    it stays for the benchmark's call, and ROADMAP item 18 deletes this
+    function."""
     with open(path, "w", encoding="utf-8") as out:
-        out.write(trace_to_jsonl(trace, scenario))
+        out.write(trace_to_jsonl(trace))
 
 
 # Readers of ``trace_to_jsonl``'s lines.  Each record has one table from
@@ -264,15 +281,16 @@ _INITIAL_LINE = {
     "prevObstacles": ("prev_obstacles", None, _each(ObstacleSnapshot, _OBSTACLE_LINE,
                                                     "obstacle")),
 }
-_STEP_LINE = {      # written tick first; this order decides which of several faults is reported
+# A step line is written tick first; this order decides which of several
+# faults is reported.  Its snapshots are read last, through the initial
+# line's readers, so a value of another JSON type (``1.0`` or ``true`` for
+# ``1``) fails as it would there.
+_STEP_LINE = {
     "choices": ("choices", None, _each(ObstacleChoice, _CHOICE_LINE)),
     "stateHash": ("state_hash", str, _as_str), "tick": ("tick", int, _as_int),
     "modeBefore": ("mode_before", None, _as_mode), "modeAfter": ("mode_after", None, _as_mode),
+    "robot": _INITIAL_LINE["robot"], "obstacles": _INITIAL_LINE["obstacles"],
 }
-# A step line's snapshots, read after its label through the initial line's
-# tables, so a value of another JSON type (``1.0`` or ``true`` for ``1``)
-# fails as it would there.
-_SHOWN_LINE = {key: _INITIAL_LINE[key] for key in ("robot", "obstacles")}
 
 
 def trace_from_jsonl(text: str) -> Trace:
@@ -283,18 +301,16 @@ def trace_from_jsonl(text: str) -> Trace:
 
 
 def replay_jsonl(scenario: GridScenario, text: str) -> tuple[Trace, WorldState]:
-    """Read counterexample JSONL and replay it: ``replay_trace`` with each
-    step line's snapshots checked against the state its step reaches.
-    Returns the trace and its final state."""
-    trace, shown = _read_jsonl(text)
-    return trace, replay_trace(scenario, trace, shown)
+    """Read counterexample JSONL and replay it, a snapshot fault named by
+    its line.  Returns the trace and its final state."""
+    trace, lines = _read_jsonl(text)
+    return trace, replay_trace(scenario, trace, lines)
 
 
 def _read_jsonl(text: str):
-    """``trace_from_jsonl``'s trace, and each step line's number and
-    snapshots for ``replay_trace`` to check."""
+    """``trace_from_jsonl``'s trace, and each step line's number."""
     initial = None
-    steps, shown = [], []
+    steps, lines = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -314,11 +330,11 @@ def _read_jsonl(text: str):
                 raise TraceError("step line before the initial state line")
             elif kind == "step":
                 steps.append(_read(TransitionLabel, record, _STEP_LINE, "step"))
-                shown.append((lineno, _read(dict, record, _SHOWN_LINE, "step")))
+                lines.append(lineno)
             else:
                 raise TraceError("a trace has one initial state line")
         except (ScenarioError, TraceError) as e:
             raise TraceError(f"trace line {lineno}: {e}") from e
     if initial is None:
         raise TraceError("trace has no initial state line")
-    return Trace(initial=initial, steps=tuple(steps)), tuple(shown)
+    return Trace(initial=initial, steps=tuple(steps)), lines

@@ -23,8 +23,11 @@ prefix of those ticks, also fixed by the config, is one on which even
 the entry and contact tests cannot pass, so its ticks only draw and move
 the obstacle; the robot's motion there, its mode changes, the look-ahead
 distance and the monitor's assumptions are computed once per config
-(once per sweep cell for all of its seeds).  The full tick runs every
-later tick and alone decides each outcome.
+(once per sweep cell for all of its seeds), in one walk that stops where
+the prefix ends.  The walk keeps a robot state per tick only for an
+episode that collects states, so an untraced run's memory does not grow
+with its prefix.  The full tick runs every later tick and alone decides
+each outcome.
 
 A draw moves the obstacle by ``(true_max * (1.0 - draw)) * dt``, never
 more than ``true_max * dt`` since draws are >= 0, and rounding to
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -166,7 +169,8 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     """
     config.validate()
     states, events, outcome, ticks = _episode(
-        config, config.seed, collect_states=collect_states, approach=_approach(config))
+        config, config.seed, collect_states=collect_states,
+        approach=_approach(config, collect_states))
     return SimTrace(
         config=config,
         states=tuple(states),
@@ -176,46 +180,57 @@ def simulate(config: SimConfig, collect_states: bool = True) -> SimTrace:
     )
 
 
-def _approach(config: SimConfig) -> tuple[int, list, list, float, Assumptions]:
+def _approach(config: SimConfig,
+              collect_states: bool) -> tuple[int, list, list, float, Assumptions]:
     """The part of an episode that depends on the config alone: the
-    prefix, the robot's ``(x, v, mode)`` after ticks 0..prefix, the
-    ``ModeChangeEvent``s of those ticks, ``derived_collision_distance()``
-    and the monitor's ``Assumptions``.
+    prefix, the robot's ``(x, v, mode)`` after the ticks up to the
+    prefix, the ``ModeChangeEvent``s of those ticks,
+    ``derived_collision_distance()`` and the monitor's ``Assumptions``.
+    The robot list holds ticks 0..prefix when the episode collects
+    states, else only the last two (one for a prefix of 0), which is all
+    the full tick reads.
 
     Before the reaction area the robot takes calm far actions (all
     accelerate or hold), so its motion is fixed up to the goal, the tick
-    budget or the obstacle's start in reach.  The prefix is the number
-    of leading ticks whose entry and contact tests fail on ``low``, the
-    obstacle's lowest positions (see the module docstring), and so fail
-    for any draws; it stops at least one tick before that motion ends,
-    so the full tick decides every outcome.  Tick n's entry test reads
-    the obstacle after tick n - 2 (the start for n <= 2) and the robot
-    before tick n; its contact test reads both after tick n."""
+    budget or the obstacle's start in reach.  The walk stops at the first
+    tick n whose entry or contact test may pass on the obstacle's lowest
+    positions (see the module docstring), or at the end of that motion;
+    either way the prefix is n - 1 (0 if the motion has no tick), so the
+    full tick decides every outcome.  Tick n's entry test reads the
+    obstacle after tick n - 2 (the start for n <= 2) and the robot before
+    tick n; its contact test reads both after tick n."""
     x, dest, max_vel, dt = config.robot_start, config.robot_dest, config.robot_max_vel, config.dt
     v, mode = 0.0, RobotMode.IDLE
     accel_dv, decel_dv = config.robot_accel * dt, config.robot_decel * dt
-    robot = [(x, v, mode)]
-    while (len(robot) <= config.max_ticks and x < dest
-           and config.obstacle_start - x > config.reaction_radius):
+    start, reach, threshold = (config.obstacle_start, config.reaction_radius,
+                               config.collision_threshold)
+    step = config.obstacle_true_max_vel * dt
+    robot = [(x, v, mode)] if collect_states else deque([(x, v, mode)], maxlen=3)
+    mode_changes = []
+    older = old = low = start   # the obstacle's lowest positions after ticks n - 2, n - 1, n
+    n = 0
+    while n < config.max_ticks and x < dest and start - x > reach:
+        n += 1
+        entry_x, before = x, mode
         v, mode = velocity_step(v, mode, MODE_TABLE[mode][0], accel_dv, decel_dv, 0.0, max_vel)
         x += v * dt
         robot.append((x, v, mode))
-    last = len(robot) - 1
-    step, low = config.obstacle_true_max_vel * dt, [config.obstacle_start]
-    for _ in range(last):
-        low.append(low[-1] - step)
-    prefix = next((n - 1 for n in range(1, last)
-                   if low[max(n - 2, 0)] - robot[n - 1][0] <= config.reaction_radius
-                   or low[n] - robot[n][0] <= config.collision_threshold), max(last - 1, 0))
-    mode_changes = [ModeChangeEvent(n * dt, robot[n - 1][2], robot[n][2])
-                    for n in range(1, prefix + 1) if robot[n][2] is not robot[n - 1][2]]
+        if mode is not before:
+            mode_changes.append(ModeChangeEvent(n * dt, before, mode))
+        older, old, low = old, low, low - step
+        if older - entry_x <= reach or low - x <= threshold:
+            break
+    prefix = max(n - 1, 0)
+    if n:   # tick n lies past the prefix: drop it and its mode change
+        if robot.pop()[2] is not robot[-1][2]:
+            mode_changes.pop()
     assumptions = Assumptions(
         assumed_obstacle_max_vel=config.assumed_obstacle_max_vel,
         visual_radius=config.visual_range,
         buffer=config.buffer,
         reaction_radius=config.reaction_radius,
     )
-    return prefix, robot[:prefix + 1], mode_changes, config.derived_collision_distance(), assumptions
+    return prefix, list(robot), mode_changes, config.derived_collision_distance(), assumptions
 
 
 def _episode(
@@ -224,7 +239,7 @@ def _episode(
 ) -> tuple[list[SimState], list[SimEvent], SimOutcome, int]:
     """The episode of ``simulate`` on a config that has passed
     ``validate()``, drawn from ``seed`` instead of ``config.seed``, with
-    ``approach`` as ``_approach(config)`` returned it, so a sweep cell
+    ``approach`` as ``_approach(config, collect_states)`` returned it, so a sweep cell
     validates its config and computes its approach once and runs it for
     each of its seeds.  Returns the states, events, outcome and tick
     count.
@@ -271,10 +286,10 @@ def _episode(
         if collect_states:
             states.append(SimState(tick * dt, *robot[tick], obstacle_x, obstacle_v, False))
     if prefix:
-        skipped_robot_x = robot[prefix - 1][0]
+        skipped_robot_x = robot[-2][0]
 
     # The full tick, from the first tick after the prefix on.
-    robot_x, robot_v, mode = robot[prefix]
+    robot_x, robot_v, mode = robot[-1]
     max_vel = config.robot_max_vel
     accel_dv = config.robot_accel * dt
     decel_dv = config.robot_decel * dt

@@ -83,7 +83,7 @@ def _cell_counts(job: tuple[SimConfig, int, int]) -> str:
     CellResult's field order."""
     config, first_seed, runs = job
     counts = {outcome: 0 for outcome in SimOutcome}
-    approach = _approach(config)
+    approach = _approach(config, False)
     for seed in range(first_seed, first_seed + runs):
         _, _, outcome, _ = _episode(config, seed, collect_states=False, approach=approach)
         counts[outcome] += 1

@@ -22,6 +22,7 @@ from passivesafe import (
     state_space_stats,
     world_step,
 )
+from passivesafe import checker, counterexample
 from passivesafe.checker import state_key, verdict_to_dict
 from passivesafe.counterexample import (
     _CHOICE_LINE,
@@ -308,6 +309,8 @@ def test_replay_rejects_corrupted_label():
         mode_after=trace.steps[2].mode_after,
         choices=(ObstacleChoice(0, 99),),
         state_hash=trace.steps[2].state_hash,
+        robot=trace.steps[2].robot,
+        obstacles=trace.steps[2].obstacles,
     )
     corrupted = Trace(trace.initial, trace.steps[:2] + (bad_step,) + trace.steps[3:])
     with pytest.raises(TraceError, match="step 2"):
@@ -323,6 +326,8 @@ def test_replay_rejects_hash_mismatch():
         mode_after=trace.steps[1].mode_after,
         choices=trace.steps[1].choices,
         state_hash="0" * 64,
+        robot=trace.steps[1].robot,
+        obstacles=trace.steps[1].obstacles,
     )
     tampered = Trace(trace.initial, trace.steps[:1] + (tampered_step,) + trace.steps[2:])
     with pytest.raises(TraceError, match="step 1"):
@@ -353,6 +358,69 @@ def test_replay_rejects_label_that_misstates_its_step(fields):
         replay_trace(scenario, tampered)
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda label: {"robot": label.robot._replace(x=label.robot.x + 1)},
+     r"robot\.x shows 10, replayed 9"),
+    (lambda label: {"obstacles": (label.obstacles[0]._replace(lane=0),) + label.obstacles[1:]},
+     r"obstacles\[0\]\.lane shows 0, replayed 1"),
+    (lambda label: {"obstacles": ()}, r"obstacles shows 0 obstacles, replayed 13"),
+], ids=["robot", "obstacle", "no-obstacles"])
+def test_replay_checks_the_snapshots_of_a_trace_built_in_python(damage, message):
+    """A label's snapshots are checked on every replay, not only on one
+    read from JSONL: with no line to name, the fault names the step."""
+    scenario = load_scenario((CONFIGS / "head_on_under_assumption.json").read_text())
+    trace = check_safety(scenario).counterexample
+    label = trace.steps[3]
+    tampered = Trace(trace.initial, trace.steps[:3] + (label._replace(**damage(label)),)
+                     + trace.steps[4:])
+    with pytest.raises(TraceError, match=rf"^invalid label at step 3: {message}$"):
+        replay_trace(scenario, tampered)
+
+
+def test_replay_trace_refuses_a_read_trace_whose_step_line_shows_another_state():
+    """The edited trace that ``replay`` refuses (line 4's robot moved to
+    cell 999, its obstacles gone) is refused by ``replay_trace`` on the
+    trace read from it too, naming the step."""
+    scenario = load_scenario((CONFIGS / "head_on_under_assumption.json").read_text())
+    lines = trace_to_jsonl(check_safety(scenario).counterexample).splitlines()
+    step = json.loads(lines[3])
+    step["robot"]["x"], step["obstacles"] = 999, []
+    lines[3] = json.dumps(step)
+    trace = trace_from_jsonl("\n".join(lines) + "\n")
+    with pytest.raises(TraceError,
+                       match=r"^invalid label at step 2: robot\.x shows 999, replayed 6$"):
+        replay_trace(scenario, trace)
+
+
+def test_trace_to_jsonl_steps_no_world(monkeypatch):
+    """The writer formats the labels' own snapshots: with ``world_step``
+    made to raise, it writes the same bytes."""
+    scenario = load_scenario((CONFIGS / "head_on_two_movers_under_assumption.json").read_text())
+    trace = check_safety(scenario).counterexample
+    text = trace_to_jsonl(trace)
+
+    def refuse(*args):
+        raise AssertionError("trace_to_jsonl stepped a world")
+
+    monkeypatch.setattr(counterexample, "world_step", refuse)
+    assert trace_to_jsonl(trace) == text
+
+
+def test_rebuild_refuses_a_path_no_pick_reaches(monkeypatch):
+    """The rebuild follows the search's keys with ``world_step``: when no
+    pick vector's successor has the next key, it raises instead of
+    keeping the last one tried.  Here ``world_step`` adds 7 to the
+    robot's speed, so no successor matches the first key."""
+    def skewed(world, choices, scenario):
+        after = world_step(world, choices, scenario)
+        return after._replace(robot=after.robot._replace(v=after.robot.v + 7))
+
+    monkeypatch.setattr(checker, "world_step", skewed)
+    scenario = load_scenario((CONFIGS / "head_on_under_assumption.json").read_text())
+    with pytest.raises(RuntimeError, match=r"at step 0$"):
+        check_safety(scenario)
+
+
 def test_replay_rejects_foreign_initial_state():
     scenario = head_on_scenario(assumed_obstacle_max_vel=2)
     trace = check_safety(scenario).counterexample
@@ -375,7 +443,7 @@ def test_trace_jsonl_round_trip(tmp_path):
 def test_trace_jsonl_has_one_step_line_per_transition():
     scenario = head_on_scenario(assumed_obstacle_max_vel=2)
     trace = check_safety(scenario).counterexample
-    lines = trace_to_jsonl(trace, scenario).splitlines()
+    lines = trace_to_jsonl(trace).splitlines()
     assert len(lines) == 1 + len(trace.steps)
 
 
@@ -389,7 +457,7 @@ def test_trace_jsonl_rejects_garbage():
 def test_trace_initial_line_is_the_first_non_blank_line():
     scenario = head_on_scenario(assumed_obstacle_max_vel=2)
     trace = check_safety(scenario).counterexample
-    initial, *steps = trace_to_jsonl(trace, scenario).splitlines()
+    initial, *steps = trace_to_jsonl(trace).splitlines()
     assert trace_from_jsonl("\n  \n" + "\n".join([initial, *steps])) == trace
     with pytest.raises(TraceError, match=r"^trace has no initial state line$"):
         trace_from_jsonl("\n\n")
@@ -408,7 +476,7 @@ def test_trace_from_jsonl_reads_step_snapshots(damage, message):
     the initial line's tables, so parsing alone refuses a malformed one."""
     scenario = head_on_scenario(assumed_obstacle_max_vel=2)
     trace = check_safety(scenario).counterexample
-    initial, step, *steps = trace_to_jsonl(trace, scenario).splitlines()
+    initial, step, *steps = trace_to_jsonl(trace).splitlines()
     record = json.loads(step)
     damage(record)
     with pytest.raises(TraceError, match=rf"^trace line 2: {message}$"):
@@ -421,19 +489,18 @@ def test_reader_tables_state_the_trace_keys(monkeypatch, config):
     """On the committed Violated configs, every record ``trace_to_jsonl``
     writes has its reader table's keys in table order, less ``type``; the
     step line, read in another order than it is written, has them as a
-    set, less the inspection-only snapshots.  ``state_digest`` hashes the
-    same keys, sorted."""
+    set.  ``state_digest`` hashes the same keys, sorted."""
     scenario = load_scenario((CONFIGS / config).read_text())
     trace = check_safety(scenario).counterexample
     assert trace is not None
-    initial, *steps = map(json.loads, trace_to_jsonl(trace, scenario).splitlines())
+    initial, *steps = map(json.loads, trace_to_jsonl(trace).splitlines())
     assert [key for key in initial if key != "type"] == list(_INITIAL_LINE)
     obstacles = initial["obstacles"] + initial["prevObstacles"]
     for record in (initial, *steps):
         assert list(record["robot"]) == list(_ROBOT_LINE)
         obstacles += record["obstacles"]
     for step in steps:
-        assert step.keys() - {"type", "robot", "obstacles"} == _STEP_LINE.keys()
+        assert step.keys() - {"type"} == _STEP_LINE.keys()
         assert step["choices"] and all(list(c) == list(_CHOICE_LINE) for c in step["choices"])
     assert all(list(obstacle) == list(_OBSTACLE_LINE) for obstacle in obstacles)
 
@@ -486,7 +553,7 @@ def test_design_points_match_their_pinned_digest():
                 trace = verdict.counterexample
                 digest.update(json.dumps(verdict_to_dict(verdict)).encode())
                 digest.update(json.dumps(verdict.stats[:4]).encode())
-                digest.update((trace_to_jsonl(trace, scenario) if trace else "").encode())
+                digest.update((trace_to_jsonl(trace) if trace else "").encode())
                 outcomes.append(verdict.outcome)
                 states += verdict.states_explored
                 steps += len(trace.steps) if trace else 0
@@ -505,7 +572,7 @@ def test_design_point_counterexamples_replay_from_their_jsonl():
                 scenario = head_on_scenario(assumed, true_max_vel, obstacle_start=start)
                 trace = check_safety(scenario).counterexample
                 if trace is not None:
-                    loaded, final = replay_jsonl(scenario, trace_to_jsonl(trace, scenario))
+                    loaded, final = replay_jsonl(scenario, trace_to_jsonl(trace))
                     assert loaded == trace and not is_passive_safe(final)
                     replayed += 1
     assert replayed == 51

@@ -101,7 +101,8 @@ def reference_check(scenario, depth_bound, state_budget, key_of=lambda key: key)
             before = world.robot.mode
             world = world_step(world, choices, scenario)
             steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices,
-                                         reference_state_digest(world)))
+                                         reference_state_digest(world), world.robot,
+                                         world.obstacles))
         return Trace(init, tuple(steps))
 
     while queue:
@@ -148,6 +149,8 @@ def _rebuild_trace(
             mode_after=world.robot.mode,
             choices=choices,
             state_hash=reference_state_digest(world),
+            robot=world.robot,
+            obstacles=world.obstacles,
         ))
     return Trace(initial=initial, steps=tuple(steps))
 
@@ -543,7 +546,8 @@ def test_state_digest_matches_the_reference_json(scenario, data):
         assert loaded == world
         expected = reference_state_digest(world)
         assert state_digest(world) == state_digest(loaded) == expected
-        steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices, expected))
+        steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices, expected,
+                                     world.robot, world.obstacles))
     assert replay_trace(scenario, Trace(initial_world_state(scenario), tuple(steps))) == world
 
 
@@ -560,11 +564,12 @@ def test_trace_jsonl_matches_the_reference_json(scenario, data):
         before = world.robot.mode
         world = world_step(world, choices, scenario)
         steps.append(TransitionLabel(world.tick, before, world.robot.mode, choices,
-                                     data.draw(st.sampled_from(["", state_digest(world)]))))
+                                     data.draw(st.sampled_from(["", state_digest(world)])),
+                                     world.robot, world.obstacles))
     traces = [Trace(initial_world_state(scenario), tuple(steps))]
     traces += [t for t in [check_safety(scenario).counterexample] if t is not None]
     for trace in traces:
-        assert trace_to_jsonl(trace, scenario) == reference_trace_jsonl(trace, scenario)
+        assert trace_to_jsonl(trace) == reference_trace_jsonl(trace, scenario)
 
 
 def _two_movers(**unlike) -> GridScenario:

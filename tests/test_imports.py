@@ -180,3 +180,32 @@ def test_every_name_the_benchmark_reads_resolves():
     missing = [f"{module}.{name}" for module, name in sorted(read)
                if not hasattr(importlib.import_module(f"passivesafe.{module}"), name)]
     assert missing == []
+
+
+def test_no_module_reads_a_private_name_of_the_counterexample_format():
+    """Only ``counterexample`` builds, writes, reads and replays a trace:
+    every other module of the package reads public names of it alone,
+    by ``from .counterexample import`` or as attributes of the imported
+    module.  The checker's rebuild hands it the reached states through
+    ``trace_of``."""
+    read = {}   # module -> the names of counterexample it reads
+    for path in Path(passivesafe.__file__).resolve().parent.glob("*.py"):
+        if path.stem == "counterexample":
+            continue
+        tree = ast.parse(path.read_text())
+        names, bound = set(), set()     # bound: local names of the module itself
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = ("passivesafe." if node.level else "") + (node.module or "")
+            if module == "passivesafe.counterexample":
+                names.update(alias.name for alias in node.names)
+            elif module in ("passivesafe", "passivesafe."):
+                bound.update(alias.asname or alias.name for alias in node.names
+                             if alias.name == "counterexample")
+        names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id in bound)
+        read[path.stem] = names
+    assert {module: sorted(name for name in names if name.startswith("_"))
+            for module, names in read.items() if any(n.startswith("_") for n in names)} == {}
+    assert "trace_of" in read["checker"] and "trace_to_jsonl" in read["cli"]

@@ -25,7 +25,7 @@ _scenario_text = _scenario_path.read_text()
 _scenario = load_scenario(_scenario_text)
 _trace_lines = [
     json.loads(line)
-    for line in trace_to_jsonl(check_safety(_scenario).counterexample, _scenario).splitlines()
+    for line in trace_to_jsonl(check_safety(_scenario).counterexample).splitlines()
 ]
 
 DOCUMENTS = {
@@ -115,7 +115,7 @@ for _name in ("head_on_under_assumption.json", "head_on_two_movers_under_assumpt
     _path = CONFIGS / _name
     _violated = load_scenario(_path.read_text())
     _VIOLATED[str(_path)] = [json.loads(line) for line in trace_to_jsonl(
-        check_safety(_violated).counterexample, _violated).splitlines()]
+        check_safety(_violated).counterexample).splitlines()]
 
 
 def _other_values(old):

@@ -1,5 +1,6 @@
 """Runtime simulation: determinism, clamping, braking, contact handling."""
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -389,6 +390,25 @@ def test_integer_speed_steps_stop_at_a_float_zero():
     assert trace.outcome is SimOutcome.STOPPED_SAFE
     assert ('{"type": "tick", "t": 15, "robotX": 19.5, "robotV": 0.0, "robotMode": "Stop", '
             in trace_to_jsonl(trace))
+
+
+def test_untraced_approach_keeps_no_tick_of_the_prefix():
+    """``configs/runtime.json`` on a track so long that the robot never
+    nears the obstacle or its goal: every tick but the last is prefix.
+    Without states collected the approach keeps the last few robot
+    states only, so 200,000 ticks stay within 1 MB traced; a list per
+    tick took 26 MB."""
+    config = replace(load_sim_config((CONFIGS / "runtime.json").read_text()),
+                     track_length=1e308, obstacle_start=1e308, robot_dest=1e307,
+                     max_ticks=200_000)
+    tracemalloc.start()
+    try:
+        trace = simulate(config, collect_states=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (trace.outcome, trace.ticks) == (SimOutcome.TICK_BUDGET_EXHAUSTED, 200_000)
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("field, before, value, text", [

@@ -300,7 +300,7 @@ def test_prefix_bound_is_tight(monkeypatch, config):
     whose observed gap is inside the reaction radius is the one right
     after the prefix: the prefix skips no tick it could have skipped."""
     _draw_always(monkeypatch, 0.0)
-    prefix = sim._approach(config)[0]
+    prefix = sim._approach(config, True)[0]
     states = simulate(config).states
     first_in_reach = next(
         n for n in range(1, len(states))
@@ -313,7 +313,7 @@ def test_prefix_bound_is_tight(monkeypatch, config):
 def test_full_tick_decides_the_outcome(config):
     """The prefix stops before the episode's last tick, so the full
     tick decides every outcome, the goal and the tick budget included."""
-    assert sim._approach(config)[0] < simulate(config).ticks
+    assert sim._approach(config, True)[0] < simulate(config).ticks
 
 
 def test_acceleration_step_rounding_to_zero_is_rejected():
