@@ -68,31 +68,31 @@ def robot_step(
 def robot_step_at(x: int, lane: int, v: int, mode: RobotMode, seen: tuple,
                   scenario: GridScenario) -> tuple[int, int, int, RobotMode]:
     """The robot's (x, lane, v, mode) after one tick, deciding on the
-    obstacles ``seen``: what it observes there, then ``robot_decide``."""
+    obstacles ``seen``: danger there, the free side lane only for a mode
+    of ``DODGING_MODES`` in danger, then one ``robot_decide``."""
     danger = collision_danger_at(x, lane, seen, scenario)
-    return (robot_decide(x, lane, v, mode, danger, _UNLOOKED, scenario)
-            or robot_decide(x, lane, v, mode, danger,
-                            lane_change_possible_at(x, lane, seen, scenario), scenario))
+    free_lane = (lane_change_possible_at(x, lane, seen, scenario)
+                 if danger and mode in DODGING_MODES else None)
+    return robot_decide(x, lane, v, mode, danger, free_lane, scenario)
 
 
-_UNLOOKED = object()    # a free lane not looked for yet
 # On CPython 3.11 each read of an enum member as a class attribute costs a
 # descriptor call, about 150 ns; the step reads these from module globals.
 _ACCELERATE, _DODGE = VelocityAction.ACCELERATE, VelocityAction.DODGE
+# The modes with a dodge in a danger column: only they need a free side lane.
+DODGING_MODES = frozenset(mode for mode, row in MODE_TABLE.items() if _DODGE in row[2:])
 
 
 def robot_decide(x: int, lane: int, v: int, mode: RobotMode, danger: bool, free_lane,
-                 scenario: GridScenario) -> tuple[int, int, int, RobotMode] | None:
+                 scenario: GridScenario) -> tuple[int, int, int, RobotMode]:
     """The robot's (x, lane, v, mode) after one tick, given ``danger`` and
-    ``free_lane``, the free side lane or None: its mode's ``MODE_TABLE``
-    cell for (danger, near destination) picks the action, and dodge takes
-    the free side lane with an acceleration, else brakes.  A dodge with
-    ``_UNLOOKED`` returns None: the caller looks for the lane only then."""
+    ``free_lane``, a side lane or None: its mode's ``MODE_TABLE`` cell for
+    (danger, near destination) picks the action, and dodge takes the free
+    side lane with an acceleration, else brakes.  ``free_lane`` is read
+    only on a dodge cell."""
     near_dest = scenario.robot_dest_cell - x <= braking_distance_cells(v)
     action = MODE_TABLE[mode][2 * danger + near_dest]
     if action is _DODGE and free_lane is not None:
-        if free_lane is _UNLOOKED:
-            return None
         lane, action = free_lane, _ACCELERATE
     return apply_action(x, lane, v, mode, action, scenario)
 

@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import product, repeat
 from operator import itemgetter
 
-from .automata import _UNLOOKED, ObstacleChoice, free_side_lane, robot_decide, world_step
+from .automata import DODGING_MODES, ObstacleChoice, free_side_lane, robot_decide, world_step
 from .kinematics import blocks_lane, danger_from, is_passive_safe, stands_ahead
 from .model import (
     DEFAULT_STATE_BUDGET,
@@ -199,7 +199,7 @@ class _Model:
             on_lane.setdefault(lane, []).append(cell)
         # The memos, each filled by the method named.
         self.seen_statics = {}      # (x, lane) -> statics_at
-        self.decisions = {}         # robot + (danger, free lane) -> decide
+        self.decisions = {}         # robot + (danger, free lane) -> move
         self.moves = {}             # key[:4] + prev xs -> move
         self.safety = {}            # head with speed -> {xs: is_safe}, filled by the search
         self.tails = {}             # xs + (robot x or -1,) -> successor_tails
@@ -255,26 +255,13 @@ class _Model:
             {on for cell, on in self.statics if blocks_lane(x, cell, visual)})
         return seen
 
-    def decide(self, decision: tuple) -> tuple:
-        """``robot_decide`` on the robot, danger and free lane, as ``move``
-        gives it, or ``_UNLOOKED`` for a dodge whose lane is not looked for."""
-        x, lane, v, mode, danger, free_lane = decision
-        head = robot_decide(x, lane, v, _MODES[mode], danger, free_lane, self.scenario)
-        move = _UNLOOKED
-        if head is not None:
-            to_x, to_lane, to_v, to_mode = head
-            head = (to_x, to_lane, to_v, _MODE_CODE[to_mode])
-            safe = self.safety.setdefault(head, {}) if to_v else None
-            move = (head, safe, to_x == x and to_lane == lane and to_v == v and head[3] == mode)
-        self.decisions[decision] = move
-        return move
-
     def move(self, seen: tuple) -> tuple:
         """The robot's step on what it reads, ``seen`` = ``key[:4] +
         key[5::2]``: the moved robot, its safety memo (None at rest) and
-        whether it stays put.  A free side lane is looked for only for a
-        dodge."""
-        x, lane, scenario = seen[0], seen[1], self.scenario
+        whether it stays put.  A free side lane is looked for only in
+        danger, for a mode of ``DODGING_MODES``."""
+        x, lane, v, mode = robot = seen[:4]
+        scenario = self.scenario
         danger = lane in self.on_lane and (self.seen_statics.get((x, lane))
                                            or self.statics_at(x, lane))[0]
         if not danger:
@@ -282,14 +269,20 @@ class _Model:
                 if danger_from(x, lane, cell, on, cell == d, scenario):
                     danger = True
                     break
-        decision = seen[:4] + (danger, _UNLOOKED)
-        move = self.decisions.get(decision) or self.decide(decision)
-        if move is _UNLOOKED:   # a dodge: look for a free side lane
+        free_lane = None
+        if danger and _MODES[mode] in DODGING_MODES:
             visual = scenario.assumptions.visual_radius
             blocked = (self.seen_statics.get((x, lane)) or self.statics_at(x, lane))[2].union(
                 [on for cell, on in zip(seen[4:], self.lanes) if blocks_lane(x, cell, visual)])
-            decision = seen[:4] + (True, free_side_lane(lane, blocked, scenario))
-            move = self.decisions.get(decision) or self.decide(decision)
+            free_lane = free_side_lane(lane, blocked, scenario)
+        decision = robot + (danger, free_lane)
+        move = self.decisions.get(decision)
+        if move is None:
+            to_x, to_lane, to_v, to_mode = robot_decide(x, lane, v, _MODES[mode], danger,
+                                                        free_lane, scenario)
+            head = (to_x, to_lane, to_v, _MODE_CODE[to_mode])
+            safe = self.safety.setdefault(head, {}) if to_v else None
+            move = self.decisions[decision] = (head, safe, head == robot)
         self.moves[seen] = move
         return move
 

@@ -22,6 +22,8 @@ from passivesafe import (
     robot_step_at,
     world_step,
 )
+from passivesafe.automata import DODGING_MODES, robot_decide
+from passivesafe.model import MODE_TABLE, VelocityAction
 from helpers import (InvariantViolation, empty_scenario, head_on_scenario, single_lane_duel,
                      validate_world)
 
@@ -280,6 +282,35 @@ def test_braking_robot_takes_free_lane():
     assert stepped.lane == 0
     assert stepped.mode in (RobotMode.ACCELERATE, RobotMode.DRIVE)
     assert stepped.v == 3
+
+
+def test_robot_decide_reads_the_free_lane_only_on_a_dodge_cell():
+    """Every ``MODE_TABLE`` cell, reached from each (x, v) of a three-lane
+    track at every lane, with every free lane of {None, 0, 1, 2}.  The
+    decision is always a moved robot, and the free lane changes it only
+    on a dodge cell.  Every dodge cell lies in a danger column of a mode
+    of ``DODGING_MODES``, the only modes for which ``robot_step_at`` and
+    the checker look for a free lane."""
+    scenario = empty_scenario(track_length=12)._replace(lane_count=3)
+    dest, cells = scenario.robot_dest_cell, set()
+    for mode, row in MODE_TABLE.items():
+        for column, action in enumerate(row):
+            if action is VelocityAction.DODGE:
+                assert column >= 2 and mode in DODGING_MODES, (mode, column)
+    for mode in RobotMode:
+        for danger in (False, True):
+            for x in range(dest + 1):
+                for v in range(scenario.robot_max_vel + 1):
+                    near = dest - x <= braking_distance_cells(v)
+                    dodge = MODE_TABLE[mode][2 * danger + near] is VelocityAction.DODGE
+                    cells.add((mode, danger, near))
+                    for lane in range(3):
+                        braked = robot_decide(x, lane, v, mode, danger, None, scenario)
+                        for free_lane in (None, 0, 1, 2):
+                            moved = robot_decide(x, lane, v, mode, danger, free_lane, scenario)
+                            assert type(moved) is tuple and len(moved) == 4
+                            assert moved == braked or dodge, (mode, danger, x, v, free_lane)
+    assert len(cells) == 4 * len(MODE_TABLE)
 
 
 # ---------------------------------------------------------------------------

@@ -539,6 +539,44 @@ def test_counterexample_matches_pinned_digest(tmp_path, capsys, config, states, 
     capsys.readouterr()
 
 
+_DODGE_VERDICTS = {
+    "dodge.json": (0, '{"outcome": "Holds", "statesExplored": 85, "maxDepth": 19, '
+                      '"counterexampleLength": null, "depthBound": null, "reachedFixpoint": true}'),
+    "dodge_under_assumption.json": (
+        2, '{"outcome": "Violated", "statesExplored": 1612, "maxDepth": 7, '
+           '"counterexampleLength": 7, "counterexamplePath": "{trace}", "depthBound": null, '
+           '"reachedFixpoint": false}'),
+}
+
+
+@pytest.mark.parametrize("config", list(_DODGE_VERDICTS))
+def test_dodge_configs_find_a_free_side_lane(tmp_path, capsys, monkeypatch, config):
+    """The committed configs on which the robot dodges: it brakes for a
+    head-on mover on lane 1 and, in danger, takes lane 0.  Under an
+    assumed bound of 2 that holds; a lane-0 mover of maxVel 3 makes the
+    dodge unsafe, and the counterexample changes lane at tick 6.  The
+    check finds lane 0 free, and the verdict, exit codes, trace bytes and
+    replay are pinned."""
+    found = []
+    plain = checker.free_side_lane
+    monkeypatch.setattr(checker, "free_side_lane",
+                        lambda *args: found.append(plain(*args)) or found[-1])
+    path = tmp_path / "cex.jsonl"
+    code, verdict = _DODGE_VERDICTS[config]
+    assert main(["check", str(CONFIGS / config), "--trace", str(path)]) == code
+    assert capsys.readouterr().out == (verdict.replace("{trace}", str(path)) + "\n")
+    assert 0 in found
+    if code == 0:
+        assert not path.exists()
+        return
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "cfa4f43e32ce72ce4fe45ca78929be03619a42005fdf32ad7c03fc21f44bb760"
+    lanes = [json.loads(line)["robot"]["lane"] for line in path.read_text().splitlines()]
+    assert lanes == [1] * 6 + [0] * 2
+    assert main(["replay", str(CONFIGS / config), str(path)]) == 0
+    assert capsys.readouterr().out == '{"steps": 7, "finalTick": 7, "violatesPassiveSafety": true}\n'
+
+
 def test_design_points_match_their_pinned_digest():
     """Every design point of ``head_on_scenario``: mover start 30-46, true
     maxVel 1-3, assumed bound 1-5.  One SHA-256 over each point's verdict

@@ -625,8 +625,9 @@ def test_checker_matches_walked_search_on_dodges(side, dodge, monkeypatch):
     the obstacles on other lanes it sees.  A mover at exactly the visual
     radius blocks the lane; one cell further on it does not.
 
-    The search decides on key ints, so it is watched through the free
-    lane it hands ``robot_decide``: its dodges, as (robot, free lane),
+    The search decides on key ints, so it is watched through the calls
+    it makes to ``robot_decide``: a call under danger in a mode of
+    ``DODGING_MODES`` is a dodge, and its dodges, as (robot, free lane),
     are those of the parked object-level reference, which also records
     what the robot saw on each.  The verdict is then equal in full to
     both references'."""
@@ -634,7 +635,7 @@ def test_checker_matches_walked_search_on_dodges(side, dodge, monkeypatch):
 
     def dodges_of(decide, dodges):
         def spy(x, lane, v, mode, danger, free_lane, scenario):
-            if free_lane is not automata._UNLOOKED:
+            if danger and mode in automata.DODGING_MODES:
                 dodges.add((x, lane, v, mode, free_lane))
             return decide(x, lane, v, mode, danger, free_lane, scenario)
         return spy

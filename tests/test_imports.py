@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import passivesafe
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -182,15 +184,13 @@ def test_every_name_the_benchmark_reads_resolves():
     assert missing == []
 
 
-def test_no_module_reads_a_private_name_of_the_counterexample_format():
-    """Only ``counterexample`` builds, writes, reads and replays a trace:
-    every other module of the package reads public names of it alone,
-    by ``from .counterexample import`` or as attributes of the imported
-    module.  The checker's rebuild hands it the reached states through
-    ``trace_of``."""
-    read = {}   # module -> the names of counterexample it reads
+def _names_read_of(owner: str) -> dict[str, set[str]]:
+    """Per module of the package other than ``owner``, the names it reads
+    of ``owner``: by ``from .<owner> import`` or as attributes of the
+    module itself, imported from the package."""
+    read = {}
     for path in Path(passivesafe.__file__).resolve().parent.glob("*.py"):
-        if path.stem == "counterexample":
+        if path.stem == owner:
             continue
         tree = ast.parse(path.read_text())
         names, bound = set(), set()     # bound: local names of the module itself
@@ -198,14 +198,41 @@ def test_no_module_reads_a_private_name_of_the_counterexample_format():
             if not isinstance(node, ast.ImportFrom):
                 continue
             module = ("passivesafe." if node.level else "") + (node.module or "")
-            if module == "passivesafe.counterexample":
+            if module == f"passivesafe.{owner}":
                 names.update(alias.name for alias in node.names)
             elif module in ("passivesafe", "passivesafe."):
                 bound.update(alias.asname or alias.name for alias in node.names
-                             if alias.name == "counterexample")
+                             if alias.name == owner)
         names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                      and isinstance(node.value, ast.Name) and node.value.id in bound)
         read[path.stem] = names
-    assert {module: sorted(name for name in names if name.startswith("_"))
-            for module, names in read.items() if any(n.startswith("_") for n in names)} == {}
+    return read
+
+
+def _private(read: dict[str, set[str]]) -> dict[str, list[str]]:
+    return {module: sorted(name for name in names if name.startswith("_"))
+            for module, names in read.items() if any(n.startswith("_") for n in names)}
+
+
+def test_no_module_reads_a_private_name_of_the_counterexample_format():
+    """Only ``counterexample`` builds, writes, reads and replays a trace:
+    every other module of the package reads public names of it alone.
+    The checker's rebuild hands it the reached states through
+    ``trace_of``."""
+    read = _names_read_of("counterexample")
+    assert _private(read) == {}
     assert "trace_of" in read["checker"] and "trace_to_jsonl" in read["cli"]
+
+
+@pytest.mark.parametrize("owner, called", [
+    ("automata", {"robot_decide", "DODGING_MODES", "free_side_lane"}),
+    ("kinematics", {"danger_from", "stands_ahead", "blocks_lane"}),
+])
+def test_no_module_reads_a_private_name_of_the_grid_rules(owner, called):
+    """The robot's rules are public functions of plain values: the checker
+    calls ``robot_decide`` and the per-obstacle rules on the ints of its
+    keys, and no module reads a private name of their modules, no
+    sentinel included."""
+    read = _names_read_of(owner)
+    assert _private(read) == {}
+    assert called <= read["checker"]

@@ -372,6 +372,74 @@ def test_nonpositive_budget_is_usage_error(capsys, budget):
     assert f"--budget: must be >= 1, got {budget}" in capsys.readouterr().err
 
 
+def _first_obstacle(**change):
+    return lambda data: data["obstacles"][0].update(change)
+
+
+_VALIDATION_MESSAGES = [
+    ("check", "head_on.json", lambda d: d.update(trackLengthCells=1), EX_DATAERR,
+     "error: trackLengthCells must be >= 2"),
+    ("check", "head_on.json", lambda d: d.update(laneCount=0), EX_DATAERR,
+     "error: laneCount must be >= 1"),
+    ("check", "head_on.json", lambda d: d.update(robotDestCell=50), EX_DATAERR,
+     "error: robotDestCell beyond end of track"),
+    ("check", "head_on.json", lambda d: d.update(robotStartLane=3), EX_DATAERR,
+     "error: robotStartLane: lane out of range"),
+    ("check", "head_on.json", lambda d: d["obstacles"].append(d["obstacles"][0]), EX_DATAERR,
+     "error: duplicate obstacle id 0"),
+    ("check", "head_on.json", _first_obstacle(startCell=50), EX_DATAERR,
+     "error: obstacle 0: startCell out of range"),
+    ("check", "head_on.json", _first_obstacle(destCell=-1), EX_DATAERR,
+     "error: obstacle 0: destCell out of range"),
+    ("check", "head_on.json", _first_obstacle(maxVel=0), EX_DATAERR,
+     "error: obstacle 0: maxVel must be >= 1"),
+    ("simulate", "runtime.json", lambda d: d.update(visualRange=0.0), EX_DATAERR,
+     "error: visualRange must be > 0"),
+    ("simulate", "runtime.json", lambda d: d.update(buffer=-0.1), EX_DATAERR,
+     "error: buffer must be >= 0"),
+    ("simulate", "runtime.json", lambda d: d.update(obstacleStart=0.0), EX_DATAERR,
+     "error: obstacleStart must lie ahead of the robot"),
+    ("simulate", "runtime.json", lambda d: d.update(trackLength=11.0), EX_DATAERR,
+     "error: robotDest and obstacleStart must fit on the track"),
+    ("simulate", "runtime.json", lambda d: d.update(maxTicks=0), EX_DATAERR,
+     "error: maxTicks must be >= 1"),
+    ("sweep", "sweep.json", lambda d: d.update(runsPerCell=0), EX_DATAERR,
+     "error: runsPerCell must be >= 1"),
+    ("check", "head_on.json", None, EX_USAGE,
+     "passivesafe check: error: argument --budget: invalid int value: 'x'"),
+]
+
+
+@pytest.mark.parametrize("command, config, edit, code, message", _VALIDATION_MESSAGES,
+                         ids=[case[-1].split("error: ")[1] for case in _VALIDATION_MESSAGES])
+def test_each_validation_message_exits_with_one_line(tmp_path, capsys, command, config, edit,
+                                                     code, message):
+    """One input per message of the scenario, simulation config and sweep
+    spec checks, and the CLI's int parser: it exits with the documented
+    code, prints one error line to stderr (a usage error after the
+    parser's usage) and writes nothing to stdout or to the sweep's CSV."""
+    data = json.loads((CONFIGS / config).read_text())
+    path, out = tmp_path / config, tmp_path / "out.csv"
+    if edit is not None:
+        edit(data)
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + {"sweep": ["--out", str(out)]}.get(command, [])
+    if code == EX_USAGE:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--budget", "x"])
+        assert exc.value.code == code
+    else:
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    if code == EX_USAGE:    # the usage, its continuation lines indented, comes first
+        assert lines[0].startswith(f"usage: passivesafe {command} ")
+        lines = [line for line in lines[1:] if not line.startswith(" ")]
+    assert lines == [message]
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 
 def _small_spec_file(tmp_path) -> str:
     spec = {
